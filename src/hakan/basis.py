@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import BasisParameterError, ConfigError
 
-BASIS_KINDS = ("hahn", "chebyshev", "lucas", "bspline")
+BASIS_KINDS = ("hahn", "chebyshev", "lucas")
 
 
 class Basis:
@@ -248,6 +248,4 @@ def make_basis(kind: str, degree: int, a: float = 1.0, b: float = 1.0, n: int = 
         return ChebyshevBasis(degree)
     if kind == "lucas":
         return LucasBasis(degree)
-    if kind == "bspline":
-        raise ConfigError("bspline basis is an optional extra and is not built")
     raise ConfigError(f"unknown basis {kind!r}; choose from {BASIS_KINDS}")

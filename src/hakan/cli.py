@@ -14,8 +14,14 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from . import tensor as tt
-from .config import RunConfig, load_config, serialize_config
+from .config import (
+    RunConfig,
+    find_key,
+    load_config,
+    parse_value,
+    serialize_config,
+    with_values,
+)
 from .data import load_csv, prepare
 from .errors import ConfigError, ContractError, DataError, DimensionError
 from .model import HaKanModel, ModelConfig, count_breakdown, model_param_count
@@ -28,8 +34,24 @@ EXIT_NUMERIC = 4
 
 METRICS_COLUMNS = ("dataset", "horizon", "seed", "mse", "mae", "epochs", "seconds")
 
-SWEEP_AXES = ("basis", "blocks", "bottleneck", "patch_len", "lookback",
-              "components", "mlp")
+# override flag -> the config key it sets, for train and sweep
+OVERRIDES = {
+    "data": "data.path",
+    "horizon": "model.horizon",
+    "lookback": "model.lookback",
+    "seed": "run.seeds",
+    "seeds": "run.seeds",
+    "max_epochs": "train.max_epochs",
+    "batch_size": "train.batch_size",
+    "lr": "train.lr",
+    "out": "run.out",
+}
+EVAL_OVERRIDES = {"data": "data.path", "out": "run.out"}
+PARAMS_OVERRIDES = {
+    "blocks": "model.blocks",
+    "horizon": "model.horizon",
+    "lookback": "model.lookback",
+}
 
 
 def main(argv=None) -> int:
@@ -58,30 +80,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train on a dataset and write metrics")
     _add_config_arg(p_train)
-    _add_override_args(p_train)
+    _add_override_args(p_train, OVERRIDES)
     p_train.set_defaults(handler=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a test split")
     p_eval.add_argument("--checkpoint", required=True)
     _add_config_arg(p_eval)
-    p_eval.add_argument("--data", help="override dataset csv path")
+    _add_override_args(p_eval, EVAL_OVERRIDES)
     p_eval.add_argument("--horizon", type=int, help="must match the checkpoint")
-    p_eval.add_argument("--out", help="output directory override")
     p_eval.set_defaults(handler=cmd_eval)
 
     p_sweep = sub.add_parser("sweep", help="ablation sweep along one axis")
     _add_config_arg(p_sweep)
-    p_sweep.add_argument("--axis", required=True)
+    p_sweep.add_argument("--axis", required=True,
+                         help="components, patch_len, mlp, or any config key "
+                              "or unique key suffix")
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated axis values")
-    _add_override_args(p_sweep)
+    _add_override_args(p_sweep, OVERRIDES)
     p_sweep.set_defaults(handler=cmd_sweep)
 
     p_params = sub.add_parser("params", help="print the parameter budget")
     _add_config_arg(p_params, required=False)
-    p_params.add_argument("--blocks", type=int, help="override block count")
-    p_params.add_argument("--horizon", type=int)
-    p_params.add_argument("--lookback", type=int)
+    _add_override_args(p_params, PARAMS_OVERRIDES)
     p_params.set_defaults(handler=cmd_params)
 
     p_grad = sub.add_parser("gradcheck",
@@ -99,45 +120,17 @@ def _add_config_arg(p, required=True):
     p.add_argument("--config", required=required, help="run config file")
 
 
-def _add_override_args(p):
-    p.add_argument("--data", help="override dataset csv path")
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--lookback", type=int)
-    p.add_argument("--seed", type=int, help="single seed override")
-    p.add_argument("--seeds", help="comma-separated seed list override")
-    p.add_argument("--max-epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--out", help="output directory override")
-    p.add_argument("--deterministic", action="store_true", default=None)
-    p.add_argument("--no-guards", action="store_true",
-                   help="disable finite-value guards (faster)")
+def _add_override_args(p, flags: dict):
+    for dest, key in flags.items():
+        p.add_argument("--" + dest.replace("_", "-"), help=f"sets {key}")
 
 
-def _resolve(args) -> RunConfig:
+def _resolve(args, flags: dict) -> RunConfig:
+    """The --config file (or the defaults) with the given override flags applied."""
     cfg = load_config(args.config) if args.config else RunConfig()
-    overrides = {
-        "data": "data_path",
-        "horizon": "horizon",
-        "lookback": "lookback",
-        "max_epochs": "max_epochs",
-        "batch_size": "batch_size",
-        "lr": "lr",
-        "out": "out_dir",
-    }
-    for arg_name, field in overrides.items():
-        value = getattr(args, arg_name, None)
-        if value is not None:
-            setattr(cfg, field, value)
-    if getattr(args, "seed", None) is not None:
-        cfg.seeds = (args.seed,)
-    if getattr(args, "seeds", None):
-        cfg.seeds = tuple(int(s) for s in args.seeds.split(","))
-    if getattr(args, "deterministic", None):
-        cfg.deterministic = True
-    if getattr(args, "no_guards", False):
-        cfg.finite_guards = False
-    return cfg
+    return with_values(cfg, {key: parse_value(key, getattr(args, dest))
+                             for dest, key in flags.items()
+                             if getattr(args, dest) is not None})
 
 
 def _append_metrics(path: Path, rows) -> None:
@@ -158,28 +151,27 @@ def _write_manifest(path: Path, cfg: RunConfig, extras: dict) -> None:
 
 
 def _train_one(cfg: RunConfig, splits, seed: int):
-    model = HaKanModel(cfg.to_model_config(splits.n_channels, seed))
-    return train(model, splits, cfg.to_train_spec(seed))
+    model_cfg, spec = cfg.bind(splits.n_channels, seed)
+    return train(HaKanModel(model_cfg), splits, spec)
 
 
-def _load_splits(cfg: RunConfig):
+def _load_splits(cfg: RunConfig, lookback: int):
     if not cfg.data_path:
         raise ConfigError("no dataset path configured (data.path)")
-    ds = load_csv(cfg.data_path, cfg.data_name or None, cfg.frequency)
-    return prepare(ds, cfg.to_split_spec(), cfg.lookback)
+    ds = load_csv(cfg.data_path, cfg.data_name or None, cfg.data.frequency)
+    return prepare(ds, cfg.data, lookback)
 
 
 def cmd_train(args) -> int:
-    cfg = _resolve(args)
-    tt.set_finite_checks(cfg.finite_guards)
-    splits = _load_splits(cfg)
+    cfg = _resolve(args, OVERRIDES)
+    splits = _load_splits(cfg, cfg.model.lookback)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = []
     for seed in cfg.seeds:
         started = time.strftime("%Y-%m-%d %H:%M:%S")
         model, rec = _train_one(cfg, splits, seed)
-        stem = f"{splits.name}_T{cfg.horizon}_seed{seed}"
+        stem = f"{splits.name}_T{cfg.model.horizon}_seed{seed}"
         model.save(out / f"{stem}.npz")
         _write_manifest(out / f"{stem}.manifest", cfg, {
             "run.started": started,
@@ -202,14 +194,15 @@ def cmd_train(args) -> int:
         records.append(rec)
     if len(records) > 1:
         report = aggregate_report(records)
-        stats = report.cells[(splits.name, cfg.horizon)]
+        horizon = cfg.model.horizon
+        stats = report.cells[(splits.name, horizon)]
         _append_metrics(out / "metrics.csv", [
-            (splits.name, cfg.horizon, "mean", f"{stats.mse_mean:.6f}",
+            (splits.name, horizon, "mean", f"{stats.mse_mean:.6f}",
              f"{stats.mae_mean:.6f}", "", ""),
-            (splits.name, cfg.horizon, "std", f"{stats.mse_std:.6f}",
+            (splits.name, horizon, "std", f"{stats.mse_std:.6f}",
              f"{stats.mae_std:.6f}", "", ""),
         ])
-        print(f"{splits.name} T={cfg.horizon} over {stats.n_seeds} seeds: "
+        print(f"{splits.name} T={horizon} over {stats.n_seeds} seeds: "
               f"mse={stats.mse_mean:.4f}±{stats.mse_std:.4f} "
               f"mae={stats.mae_mean:.4f}±{stats.mae_std:.4f}")
     return EXIT_OK
@@ -217,26 +210,22 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = HaKanModel.load(args.checkpoint)
-    cfg = load_config(args.config) if args.config else RunConfig()
-    if args.data:
-        cfg.data_path = args.data
-    cfg.lookback = model.config.lookback
-    cfg.horizon = model.config.horizon
+    cfg = _resolve(args, EVAL_OVERRIDES)
     if args.horizon is not None and args.horizon != model.config.horizon:
         raise ConfigError(
             f"checkpoint was trained for horizon {model.config.horizon}, "
             f"requested {args.horizon}"
         )
-    splits = _load_splits(cfg)
+    splits = _load_splits(cfg, model.config.lookback)
     if splits.n_channels != model.config.n_channels:
         raise ConfigError(
             f"checkpoint expects {model.config.n_channels} channels, "
             f"dataset {splits.name} has {splits.n_channels}"
         )
-    mse, mae = evaluate(model, splits, splits.test, cfg.batch_size)
+    mse, mae = evaluate(model, splits, splits.test, cfg.train.batch_size)
     print(f"{splits.name} T={model.config.horizon} test "
           f"mse={mse:.4f} mae={mae:.4f}")
-    out = Path(args.out or cfg.out_dir)
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _append_metrics(out / "metrics.csv", [
         (splits.name, model.config.horizon, model.config.seed,
@@ -246,29 +235,13 @@ def cmd_eval(args) -> int:
 
 
 def _axis_variants(axis: str, values: str):
-    """Yield (label, config changes) pairs for a sweep axis."""
+    """Yield (label, {config key: value}) pairs for a sweep axis."""
     items = [v.strip() for v in values.split(",") if v.strip()]
-    if axis == "basis":
-        for v in items:
-            yield v, {"basis": v}
-    elif axis == "blocks":
-        for v in items:
-            yield v, {"n_blocks": int(v)}
-    elif axis == "bottleneck":
-        for v in items:
-            yield v, {"bottleneck_dim": int(v)}
-    elif axis == "patch_len":
-        for v in items:
-            p = int(v)
-            yield v, {"patch_len": p, "stride": max(1, p // 2)}
-    elif axis == "lookback":
-        for v in items:
-            yield v, {"lookback": int(v)}
-    elif axis == "components":
+    if axis == "components":
         table = {
-            "both": {"intra_enabled": True, "inter_enabled": True},
-            "intra-only": {"intra_enabled": True, "inter_enabled": False},
-            "inter-only": {"intra_enabled": False, "inter_enabled": True},
+            "both": {"model.intra": True, "model.inter": True},
+            "intra-only": {"model.intra": True, "model.inter": False},
+            "inter-only": {"model.intra": False, "model.inter": True},
         }
         for v in items:
             if v not in table:
@@ -276,24 +249,30 @@ def _axis_variants(axis: str, values: str):
                     f"components value {v!r}; choose from {sorted(table)}"
                 )
             yield v, table[v]
+    elif axis == "patch_len":
+        for v in items:
+            p = parse_value("model.patch_len", v)
+            yield v, {"model.patch_len": p, "model.stride": max(1, p // 2)}
     elif axis == "mlp":
         for v in items:
             if v not in ("kan", "linear"):
                 raise ConfigError(f"mlp value {v!r}; choose kan or linear")
-            yield v, {"mode": v}
+            yield v, {"model.mode": v}
     else:
-        raise ConfigError(f"unknown sweep axis {axis!r}; axes: {SWEEP_AXES}")
+        key = find_key(axis)
+        for v in items:
+            yield v, {key: parse_value(key, v)}
 
 
 def cmd_sweep(args) -> int:
-    base = _resolve(args)
-    tt.set_finite_checks(base.finite_guards)
+    base = _resolve(args, OVERRIDES)
+    variants = list(_axis_variants(args.axis, args.values))
     out = Path(base.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for label, changes in _axis_variants(args.axis, args.values):
-        cfg = replace(base, **changes)
-        splits = _load_splits(cfg)
+    for label, changes in variants:
+        cfg = with_values(base, changes)
+        splits = _load_splits(cfg, cfg.model.lookback)
         records = []
         for seed in cfg.seeds:
             _, rec = _train_one(cfg, splits, seed)
@@ -301,9 +280,9 @@ def cmd_sweep(args) -> int:
             print(f"  [{args.axis}={label}] seed={seed} "
                   f"mse={rec.mse:.4f} mae={rec.mae:.4f}")
         report = aggregate_report(records)
-        stats = report.cells[(splits.name, cfg.horizon)]
-        params = model_param_count(cfg.to_model_config(splits.n_channels, cfg.seeds[0]))
-        rows.append((label, stats.mse_mean, stats.mae_mean, params))
+        stats = report.cells[(splits.name, cfg.model.horizon)]
+        rows.append((label, stats.mse_mean, stats.mae_mean,
+                     model_param_count(cfg.model)))
     print(f"\n{args.axis:<12}{'mse':>10}{'mae':>10}{'params':>12}")
     for label, mse, mae, params in rows:
         print(f"{label:<12}{mse:>10.4f}{mae:>10.4f}{params:>12,}")
@@ -315,12 +294,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_params(args) -> int:
-    cfg = load_config(args.config) if args.config else RunConfig()
-    for name in ("blocks", "horizon", "lookback"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg, {"blocks": "n_blocks"}.get(name, name), value)
-    model_cfg = cfg.to_model_config(n_channels=1, seed=cfg.seeds[0])
+    model_cfg = _resolve(args, PARAMS_OVERRIDES).model
     breakdown = count_breakdown(model_cfg)
     width = max(len(name) for name, _ in breakdown)
     for name, count in breakdown:
@@ -352,10 +326,7 @@ def tiny_check_config(base: ModelConfig | None = None) -> ModelConfig:
 
 
 def cmd_gradcheck(args) -> int:
-    base = None
-    if args.config:
-        cfg = load_config(args.config)
-        base = cfg.to_model_config(n_channels=1, seed=cfg.seeds[0])
+    base = load_config(args.config).model if args.config else None
     check_cfg = tiny_check_config(base)
     tolerance = args.tolerance
     if tolerance is None:

@@ -1,14 +1,20 @@
 """Run configuration: a flat `key = value` file format.
 
-Files hold dotted keys grouped by prefix (data., model., train., run.),
-one per line, with `#` comments.  Every key has a default, serialization
-emits every key, and parse(serialize(cfg)) round-trips exactly, so a
-resolved config written into a run manifest reproduces the run.
+A RunConfig nests the library's own settings objects -- SplitSpec under
+`data`, ModelConfig under `model`, TrainSpec under `train` -- beside a few
+run-level fields, and every file key is derived from those dataclasses: a
+nested field is `section.field`, a run-level `data_<x>` field is `data.<x>`
+and any other run-level field is `run.<field>`.  ALIASES shortens a few.
+
+Files hold one key per line, with `#` comments.  Every key has a default,
+serialization emits every key, and parse(serialize(cfg)) round-trips
+exactly, so a resolved config written into a run manifest reproduces the
+run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .data import SplitSpec
@@ -16,149 +22,115 @@ from .errors import ConfigError
 from .model import ModelConfig
 from .training import TrainSpec
 
+# Fields bound when a run starts, never read from a file: the dataset fixes
+# the channel count and every entry of run.seeds is its own run.
+PER_RUN = ("n_channels", "seed")
+
+# derived key -> file key
+ALIASES = {
+    "data.kind": "data.split",
+    "model.n_blocks": "model.blocks",
+    "model.bottleneck_dim": "model.bottleneck",
+    "model.intra_enabled": "model.intra",
+    "model.inter_enabled": "model.inter",
+    "run.out_dir": "run.out",
+}
+
 
 @dataclass
 class RunConfig:
-    # data
     data_path: str = ""
     data_name: str = ""
-    split_kind: str = "ratio"
-    frequency: str = "hourly"
-    prepend_context: bool = True
-    # model
-    lookback: int = 96
-    horizon: int = 96
-    patch_len: int = 16
-    stride: int = 8
-    embed_dim: int = 128
-    n_blocks: int = 5
-    bottleneck_dim: int = 336
-    basis: str = "hahn"
-    hahn_a: float = 1.0
-    hahn_b: float = 1.0
-    hahn_n: int = 7
-    degree: int = 3
-    mode: str = "kan"
-    intra_enabled: bool = True
-    inter_enabled: bool = True
-    revin_eps: float = 1e-5
-    init_scale: float = 1.0
-    # training
-    max_epochs: int = 100
-    patience: int = 10
-    lr: float = 1e-4
-    batch_size: int = 64
-    clip_grad: float | None = None
-    # run
+    data: SplitSpec = field(default_factory=lambda: SplitSpec("ratio"))
+    model: ModelConfig = field(default_factory=lambda: ModelConfig(lookback=96, horizon=96))
+    train: TrainSpec = field(default_factory=TrainSpec)
     seeds: tuple = (2021, 2022, 2023)
     out_dir: str = "runs"
-    deterministic: bool = True
-    finite_guards: bool = True
 
-    def to_model_config(self, n_channels: int, seed: int) -> ModelConfig:
-        return ModelConfig(
-            lookback=self.lookback,
-            horizon=self.horizon,
-            n_channels=n_channels,
-            patch_len=self.patch_len,
-            stride=self.stride,
-            embed_dim=self.embed_dim,
-            n_blocks=self.n_blocks,
-            bottleneck_dim=self.bottleneck_dim,
-            basis=self.basis,
-            hahn_a=self.hahn_a,
-            hahn_b=self.hahn_b,
-            hahn_n=self.hahn_n,
-            degree=self.degree,
-            mode=self.mode,
-            intra_enabled=self.intra_enabled,
-            inter_enabled=self.inter_enabled,
-            seed=seed,
-            revin_eps=self.revin_eps,
-            init_scale=self.init_scale,
-        )
-
-    def to_train_spec(self, seed: int) -> TrainSpec:
-        return TrainSpec(
-            max_epochs=self.max_epochs,
-            patience=min(self.patience, self.max_epochs),
-            lr=self.lr,
-            batch_size=self.batch_size,
-            seed=seed,
-            clip_grad=self.clip_grad,
-            deterministic=self.deterministic,
-        )
-
-    def to_split_spec(self) -> SplitSpec:
-        return SplitSpec(kind=self.split_kind, frequency=self.frequency,
-                         prepend_context=self.prepend_context)
+    def bind(self, n_channels: int, seed: int) -> tuple:
+        """(ModelConfig, TrainSpec) of the run with this seed on this dataset."""
+        model = replace(self.model, n_channels=n_channels, seed=seed)
+        spec = replace(self.train, seed=seed,
+                       patience=min(self.train.patience, self.train.max_epochs))
+        return model, spec
 
 
-# key <-> field table ---------------------------------------------------------
+def _key_table() -> dict:
+    """{file key: (section attribute or None, field name, type)} in file order."""
+    table = {}
+    default = RunConfig()
+    for outer in fields(RunConfig):
+        nested = getattr(default, outer.name)
+        if is_dataclass(nested):
+            entries = [(outer.name, f, f"{outer.name}.{f.name}")
+                       for f in fields(nested) if f.name not in PER_RUN]
+        else:
+            prefix, _, rest = outer.name.partition("_")
+            key = f"data.{rest}" if prefix == "data" else f"run.{outer.name}"
+            entries = [(None, outer, key)]
+        for section, f, key in entries:
+            table[ALIASES.get(key, key)] = (section, f.name, f.type)
+    return table
 
-KEYMAP = {
-    "data.path": "data_path",
-    "data.name": "data_name",
-    "data.split": "split_kind",
-    "data.frequency": "frequency",
-    "data.prepend_context": "prepend_context",
-    "model.lookback": "lookback",
-    "model.horizon": "horizon",
-    "model.patch_len": "patch_len",
-    "model.stride": "stride",
-    "model.embed_dim": "embed_dim",
-    "model.blocks": "n_blocks",
-    "model.bottleneck": "bottleneck_dim",
-    "model.basis": "basis",
-    "model.hahn_a": "hahn_a",
-    "model.hahn_b": "hahn_b",
-    "model.hahn_n": "hahn_n",
-    "model.degree": "degree",
-    "model.mode": "mode",
-    "model.intra": "intra_enabled",
-    "model.inter": "inter_enabled",
-    "model.revin_eps": "revin_eps",
-    "model.init_scale": "init_scale",
-    "train.max_epochs": "max_epochs",
-    "train.patience": "patience",
-    "train.lr": "lr",
-    "train.batch_size": "batch_size",
-    "train.clip_grad": "clip_grad",
-    "run.seeds": "seeds",
-    "run.out": "out_dir",
-    "run.deterministic": "deterministic",
-    "run.finite_guards": "finite_guards",
-}
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+KEYS = _key_table()
 
 _TRUE = {"true", "on", "yes", "1"}
 _FALSE = {"false", "off", "no", "0"}
 
 
-def _parse_value(key: str, raw: str):
-    name = KEYMAP[key]
-    kind = _FIELD_TYPES[name]
+def _parse(kind: str, raw: str):
+    if kind.endswith(" | None"):
+        return None if raw.lower() == "none" else _parse(kind[:-len(" | None")], raw)
+    if kind == "bool":
+        if raw.lower() in _TRUE:
+            return True
+        if raw.lower() in _FALSE:
+            return False
+        raise ValueError(raw)
+    if kind == "tuple":
+        seeds = tuple(int(s) for s in raw.split(",") if s.strip())
+        if not seeds:
+            raise ValueError(raw)
+        return seeds
+    if kind == "int":
+        return int(raw)
+    if kind == "float":
+        return float(raw)
+    return raw
+
+
+def parse_value(key: str, raw: str):
+    """Parse one raw value for a file key; files, CLI flags and sweeps share it."""
     raw = raw.strip()
     try:
-        if name == "seeds":
-            return tuple(int(s) for s in raw.split(",") if s.strip())
-        if name == "clip_grad":
-            return None if raw.lower() == "none" else float(raw)
-        if kind == "bool":
-            low = raw.lower()
-            if low in _TRUE:
-                return True
-            if low in _FALSE:
-                return False
-            raise ValueError(raw)
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        return raw
+        return _parse(KEYS[key][2], raw)
     except ValueError:
         raise ConfigError(f"config key {key}: cannot parse value {raw!r}")
+
+
+def find_key(name: str) -> str:
+    """The file key `name` stands for: a full key or a unique `.suffix`."""
+    if name in KEYS:
+        return name
+    matches = [key for key in KEYS if key.endswith("." + name)]
+    if len(matches) != 1:
+        raise ConfigError(f"{name!r} names no single config key; keys: {', '.join(KEYS)}")
+    return matches[0]
+
+
+def with_values(cfg: RunConfig, values: dict) -> RunConfig:
+    """A copy of `cfg` with {file key: parsed value} applied."""
+    top, nested = {}, {}
+    for key, value in values.items():
+        section, name, _ = KEYS[key]
+        if section is None:
+            top[name] = value
+        else:
+            nested.setdefault(section, {})[name] = value
+    for section, changes in nested.items():
+        top[section] = replace(getattr(cfg, section), **changes)
+    return replace(cfg, **top)
 
 
 def _format_value(value) -> str:
@@ -174,7 +146,7 @@ def _format_value(value) -> str:
 
 
 def parse_config(text: str) -> RunConfig:
-    cfg = RunConfig()
+    values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -182,22 +154,23 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in KEYMAP:
+        if key not in KEYS:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
-        setattr(cfg, KEYMAP[key], _parse_value(key, raw))
-    return cfg
+        values[key] = parse_value(key, raw)
+    return with_values(RunConfig(), values)
 
 
 def serialize_config(cfg: RunConfig) -> str:
     lines = []
     section = ""
-    for key, name in KEYMAP.items():
+    for key, (owner, name, _) in KEYS.items():
         prefix = key.split(".", 1)[0]
         if prefix != section:
             if section:
                 lines.append("")
             section = prefix
-        lines.append(f"{key} = {_format_value(getattr(cfg, name))}")
+        value = getattr(cfg if owner is None else getattr(cfg, owner), name)
+        lines.append(f"{key} = {_format_value(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -206,7 +179,3 @@ def load_config(path) -> RunConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     return parse_config(path.read_text(encoding="utf-8"))
-
-
-def save_config(cfg: RunConfig, path) -> None:
-    Path(path).write_text(serialize_config(cfg), encoding="utf-8")

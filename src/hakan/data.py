@@ -68,13 +68,6 @@ class SegmentBounds:
         return self.end - self.start
 
 
-@dataclass
-class WindowSample:
-    input: np.ndarray  # [lookback, n_channels]
-    target: np.ndarray  # [horizon, n_channels]
-    origin: int
-
-
 def load_csv(path, name: str | None = None, frequency: str = "") -> RawDataset:
     path = Path(path)
     if not path.exists():
@@ -176,26 +169,6 @@ def standardize(ds: RawDataset, train_range: SegmentBounds) -> tuple:
 
 def destandardize(values: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
     return values * std + mean
-
-
-def windows(segment: np.ndarray, lookback: int, horizon: int, stride: int = 1):
-    """Yield every (input, target) pair fully inside the segment."""
-    segment = np.asarray(segment, dtype=np.float64)
-    total = segment.shape[0]
-    last = total - lookback - horizon
-    if last < 0:
-        warnings.warn(
-            f"segment of {total} rows shorter than lookback+horizon "
-            f"({lookback}+{horizon}); no samples",
-            stacklevel=2,
-        )
-        return
-    for origin in range(0, last + 1, stride):
-        yield WindowSample(
-            input=segment[origin:origin + lookback],
-            target=segment[origin + lookback:origin + lookback + horizon],
-            origin=origin,
-        )
 
 
 def window_count(segment_len: int, lookback: int, horizon: int) -> int:

@@ -51,7 +51,7 @@ class ModelConfig:
 
     @property
     def n_patches(self) -> int:
-        return (self.lookback - self.patch_len) // self.stride + 2
+        return patch_count(self.lookback, self.patch_len, self.stride)
 
     def validate(self) -> "ModelConfig":
         if self.patch_len > self.lookback:
@@ -81,20 +81,24 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class RevInState:
-    mean: float
-    std: float
+    mean: np.ndarray | float
+    std: np.ndarray | float
     eps: float
 
 
 def revin_normalize(x: np.ndarray, eps: float = 1e-5) -> tuple:
-    """Standardize one window by its own mean and population std."""
+    """Standardize each window (the last axis) by its own mean and population std."""
     x = np.asarray(x, dtype=np.float64)
-    state = RevInState(mean=float(x.mean()), std=float(x.std()), eps=eps)
+    state = RevInState(mean=x.mean(axis=-1, keepdims=True),
+                       std=x.std(axis=-1, keepdims=True), eps=eps)
     return (x - state.mean) / (state.std + eps), state
 
 
-def revin_denormalize(pred: np.ndarray, state: RevInState) -> np.ndarray:
-    return np.asarray(pred, dtype=np.float64) * (state.std + state.eps) + state.mean
+def revin_denormalize(pred, state: RevInState):
+    """Undo revin_normalize; a Tensor `pred` stays differentiable."""
+    if not isinstance(pred, Tensor):
+        pred = np.asarray(pred, dtype=np.float64)
+    return pred * (state.std + state.eps) + state.mean
 
 
 # channel handling -----------------------------------------------------------
@@ -215,9 +219,8 @@ class HaKanModel:
             raise DimensionError(
                 f"expected [batch, {cfg.lookback}] windows, got {x.shape}"
             )
-        mean = x.mean(axis=1, keepdims=True)
-        scale = x.std(axis=1, keepdims=True) + cfg.revin_eps
-        patches = make_patches((x - mean) / scale, cfg.patch_len, cfg.stride)
+        normed, state = revin_normalize(x, cfg.revin_eps)
+        patches = make_patches(normed, cfg.patch_len, cfg.stride)
         _expect(patches.shape == (x.shape[0], cfg.n_patches, cfg.patch_len),
                 "patch stack shape")
         h = embed(Tensor(patches), self.w_p, self.w_pos)
@@ -229,7 +232,7 @@ class HaKanModel:
         hidden = tt.matmul(flat, tt.transpose(self.w_down))
         pred = tt.matmul(hidden, tt.transpose(self.w_up))
         _expect(pred.shape == (x.shape[0], cfg.horizon), "head output shape")
-        return pred * Tensor(scale) + Tensor(mean)
+        return revin_denormalize(pred, state)
 
     def forward(self, series: np.ndarray) -> np.ndarray:
         """Forecast one univariate window [lookback] -> [horizon]."""

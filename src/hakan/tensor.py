@@ -17,19 +17,6 @@ from .errors import ContractError, DimensionError
 
 _local = threading.local()
 
-# Finite guards catch NaN/Inf at op boundaries.  They cost one pass over
-# each result; turn them off for benchmarking via set_finite_checks(False).
-_finite_checks = True
-
-
-def set_finite_checks(enabled: bool) -> None:
-    global _finite_checks
-    _finite_checks = bool(enabled)
-
-
-def finite_checks_enabled() -> bool:
-    return _finite_checks
-
 
 def _tape() -> list:
     tape = getattr(_local, "tape", None)
@@ -69,7 +56,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if _finite_checks and not np.all(np.isfinite(arr)):
+        if not np.all(np.isfinite(arr)):
             raise ContractError("tensor holds non-finite values")
         self.data = arr
         self.grad = None
@@ -201,8 +188,9 @@ def backward(root: Tensor) -> None:
         tape.clear()
 
 
+# Every op result passes this guard, so NaN/Inf fails at the op that made it.
 def _check_finite(arr: np.ndarray) -> np.ndarray:
-    if _finite_checks and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise ContractError("operation produced non-finite values")
     return arr
 
@@ -275,10 +263,6 @@ def mul(a, b) -> Tensor:
             b.accumulate_grad(g * a.data)
 
     return _make(data, (a, b), back)
-
-
-def mul_scalar(a, c: float) -> Tensor:
-    return mul(a, float(c))
 
 
 def matmul(a, b) -> Tensor:

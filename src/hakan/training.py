@@ -98,7 +98,6 @@ class TrainSpec:
     batch_size: int = 64
     seed: int = 2021
     clip_grad: float | None = None
-    deterministic: bool = True
 
     def validate(self) -> "TrainSpec":
         if self.patience > self.max_epochs:

@@ -1,31 +1,6 @@
-import os
-from pathlib import Path
-
-import numpy as np
 import pytest
 
 from hakan.model import ModelConfig
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
-DATA_DIR = Path(os.environ.get("HAKAN_DATA", REPO_ROOT / "data"))
-
-
-def dataset_path(filename: str) -> Path:
-    return DATA_DIR / filename
-
-
-def require_dataset(filename: str) -> Path:
-    path = dataset_path(filename)
-    if not path.exists():
-        pytest.skip(
-            f"benchmark file {filename} not present; place it under {DATA_DIR} "
-            f"(or set HAKAN_DATA) to run this reproduction"
-        )
-    return path
-
-
-def central_difference(f, x: float, step: float = 1e-6) -> float:
-    return (f(x + step) - f(x - step)) / (2.0 * step)
 
 
 @pytest.fixture
@@ -34,20 +9,3 @@ def tiny_config() -> ModelConfig:
         lookback=8, horizon=4, patch_len=4, stride=2, embed_dim=3,
         n_blocks=1, bottleneck_dim=5, degree=2, seed=7,
     )
-
-
-def write_synthetic_csv(path: Path, rows: int, channels: int, seed: int = 0) -> Path:
-    """A small sinusoid-plus-noise multivariate CSV in the expected layout."""
-    rng = np.random.default_rng(seed)
-    t = np.arange(rows)
-    cols = []
-    for c in range(channels):
-        period = 12 + 5 * c
-        cols.append(np.sin(2 * np.pi * t / period) + 0.05 * rng.normal(size=rows) + c)
-    values = np.stack(cols, axis=1)
-    lines = ["date," + ",".join(f"f{c}" for c in range(channels))]
-    for i in range(rows):
-        stamp = f"2020-01-01 {i // 3600:02d}:{(i // 60) % 60:02d}:{i % 60:02d}"
-        lines.append(stamp + "," + ",".join(f"{v:.6f}" for v in values[i]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path

@@ -33,7 +33,7 @@ from hakan.model import (
 )
 from hakan.training import grad_check, train
 
-from conftest import REPO_ROOT, require_dataset
+from helpers import REPO_ROOT, require_dataset
 
 SEEDS = (2021, 2022, 2023)
 
@@ -128,15 +128,14 @@ def test_criterion_3_parameter_count_slope():
 
 def _run_seeds(config_path, data_file, seeds=SEEDS, **overrides):
     cfg = load_config(config_path)
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
+    cfg.model = replace(cfg.model, **overrides)
     cfg.data_path = str(require_dataset(data_file))
-    splits = prepare(load_csv(cfg.data_path, cfg.data_name, cfg.frequency),
-                     cfg.to_split_spec(), cfg.lookback)
+    splits = prepare(load_csv(cfg.data_path, cfg.data_name, cfg.data.frequency),
+                     cfg.data, cfg.model.lookback)
     records = []
     for seed in seeds:
-        model = HaKanModel(cfg.to_model_config(splits.n_channels, seed))
-        _, record = train(model, splits, cfg.to_train_spec(seed))
+        model_cfg, spec = cfg.bind(splits.n_channels, seed)
+        _, record = train(HaKanModel(model_cfg), splits, spec)
         print(f"  {record.dataset} T={record.horizon} seed={seed}: "
               f"mse={record.mse:.4f} mae={record.mae:.4f} "
               f"({record.epoch_stopped} epochs, {record.wall_time:.0f}s)")

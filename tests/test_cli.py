@@ -7,9 +7,10 @@ from hakan import cli
 from hakan.config import RunConfig, load_config, parse_config, serialize_config
 from hakan.data import SplitSpec, load_csv, prepare, window_count
 from hakan.errors import ConfigError
-from hakan.model import HaKanModel
+from hakan.model import HaKanModel, ModelConfig
+from hakan.training import TrainSpec
 
-from conftest import write_synthetic_csv
+from helpers import REPO_ROOT, write_synthetic_csv
 
 TINY_MODEL_KEYS = """
 model.lookback = 16
@@ -44,6 +45,43 @@ def tiny_run(tmp_path):
     return cfg_path, data, tmp_path / "runs"
 
 
+# `\n\` marks the trailing space after an empty value.
+DEFAULT_CONFIG_TEXT = """\
+data.path = \n\
+data.name = \n\
+data.split = ratio
+data.frequency = hourly
+data.prepend_context = true
+
+model.lookback = 96
+model.horizon = 96
+model.patch_len = 16
+model.stride = 8
+model.embed_dim = 128
+model.blocks = 5
+model.bottleneck = 336
+model.basis = hahn
+model.hahn_a = 1.0
+model.hahn_b = 1.0
+model.hahn_n = 7
+model.degree = 3
+model.mode = kan
+model.intra = true
+model.inter = true
+model.revin_eps = 1e-05
+model.init_scale = 1.0
+
+train.max_epochs = 100
+train.patience = 10
+train.lr = 0.0001
+train.batch_size = 64
+train.clip_grad = none
+
+run.seeds = 2021,2022,2023
+run.out = runs
+"""
+
+
 def read_metrics(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -51,9 +89,20 @@ def read_metrics(path):
 
 class TestConfigFormat:
     def test_round_trip(self):
-        cfg = RunConfig(data_path="x.csv", lookback=104, seeds=(1, 2, 3),
-                        lr=2.5e-3, clip_grad=0.5, intra_enabled=False)
+        cfg = RunConfig(data_path="x.csv",
+                        model=ModelConfig(lookback=104, horizon=96, intra_enabled=False),
+                        train=TrainSpec(lr=2.5e-3, clip_grad=0.5), seeds=(1, 2, 3))
         assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_default_serialization_is_pinned(self):
+        assert serialize_config(RunConfig()) == DEFAULT_CONFIG_TEXT
+
+    @pytest.mark.parametrize("key", ["run.deterministic", "run.finite_guards"])
+    def test_removed_keys_are_unknown(self, tmp_path, key, capsys):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"{key} = true\n")
+        assert cli.main(["params", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        assert key in capsys.readouterr().err
 
     def test_unknown_key_is_named(self):
         with pytest.raises(ConfigError, match="model.width"):
@@ -65,10 +114,9 @@ class TestConfigFormat:
 
     def test_comments_and_blanks(self):
         cfg = parse_config("# header\n\nmodel.lookback = 48  # inline\n")
-        assert cfg.lookback == 48
+        assert cfg.model.lookback == 48
 
     def test_shipped_configs_parse(self):
-        from conftest import REPO_ROOT
         for path in sorted((REPO_ROOT / "configs").rglob("*.cfg")):
             cfg = load_config(path)
             assert cfg.data_path, path
@@ -144,8 +192,8 @@ class TestEvalCommand:
     def test_zero_parameter_checkpoint_hits_mean_baseline(self, tiny_run):
         cfg_path, _, out_dir = tiny_run
         cfg = load_config(cfg_path)
-        splits = prepare(load_csv(cfg.data_path), SplitSpec("ratio"), cfg.lookback)
-        model = HaKanModel(cfg.to_model_config(splits.n_channels, seed=1))
+        splits = prepare(load_csv(cfg.data_path), SplitSpec("ratio"), cfg.model.lookback)
+        model = HaKanModel(cfg.bind(splits.n_channels, seed=1)[0])
         for p in model.parameters():
             p.data[:] = 0.0
         ckpt = out_dir
@@ -157,7 +205,7 @@ class TestEvalCommand:
 
         # independent baseline: each window predicts its own input mean
         seg = splits.values[splits.test.start:splits.test.end]
-        L, T = cfg.lookback, cfg.horizon
+        L, T = cfg.model.lookback, cfg.model.horizon
         n = window_count(len(seg), L, T)
         errs = []
         for o in range(n):
@@ -199,14 +247,25 @@ class TestSweepCommand:
 
     def test_axis_value_derivations(self):
         variants = dict(cli._axis_variants("patch_len", "4, 8,16"))
-        assert variants["4"] == {"patch_len": 4, "stride": 2}
-        assert variants["16"] == {"patch_len": 16, "stride": 8}
+        assert variants["4"] == {"model.patch_len": 4, "model.stride": 2}
+        assert variants["16"] == {"model.patch_len": 16, "model.stride": 8}
         variants = dict(cli._axis_variants("lookback", "48,96"))
-        assert variants["96"] == {"lookback": 96}
+        assert variants["96"] == {"model.lookback": 96}
         variants = dict(cli._axis_variants("mlp", "kan,linear"))
-        assert variants["linear"] == {"mode": "linear"}
+        assert variants["linear"] == {"model.mode": "linear"}
         with pytest.raises(ConfigError):
             list(cli._axis_variants("components", "intra"))
+
+    def test_any_key_is_an_axis(self, tiny_run):
+        cfg_path, _, out_dir = tiny_run
+        code = cli.main(["sweep", "--config", str(cfg_path), "--axis", "degree",
+                         "--values", "1,2", "--max-epochs", "1"])
+        assert code == 0
+        with open(out_dir / "sweep_degree.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["degree"] for r in rows] == ["1", "2"]
+        delta = int(rows[1]["params"]) - int(rows[0]["params"])
+        assert delta == 4 * 4 + 8 * 8  # one more basis term per block
 
 
 class TestParamsCommand:
@@ -229,6 +288,24 @@ class TestParamsCommand:
         assert cli.main(["params", "--config", str(cfg)]) == 0
         out = capsys.readouterr().out
         assert "16,528" in out  # (128^2 + 12^2) with no degree factor
+
+
+@pytest.mark.parametrize("argv, cfg_line, key", [
+    (["sweep", "--axis", "blocks", "--values", "x"], "", "model.blocks"),
+    (["sweep", "--axis", "lookback", "--values", "1.5"], "", "model.lookback"),
+    (["train", "--seeds", "1,x"], "", "run.seeds"),
+    (["train", "--lr", "fast"], "", "train.lr"),
+    (["params", "--blocks", "x"], "", "model.blocks"),
+    (["params"], "run.seeds =", "run.seeds"),
+    (["train"], "run.seeds =", "run.seeds"),
+])
+def test_bad_values_exit_config_code(tiny_run, capsys, argv, cfg_line, key):
+    cfg_path, _, out_dir = tiny_run
+    cfg_path.write_text(cfg_path.read_text() + cfg_line + "\n")
+    command, *flags = argv
+    assert cli.main([command, "--config", str(cfg_path), *flags]) == cli.EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not (out_dir / "metrics.csv").exists()
 
 
 class TestGradcheckCommand:

@@ -13,11 +13,10 @@ from hakan.data import (
     split,
     standardize,
     window_count,
-    windows,
 )
 from hakan.errors import ConfigError, DataError
 
-from conftest import require_dataset, write_synthetic_csv
+from helpers import require_dataset, write_synthetic_csv
 
 
 def fake_dataset(total: int, channels: int = 2, seed: int = 0, name="fake") -> RawDataset:
@@ -159,43 +158,24 @@ class TestStandardize:
         np.testing.assert_array_equal(std_a, std_b)
 
 
+def brute_force_origins(total: int, lookback: int, horizon: int) -> list:
+    """Every window origin whose input and target rows fit in `total` rows."""
+    return [o for o in range(total) if o + lookback + horizon <= total]
+
+
 class TestWindows:
     def test_counts(self):
-        seg = np.zeros((10, 1))
-        assert len(list(windows(seg, 4, 2))) == 5
+        assert window_count(10, 4, 2) == 5
 
     def test_exactly_one_sample(self):
-        seg = np.zeros((6, 1))
-        assert len(list(windows(seg, 4, 2))) == 1
-
-    def test_enumerated_origins(self):
-        seg = np.zeros((8, 1))
-        origins = [w.origin for w in windows(seg, 3, 2)]
-        assert origins == [0, 1, 2, 3]
-
-    def test_too_short_warns_and_is_empty(self):
-        with pytest.warns(UserWarning):
-            out = list(windows(np.zeros((4, 1)), 4, 2))
-        assert out == []
-
-    def test_input_target_adjacency(self):
-        seg = np.arange(20.0).reshape(-1, 1)
-        for sample in windows(seg, 5, 3):
-            assert sample.input.shape == (5, 1)
-            assert sample.target.shape == (3, 1)
-            assert sample.target[0, 0] == sample.input[-1, 0] + 1
+        assert window_count(6, 4, 2) == 1
 
     @settings(max_examples=60, deadline=None)
     @given(total=st.integers(1, 60), lookback=st.integers(1, 20),
            horizon=st.integers(1, 20))
     def test_count_formula(self, total, lookback, horizon):
-        seg = np.zeros((total, 1))
-        if total < lookback + horizon:
-            with pytest.warns(UserWarning):
-                produced = len(list(windows(seg, lookback, horizon)))
-        else:
-            produced = len(list(windows(seg, lookback, horizon)))
-        assert produced == window_count(total, lookback, horizon)
+        expected = len(brute_force_origins(total, lookback, horizon))
+        assert window_count(total, lookback, horizon) == expected
 
 
 class TestPrepare:
@@ -204,10 +184,10 @@ class TestPrepare:
         lookback, horizon = 24, 8
         splits = prepare(ds, SplitSpec("ratio"), lookback)
         for bounds in (splits.train, splits.val, splits.test):
-            seg = splits.values[bounds.start:bounds.end]
-            for sample in windows(seg, lookback, horizon):
-                last_target_row = bounds.start + sample.origin + lookback + horizon
-                assert last_target_row <= bounds.end
+            n = window_count(len(bounds), lookback, horizon)
+            assert n == len(brute_force_origins(len(bounds), lookback, horizon))
+            last_target_row = bounds.start + (n - 1) + lookback + horizon
+            assert last_target_row == bounds.end
 
     def test_prepared_statistics_come_from_train(self):
         ds = fake_dataset(1000, seed=9)
