@@ -294,7 +294,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_params(args) -> int:
-    model_cfg = _resolve(args, PARAMS_OVERRIDES).model
+    model_cfg = _resolve(args, PARAMS_OVERRIDES).model.validate()
     breakdown = count_breakdown(model_cfg)
     width = max(len(name) for name, _ in breakdown)
     for name, count in breakdown:

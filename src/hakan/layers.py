@@ -8,16 +8,21 @@ every input coordinate p and sums the results,
 Inputs are squashed onto the basis domain with a tanh map before
 evaluation.  A `linear` mode swaps the expansion for a plain bias-free
 weight matrix so the same network can be run as an MLP variant.
+
+A layer contracts one axis of its input: the last (`axis=-1`, the rows of
+`x` times W^T) or the second last (`axis=-2`, W times each [in_dim, d]
+slab), so the inter-patch layer mixes the patch axis of [B, n, d] in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
 from . import tensor as tt
-from .basis import Basis
+from .basis import Basis, block_rows, row_blocks
 from .errors import ContractError, DimensionError
 from .tensor import Tensor
 
@@ -34,26 +39,68 @@ class DomainMap:
             raise ContractError(f"domain map needs lo < hi, got ({self.lo}, {self.hi})")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.lo + (self.hi - self.lo) * 0.5 * (np.tanh(x) + 1.0)
+        return self._map(x, deriv=False)[0]
 
     def apply_with_deriv(self, x: np.ndarray) -> tuple:
-        t = np.tanh(x)
-        s = self.lo + (self.hi - self.lo) * 0.5 * (t + 1.0)
-        ds = (self.hi - self.lo) * 0.5 * (1.0 - t * t)
-        return s, ds
+        return self._map(x, deriv=True)
+
+    def _map(self, x, deriv: bool) -> tuple:
+        """The squash (and its slope), block by block through one cached scratch array."""
+        x = np.asarray(x, dtype=np.float64)
+        flat = np.ascontiguousarray(x).reshape(-1)
+        s = np.empty_like(flat)
+        ds = np.empty_like(flat) if deriv else None
+        t = np.empty(min(flat.size, block_rows(1)))
+        half = (self.hi - self.lo) * 0.5
+        for blk in row_blocks(flat.size, 1):
+            sb = s[blk]
+            tb = t[:sb.size]
+            np.tanh(flat[blk], out=tb)
+            np.add(tb, 1.0, out=sb)  # lo + half * (t + 1)
+            sb *= half
+            sb += self.lo
+            if deriv:  # half * (1 - t * t)
+                db = ds[blk]
+                np.multiply(tb, tb, out=db)
+                np.subtract(1.0, db, out=db)
+                db *= half
+        return s.reshape(x.shape), None if ds is None else ds.reshape(x.shape)
 
 
 def squash(x, lo: float, hi: float):
-    return DomainMap(lo, hi).apply(np.asarray(x, dtype=np.float64))
+    return DomainMap(lo, hi).apply(x)
+
+
+def _contract(v: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
+    """sum_k w[q, k] v[..., k] (axis -1) or sum_k w[q, k] v[..., k, j] (axis -2).
+
+    Its gradient with respect to v is `_contract(g, w.T, axis)`.
+    """
+    if axis == -1:
+        return (_rows(v, 1) @ w.T).reshape(v.shape[:-1] + (w.shape[0],))
+    return np.matmul(w, v)
+
+
+def _weight_grad(g: np.ndarray, v: np.ndarray, axis: int) -> np.ndarray:
+    """The gradient of `_contract` with respect to w: g times v, summed over rows."""
+    if axis == -1:
+        return _rows(g, 1).T @ _rows(v, 1)
+    return np.matmul(_rows(g, 2), _rows(v, 2).transpose(0, 2, 1)).sum(axis=0)
+
+
+def _rows(a: np.ndarray, keep: int) -> np.ndarray:
+    """`a` as [rows, *its last `keep` axes]."""
+    cut = a.ndim - keep
+    return a.reshape((prod(a.shape[:cut]),) + a.shape[cut:])
 
 
 class KanLayer:
-    """One layer mapping in_dim inputs to out_dim outputs.
+    """One layer mapping in_dim inputs to out_dim outputs along `axis`.
 
     kan mode stores coefficients gamma[out_dim, in_dim, degree + 1] drawn
     from Normal(0, sqrt(init_scale / in_dim)).  linear mode stores a weight
     matrix [out_dim, in_dim] drawn from Uniform(-k, k) with k = sqrt(1 / in_dim)
-    and applies x @ W^T with no bias.
+    and applies it with no bias: x @ W^T on axis -1, W @ x on axis -2.
     """
 
     def __init__(
@@ -64,15 +111,19 @@ class KanLayer:
         mode: str = "kan",
         rng: np.random.Generator | None = None,
         init_scale: float = 1.0,
+        axis: int = -1,
     ):
         if mode not in ("kan", "linear"):
             raise ContractError(f"unknown layer mode {mode!r}")
         if mode == "kan" and basis is None:
             raise ContractError("kan mode requires a basis")
+        if axis not in (-1, -2):
+            raise ContractError(f"a layer contracts axis -1 or -2, got {axis}")
         rng = rng if rng is not None else np.random.default_rng(0)
         self.in_dim = int(in_dim)
         self.out_dim = int(out_dim)
         self.mode = mode
+        self.axis = axis
         self.basis = basis
         if mode == "kan":
             self.squash = DomainMap(*basis.domain)
@@ -91,59 +142,83 @@ class KanLayer:
 
     __call__ = forward
 
+    def _check(self, x: Tensor, mode: str) -> None:
+        if self.mode != mode:
+            raise ContractError(f"{mode}_forward called on a {self.mode}-mode layer")
+        if x.ndim < -self.axis or x.shape[self.axis] != self.in_dim:
+            raise DimensionError(
+                f"{mode} layer expects extent {self.in_dim} on axis {self.axis}, "
+                f"got {x.shape}"
+            )
+
     def kan_forward(self, x: Tensor) -> Tensor:
         """Fused evaluation of the whole coefficient block.
 
-        Basis values are computed once per input element and shared across
-        all out_dim outputs; the contraction runs as one matrix product
-        per degree.  The backward rule routes through the basis
-        derivatives and the squash slope.
+        Degree 0 is a bias, P_0 times the coefficient sum over inputs.  The
+        basis writes degrees 1..R of every input element once, into one
+        buffer whose degree axis sits just before the contracted axis, so
+        the rest of the expansion is one product with K = R * in_dim
+        against gamma[:, :, 1:] laid out as [out_dim, R * in_dim].  The
+        backward is one product for the coefficients and one, taken block
+        by block, for the input, chained through the basis derivatives and
+        the squash slope.
         """
-        if self.mode != "kan":
-            raise ContractError("kan_forward called on a linear-mode layer")
-        if x.shape[-1] != self.in_dim:
-            raise DimensionError(
-                f"kan layer expects trailing extent {self.in_dim}, got {x.shape}"
-            )
-        gamma = self.gamma
+        self._check(x, "kan")
+        gamma, axis, degree = self.gamma, self.axis, self.basis.degree
         need_grad = tt.grad_enabled() and (x.requires_grad or gamma.requires_grad)
-        s, dsdx = self.squash.apply_with_deriv(x.data)
         if need_grad:
-            vals, ders = self.basis.eval_terms_with_deriv(s)
+            s, dsdx = self.squash.apply_with_deriv(x.data)
+            vals, ders = self.basis.eval_terms_with_deriv(s, axis=axis - 1)
         else:
-            vals = self.basis.eval_terms(s)
-            ders = None
-        # one matrix product per degree keeps every array contiguous
-        flat_vals = [v.reshape(-1, self.in_dim) for v in vals]
-        weights = [np.ascontiguousarray(gamma.data[:, :, r])
-                   for r in range(self.basis.size)]
-        flat_out = flat_vals[0] @ weights[0].T
-        for r in range(1, self.basis.size):
-            flat_out += flat_vals[r] @ weights[r].T
-        out_data = flat_out.reshape(x.shape[:-1] + (self.out_dim,))
+            vals = self.basis.eval_terms(self.squash.apply(x.data), axis=axis - 1)
+        k = degree * self.in_dim
+        stacked = vals.reshape(x.shape[:axis] + (k,) + x.shape[axis:][1:])
+        weight = gamma.data[:, :, 1:].transpose(0, 2, 1).reshape(self.out_dim, k)
+        bias = self.basis.p0 * gamma.data[:, :, 0].sum(axis=1)
+        bias_shape = (self.out_dim,) + (1,) * (-axis - 1)
+        out_data = _contract(stacked, weight, axis)
+        out_data += bias.reshape(bias_shape)
 
         def back(g):
-            flat_g = g.reshape(-1, self.out_dim)
             if gamma.requires_grad:
-                slabs = [flat_g.T @ fv for fv in flat_vals]
-                gamma.accumulate_grad(np.stack(slabs, axis=-1))
+                grad = np.empty(gamma.shape)
+                out_axis = g.ndim + axis
+                g_sum = g.sum(axis=tuple(i for i in range(g.ndim) if i != out_axis))
+                grad[:, :, 0] = (self.basis.p0 * g_sum)[:, None]
+                grad[:, :, 1:] = _weight_grad(g, stacked, axis).reshape(
+                    self.out_dim, degree, self.in_dim).transpose(0, 2, 1)
+                gamma.accumulate_grad(grad)
             if x.requires_grad:
-                flat_d = [d.reshape(-1, self.in_dim) for d in ders]
-                gx = (flat_g @ weights[0]) * flat_d[0]
-                for r in range(1, self.basis.size):
-                    gx += (flat_g @ weights[r]) * flat_d[r]
-                x.accumulate_grad((gx * dsdx.reshape(-1, self.in_dim)).reshape(x.shape))
+                x.accumulate_grad(self._input_grad(g, weight, ders, dsdx))
 
         return tt._make(out_data, (x, gamma), back)
 
+    def _input_grad(self, g, weight, ders, dsdx) -> np.ndarray:
+        """sum_r (W_r^T g) * P_r'(s) * ds/dx, block by block over the leading rows."""
+        axis, shape = self.axis, dsdx.shape
+        lead, trail = prod(shape[:axis]), prod(shape[axis:][1:])
+        rows = _rows(g, -axis)
+        ders = ders.reshape(lead, self.basis.degree, self.in_dim, trail)
+        dsdx = dsdx.reshape(lead, self.in_dim, trail)
+        gx = np.empty_like(dsdx)
+        for blk in row_blocks(lead, self.in_dim * trail):
+            terms = _contract(rows[blk], weight.T, axis).reshape(ders[blk].shape)
+            terms *= ders[blk]
+            np.sum(terms, axis=1, out=gx[blk])
+            gx[blk] *= dsdx[blk]
+        return gx.reshape(shape)
+
     def linear_forward(self, x: Tensor) -> Tensor:
-        if self.mode != "linear":
-            raise ContractError("linear_forward called on a kan-mode layer")
-        if x.shape[-1] != self.in_dim:
-            raise DimensionError(
-                f"linear layer expects trailing extent {self.in_dim}, got {x.shape}"
-            )
-        return tt.matmul(x, tt.transpose(self.gamma))
+        self._check(x, "linear")
+        w = self.gamma
+
+        def back(g):
+            if w.requires_grad:
+                w.accumulate_grad(_weight_grad(g, x.data, self.axis))
+            if x.requires_grad:
+                x.accumulate_grad(_contract(g, w.data.T, self.axis))
+
+        return tt._make(_contract(x.data, w.data, self.axis), (x, w), back)
 
     def param_count(self) -> int:
         if self.mode == "kan":

@@ -152,8 +152,9 @@ def embed(patches: Tensor, w_p: Tensor, w_pos: Tensor) -> Tensor:
 class HahnKanBlock:
     """Residual mixing block: intra-patch layer, inter-patch layer, skip.
 
-    A disabled layer is replaced by the identity map and owns no
-    parameters.
+    Both layers take [B, n, d]: intra contracts the embedding axis d and
+    inter the patch axis n, in place.  A disabled layer is replaced by the
+    identity map and owns no parameters.
     """
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
@@ -161,16 +162,14 @@ class HahnKanBlock:
         d, n = config.embed_dim, config.n_patches
         self.intra = (KanLayer(d, d, basis=config.make_basis(), **kwargs)
                       if config.intra_enabled else None)
-        self.inter = (KanLayer(n, n, basis=config.make_basis(), **kwargs)
+        self.inter = (KanLayer(n, n, basis=config.make_basis(), axis=-2, **kwargs)
                       if config.inter_enabled else None)
         self.intra_enabled = config.intra_enabled
         self.inter_enabled = config.inter_enabled
 
     def forward(self, x: Tensor) -> Tensor:
         h = self.intra.forward(x) if self.intra is not None else x
-        h = tt.swap_last_axes(h)
         h = self.inter.forward(h) if self.inter is not None else h
-        h = tt.swap_last_axes(h)
         return h + x
 
     __call__ = forward

@@ -81,9 +81,14 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
+        g = _unbroadcast(g, self.data.shape)
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += _unbroadcast(g, self.data.shape)
+            # a C-ordered copy, never `g` itself: one backward may hand the
+            # same array to several parents (add), and grads are updated in
+            # place (by later accumulations and by the optimizer)
+            self.grad = np.array(g, dtype=np.float64, order="C")
+        else:
+            self.grad += g
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -117,9 +122,6 @@ class Tensor:
 
     def transpose(self):
         return transpose(self)
-
-    def swap_last_axes(self):
-        return swap_last_axes(self)
 
     def reshape(self, *shape):
         return reshape(self, *shape)

@@ -100,6 +100,8 @@ class TrainSpec:
     clip_grad: float | None = None
 
     def validate(self) -> "TrainSpec":
+        if self.max_epochs < 1:
+            raise ConfigError(f"train.max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience > self.max_epochs:
             raise ConfigError("patience exceeds max_epochs")
         if self.lr <= 0:

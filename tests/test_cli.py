@@ -289,6 +289,18 @@ class TestParamsCommand:
         out = capsys.readouterr().out
         assert "16,528" in out  # (128^2 + 12^2) with no degree factor
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--lookback", "8"], "patch_len"),
+        (["--blocks", "-1"], "n_blocks"),
+        (["--horizon", "0"], "horizon"),
+    ])
+    def test_invalid_model_exits_config_code(self, capsys, flags, field):
+        # the same settings that make `train` exit 2
+        assert cli.main(["params", *flags]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert field in captured.err
+        assert "total" not in captured.out
+
 
 @pytest.mark.parametrize("argv, cfg_line, key", [
     (["sweep", "--axis", "blocks", "--values", "x"], "", "model.blocks"),
@@ -298,6 +310,7 @@ class TestParamsCommand:
     (["params", "--blocks", "x"], "", "model.blocks"),
     (["params"], "run.seeds =", "run.seeds"),
     (["train"], "run.seeds =", "run.seeds"),
+    (["train", "--max-epochs", "0"], "", "train.max_epochs"),
 ])
 def test_bad_values_exit_config_code(tiny_run, capsys, argv, cfg_line, key):
     cfg_path, _, out_dir = tiny_run
@@ -321,9 +334,9 @@ class TestGradcheckCommand:
         from hakan.basis import HahnBasis
         true_fn = HahnBasis.eval_terms_with_deriv
 
-        def corrupted(self, x):
-            vals, ders = true_fn(self, x)
-            return vals, [d * 1.01 for d in ders]
+        def corrupted(self, x, axis=-1):
+            vals, ders = true_fn(self, x, axis)
+            return vals, ders * 1.01
 
         monkeypatch.setattr(HahnBasis, "eval_terms_with_deriv", corrupted)
         assert cli.main(["gradcheck"]) == cli.EXIT_NUMERIC

@@ -1,8 +1,10 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
 import hakan.tensor as tt
-from hakan.basis import HahnBasis
+from hakan.basis import HahnBasis, make_basis
 from hakan.errors import ContractError, DimensionError
 from hakan.layers import DomainMap, KanLayer, squash
 from hakan.tensor import Tensor
@@ -155,3 +157,110 @@ class TestParamCount:
 
     def test_linear_count(self):
         assert KanLayer(12, 34, mode="linear").param_count() == 408
+
+
+def naive_output(layer, x):
+    """sum_p sum_r gamma[q, p, r] P_r(squash(x_p)) over the layer's axis, by einsum."""
+    if layer.mode == "linear":
+        terms, gamma = x[..., None], layer.gamma.data[:, :, None]
+    else:
+        lo, hi = layer.basis.domain
+        terms = layer.basis.eval_all(lo + (hi - lo) * 0.5 * (np.tanh(x) + 1.0))
+        gamma = layer.gamma.data
+    if layer.axis == -1:
+        return np.einsum("...pr,qpr->...q", terms, gamma)
+    return np.einsum("...pjr,qpr->...qj", terms, gamma)
+
+
+# (layer axis, input shape); the contracted extent is 3 and the output width 4
+CASES = {"last-2d": (-1, (5, 3)), "last-3d": (-1, (2, 5, 3)), "patch-3d": (-2, (2, 3, 5))}
+
+
+def oracle_layer(kind, degree, case, mode="kan", seed=0):
+    axis, shape = CASES[case]
+    basis = make_basis(kind, degree) if mode == "kan" else None
+    layer = KanLayer(3, 4, basis=basis, mode=mode, axis=axis,
+                     rng=np.random.default_rng(seed))
+    x = np.random.default_rng(seed + 1).uniform(-2, 2, shape)
+    return layer, x
+
+
+@pytest.mark.parametrize("case", list(CASES))
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+@pytest.mark.parametrize("kind", ["hahn", "chebyshev", "lucas"])
+class TestAgainstNaiveEinsum:
+    def test_values(self, kind, degree, case):
+        layer, x = oracle_layer(kind, degree, case)
+        want = naive_output(layer, x)
+        with tt.no_grad():
+            out = layer.forward(Tensor(x))
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+        out = layer.forward(Tensor(x, requires_grad=True))
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+        tt.backward(out.sum())
+
+    def test_gradients(self, kind, degree, case):
+        layer, x = oracle_layer(kind, degree, case, seed=2)
+        xt = Tensor(x, requires_grad=True)
+        fd_check(lambda: (layer.forward(xt) * layer.forward(xt)).mean(), [layer.gamma, xt])
+
+
+@pytest.mark.parametrize("case", list(CASES))
+class TestLinearAgainstNaiveEinsum:
+    def test_values(self, case):
+        layer, x = oracle_layer(None, None, case, mode="linear")
+        out = layer.forward(Tensor(x))
+        np.testing.assert_allclose(out.data, naive_output(layer, x), rtol=0, atol=1e-12)
+
+    def test_gradients(self, case):
+        layer, x = oracle_layer(None, None, case, mode="linear", seed=3)
+        xt = Tensor(x, requires_grad=True)
+        fd_check(lambda: (layer.forward(xt) * layer.forward(xt)).mean(),
+                 [layer.gamma, xt], tol=1e-6)
+
+
+class TestPatchAxis:
+    def test_output_keeps_the_trailing_axis(self):
+        layer, x = oracle_layer("hahn", 3, "patch-3d")
+        assert layer.forward(Tensor(x)).shape == (2, 4, 5)
+
+    def test_extent_checked_on_the_contracted_axis(self):
+        layer, _ = oracle_layer("hahn", 3, "patch-3d")
+        with pytest.raises(DimensionError):
+            layer.forward(Tensor(np.zeros((2, 5, 3))))
+        with pytest.raises(DimensionError):
+            layer.forward(Tensor(np.zeros(3)))
+
+    def test_unknown_axis_rejected(self):
+        with pytest.raises(ContractError):
+            KanLayer(3, 3, mode="linear", axis=0)
+
+
+@pytest.mark.parametrize("case", list(CASES))
+@pytest.mark.parametrize("grad", [True, False])
+def test_one_basis_call_per_forward(case, grad):
+    # the tracing contract: a tracer wraps the basis methods on the instance
+    # and sees exactly one call, on the whole squashed input
+    layer, x = oracle_layer("hahn", 3, case)
+    used = "eval_terms_with_deriv" if grad else "eval_terms"
+    unused = "eval_terms" if grad else "eval_terms_with_deriv"
+    calls = []
+
+    def traced(s, *args, _fn=getattr(layer.basis, used), **kwargs):
+        calls.append(np.shape(s))
+        return _fn(s, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{unused} called")
+
+    setattr(layer.basis, used, traced)
+    setattr(layer.basis, unused, forbidden)
+    xt = Tensor(x, requires_grad=grad)
+    before = layer.basis.eval_count
+    with nullcontext() if grad else tt.no_grad():
+        out = layer.forward(xt)
+    assert calls == [x.shape]
+    assert layer.basis.eval_count - before == x.size
+    if grad:
+        tt.backward(out.sum())
+        assert len(calls) == 1

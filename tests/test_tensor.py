@@ -120,6 +120,15 @@ class TestElementwise:
 
 
 class TestBackward:
+    def test_first_gradient_is_not_aliased(self):
+        # add hands one array to both parents; b's first gradient must be a
+        # copy, or a's next accumulation would change it too
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        tt.backward(a.sum() + (a + b).sum())
+        np.testing.assert_array_equal(a.grad, [2.0, 2.0, 2.0])
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0, 1.0])
+
     def test_sum_gives_ones(self):
         w = Tensor(np.random.default_rng(8).normal(size=(3, 2)), requires_grad=True)
         tt.backward(w.sum())

@@ -209,6 +209,11 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             TrainSpec(lr=0.0).validate()
 
+    def test_max_epochs_below_one_rejected(self):
+        # patience is clamped to max_epochs first, so 0/0 must still fail
+        with pytest.raises(ConfigError, match="max_epochs"):
+            TrainSpec(max_epochs=0, patience=0).validate()
+
 
 class TestGradCheck:
     def test_kan_mode_within_tolerance(self, tiny_config):
