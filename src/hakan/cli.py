@@ -24,7 +24,7 @@ from .config import (
 )
 from .data import load_csv, prepare
 from .errors import ConfigError, ContractError, DataError, DimensionError
-from .model import HaKanModel, ModelConfig, count_breakdown, model_param_count
+from .model import HaKanModel, ModelConfig, count_breakdown
 from .training import aggregate_report, evaluate, grad_check, train
 
 EXIT_OK = 0
@@ -275,14 +275,13 @@ def cmd_sweep(args) -> int:
         splits = _load_splits(cfg, cfg.model.lookback)
         records = []
         for seed in cfg.seeds:
-            _, rec = _train_one(cfg, splits, seed)
+            model, rec = _train_one(cfg, splits, seed)
             records.append(rec)
             print(f"  [{args.axis}={label}] seed={seed} "
                   f"mse={rec.mse:.4f} mae={rec.mae:.4f}")
         report = aggregate_report(records)
         stats = report.cells[(splits.name, cfg.model.horizon)]
-        rows.append((label, stats.mse_mean, stats.mae_mean,
-                     model_param_count(cfg.model)))
+        rows.append((label, stats.mse_mean, stats.mae_mean, model.param_count()))
     print(f"\n{args.axis:<12}{'mse':>10}{'mae':>10}{'params':>12}")
     for label, mse, mae, params in rows:
         print(f"{label:<12}{mse:>10.4f}{mae:>10.4f}{params:>12,}")
@@ -294,12 +293,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_params(args) -> int:
-    model_cfg = _resolve(args, PARAMS_OVERRIDES).model.validate()
-    breakdown = count_breakdown(model_cfg)
+    breakdown = count_breakdown(_resolve(args, PARAMS_OVERRIDES).model)
     width = max(len(name) for name, _ in breakdown)
     for name, count in breakdown:
         print(f"{name:<{width}}  {count:>12,}")
-    total = model_param_count(model_cfg)
+    total = sum(count for _, count in breakdown)
     print(f"{'total':<{width}}  {total:>12,}")
     return EXIT_OK
 

@@ -83,6 +83,7 @@ def load_csv(path, name: str | None = None, frequency: str = "") -> RawDataset:
         width = len(header)
         timestamps = []
         rows = []
+        linenos = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -91,6 +92,7 @@ def load_csv(path, name: str | None = None, frequency: str = "") -> RawDataset:
                     f"{path}:{lineno}: ragged row, {len(row)} cells vs {width} columns"
                 )
             timestamps.append(row[0])
+            linenos.append(lineno)
             try:
                 rows.append([float(cell) for cell in row[1:]])
             except ValueError:
@@ -99,12 +101,23 @@ def load_csv(path, name: str | None = None, frequency: str = "") -> RawDataset:
         raise DataError(f"{path}: no data rows")
     keys = [_time_key(t) for t in timestamps]
     for i in range(1, len(keys)):
-        if not keys[i - 1] < keys[i]:
+        try:
+            increasing = keys[i - 1] < keys[i]
+        except TypeError:  # an ISO stamp next to a non-ISO one
+            raise DataError(
+                f"{path}:{linenos[i]}: mixed timestamp formats "
+                f"({timestamps[i - 1]!r} then {timestamps[i]!r})"
+            )
+        if not increasing:
             raise DataError(
                 f"{path}: timestamps not strictly increasing at row {i + 1} "
                 f"({timestamps[i - 1]!r} then {timestamps[i]!r})"
             )
     values = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(values)
+    if not finite.all():
+        row = int(np.argmin(finite.all(axis=1)))
+        raise DataError(f"{path}:{linenos[row]}: non-finite feature cell (nan or inf)")
     return RawDataset(name=name or path.stem, timestamps=timestamps,
                       values=values, frequency=frequency)
 

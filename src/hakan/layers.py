@@ -7,7 +7,8 @@ every input coordinate p and sums the results,
 
 Inputs are squashed onto the basis domain with a tanh map before
 evaluation.  A `linear` mode swaps the expansion for a plain bias-free
-weight matrix so the same network can be run as an MLP variant.
+weight matrix so the same network can be run as an MLP variant; it and the
+model's bottleneck head both apply weights through `linear`.
 
 A layer contracts one axis of its input: the last (`axis=-1`, the rows of
 `x` times W^T) or the second last (`axis=-2`, W times each [in_dim, d]
@@ -94,6 +95,27 @@ def _rows(a: np.ndarray, keep: int) -> np.ndarray:
     return a.reshape((prod(a.shape[:cut]),) + a.shape[cut:])
 
 
+def linear(x: Tensor, w: Tensor, axis: int = -1) -> Tensor:
+    """x times a weight matrix w [out, in] with no bias, recorded as one node.
+
+    Contracts `axis` of x: x @ w^T on axis -1, w @ x per [in, d] slab on axis -2.
+    """
+    _check_extent(x, w.shape[1], axis)
+
+    def back(g):
+        if w.requires_grad:
+            w.accumulate_grad(_weight_grad(g, x.data, axis))
+        if x.requires_grad:
+            x.accumulate_grad(_contract(g, w.data.T, axis))
+
+    return tt._make(_contract(x.data, w.data, axis), (x, w), back)
+
+
+def _check_extent(x: Tensor, extent: int, axis: int) -> None:
+    if x.ndim < -axis or x.shape[axis] != extent:
+        raise DimensionError(f"expected extent {extent} on axis {axis}, got {x.shape}")
+
+
 class KanLayer:
     """One layer mapping in_dim inputs to out_dim outputs along `axis`.
 
@@ -136,34 +158,21 @@ class KanLayer:
         self.gamma = Tensor(init, requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        if self.mode == "kan":
-            return self.kan_forward(x)
-        return self.linear_forward(x)
+        """The layer applied along its axis.
 
-    __call__ = forward
-
-    def _check(self, x: Tensor, mode: str) -> None:
-        if self.mode != mode:
-            raise ContractError(f"{mode}_forward called on a {self.mode}-mode layer")
-        if x.ndim < -self.axis or x.shape[self.axis] != self.in_dim:
-            raise DimensionError(
-                f"{mode} layer expects extent {self.in_dim} on axis {self.axis}, "
-                f"got {x.shape}"
-            )
-
-    def kan_forward(self, x: Tensor) -> Tensor:
-        """Fused evaluation of the whole coefficient block.
-
-        Degree 0 is a bias, P_0 times the coefficient sum over inputs.  The
-        basis writes degrees 1..R of every input element once, into one
-        buffer whose degree axis sits just before the contracted axis, so
-        the rest of the expansion is one product with K = R * in_dim
-        against gamma[:, :, 1:] laid out as [out_dim, R * in_dim].  The
-        backward is one product for the coefficients and one, taken block
-        by block, for the input, chained through the basis derivatives and
-        the squash slope.
+        In kan mode the whole coefficient block is evaluated fused.  Degree
+        0 is a bias, P_0 times the coefficient sum over inputs.  The basis
+        writes degrees 1..R of every input element once, into one buffer
+        whose degree axis sits just before the contracted axis, so the rest
+        of the expansion is one product with K = R * in_dim against
+        gamma[:, :, 1:] laid out as [out_dim, R * in_dim].  The backward is
+        one product for the coefficients and one, taken block by block, for
+        the input, chained through the basis derivatives and the squash
+        slope.
         """
-        self._check(x, "kan")
+        if self.mode == "linear":
+            return linear(x, self.gamma, self.axis)
+        _check_extent(x, self.in_dim, self.axis)
         gamma, axis, degree = self.gamma, self.axis, self.basis.degree
         need_grad = tt.grad_enabled() and (x.requires_grad or gamma.requires_grad)
         if need_grad:
@@ -207,20 +216,3 @@ class KanLayer:
             np.sum(terms, axis=1, out=gx[blk])
             gx[blk] *= dsdx[blk]
         return gx.reshape(shape)
-
-    def linear_forward(self, x: Tensor) -> Tensor:
-        self._check(x, "linear")
-        w = self.gamma
-
-        def back(g):
-            if w.requires_grad:
-                w.accumulate_grad(_weight_grad(g, x.data, self.axis))
-            if x.requires_grad:
-                x.accumulate_grad(_contract(g, w.data.T, self.axis))
-
-        return tt._make(_contract(x.data, w.data, self.axis), (x, w), back)
-
-    def param_count(self) -> int:
-        if self.mode == "kan":
-            return self.in_dim * self.out_dim * self.basis.size
-        return self.in_dim * self.out_dim

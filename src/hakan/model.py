@@ -5,7 +5,9 @@ normalization, patching, linear patch embedding plus a learnable position
 table, a stack of residual mixing blocks (an intra-patch KAN layer over
 the embedding axis and an inter-patch KAN layer over the patch axis),
 then a flatten and a two-matrix bottleneck head that emits the whole
-horizon at once.  The instance statistics denormalize the output.
+horizon at once.  The head applies its matrices through `layers.linear`,
+the product a linear-mode KAN layer uses.  The instance statistics
+denormalize the output.
 
 Channels of a multivariate series share one backbone: they are folded
 into the batch axis and never mix.
@@ -14,6 +16,8 @@ into the batch axis and never mix.
 from __future__ import annotations
 
 import json
+import zipfile
+import zlib
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -21,7 +25,7 @@ import numpy as np
 from . import tensor as tt
 from .basis import make_basis
 from .errors import ConfigError, ContractError, DataError, DimensionError
-from .layers import KanLayer
+from .layers import KanLayer, linear
 from .tensor import Tensor
 
 CHECKPOINT_CONFIG_KEY = "__model_config__"
@@ -164,8 +168,6 @@ class HahnKanBlock:
                       if config.intra_enabled else None)
         self.inter = (KanLayer(n, n, basis=config.make_basis(), axis=-2, **kwargs)
                       if config.inter_enabled else None)
-        self.intra_enabled = config.intra_enabled
-        self.inter_enabled = config.inter_enabled
 
     def forward(self, x: Tensor) -> Tensor:
         h = self.intra.forward(x) if self.intra is not None else x
@@ -228,8 +230,7 @@ class HaKanModel:
         _expect(h.shape == (x.shape[0], cfg.n_patches, cfg.embed_dim),
                 "block stack shape")
         flat = tt.reshape(h, (x.shape[0], cfg.n_patches * cfg.embed_dim))
-        hidden = tt.matmul(flat, tt.transpose(self.w_down))
-        pred = tt.matmul(hidden, tt.transpose(self.w_up))
+        pred = linear(linear(flat, self.w_down), self.w_up)
         _expect(pred.shape == (x.shape[0], cfg.horizon), "head output shape")
         return revin_denormalize(pred, state)
 
@@ -265,24 +266,36 @@ class HaKanModel:
 
     @classmethod
     def load(cls, path) -> "HaKanModel":
+        """Rebuild a saved model; an unreadable or incomplete file is a DataError."""
         try:
             archive = np.load(path, allow_pickle=False)
         except FileNotFoundError:
             raise DataError(f"checkpoint not found: {path}")
+        except (OSError, ValueError, EOFError, zipfile.BadZipFile) as err:
+            raise DataError(f"{path} is not a readable checkpoint: {err}")
         if CHECKPOINT_CONFIG_KEY not in archive:
             raise DataError(f"{path} is not a model checkpoint")
-        raw = json.loads(str(archive[CHECKPOINT_CONFIG_KEY]))
+        raw = json.loads(str(_read_key(archive, path, CHECKPOINT_CONFIG_KEY)))
         known = {f.name for f in fields(ModelConfig)}
         config = ModelConfig(**{k: v for k, v in raw.items() if k in known})
         model = cls(config)
         for name, t in model.named_parameters():
-            stored = archive[name]
+            stored = _read_key(archive, path, name)
             if stored.shape != t.data.shape:
                 raise DataError(
                     f"checkpoint key {name}: shape {stored.shape} != {t.data.shape}"
                 )
             t.data = stored.astype(np.float64)
         return model
+
+
+def _read_key(archive, path, key: str) -> np.ndarray:
+    try:
+        return archive[key]
+    except KeyError:
+        raise DataError(f"{path}: checkpoint key {key} is missing")
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as err:
+        raise DataError(f"{path}: checkpoint key {key} is unreadable: {err}")
 
 
 def _uniform(rng: np.random.Generator, fan_in: int, shape: tuple) -> np.ndarray:
@@ -299,19 +312,19 @@ def _expect(cond: bool, what: str) -> None:
 
 
 def count_breakdown(config: ModelConfig) -> list:
-    """Per-component parameter counts implied by a configuration."""
-    n, p = config.n_patches, config.patch_len
-    d, h, t = config.embed_dim, config.bottleneck_dim, config.horizon
-    terms = config.degree + 1 if config.mode == "kan" else 1
-    per_block = (d * d if config.intra_enabled else 0) * terms
-    per_block += (n * n if config.inter_enabled else 0) * terms
-    items = [("w_p", p * d), ("w_pos", n * d)]
-    for i in range(config.n_blocks):
-        items.append((f"block.{i}", per_block))
-    items.append(("w_down", h * n * d))
-    items.append(("w_up", t * h))
+    """Per-component parameter counts of the model a configuration builds.
+
+    Each block gets one line, even when both of its layers are disabled.
+    """
+    model = HaKanModel(config)
+    items = [("w_p", model.w_p.size), ("w_pos", model.w_pos.size)]
+    for i, block in enumerate(model.blocks):
+        layers = [layer for layer in (block.intra, block.inter) if layer is not None]
+        items.append((f"block.{i}", sum(layer.gamma.size for layer in layers)))
+    items.append(("w_down", model.w_down.size))
+    items.append(("w_up", model.w_up.size))
     return items
 
 
 def model_param_count(config: ModelConfig) -> int:
-    return sum(count for _, count in count_breakdown(config))
+    return HaKanModel(config).param_count()

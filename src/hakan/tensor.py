@@ -105,38 +105,23 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(self, other)
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def transpose(self):
-        return transpose(self)
-
     def reshape(self, *shape):
         return reshape(self, *shape)
-
-    def flatten(self):
-        return reshape(self, -1)
 
     def sum(self):
         return tensor_sum(self)
 
     def mean(self):
         return tensor_mean(self)
-
-    def tanh(self):
-        return tanh(self)
 
 
 def _as_tensor(x) -> Tensor:
@@ -241,18 +226,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    """Elementwise product; `b` may be a python scalar."""
-    a = _as_tensor(a)
-    if np.isscalar(b) or isinstance(b, (int, float)):
-        c = float(b)
-
-        def back_scalar(g):
-            if a.requires_grad:
-                a.accumulate_grad(g * c)
-
-        return _make(a.data * c, (a,), back_scalar)
-
-    b = _as_tensor(b)
+    a, b = _as_tensor(a), _as_tensor(b)
     try:
         data = a.data * b.data
     except ValueError:
@@ -284,25 +258,6 @@ def matmul(a, b) -> Tensor:
             b.accumulate_grad(lhs.T @ g.reshape(-1, g.shape[-1]))
 
     return _make(data, (a, b), back)
-
-
-def transpose(a) -> Tensor:
-    a = _as_tensor(a)
-    if a.ndim != 2:
-        raise DimensionError(f"transpose expects a matrix, got rank {a.ndim}")
-    return swap_last_axes(a)
-
-
-def swap_last_axes(a) -> Tensor:
-    a = _as_tensor(a)
-    if a.ndim < 2:
-        raise DimensionError(f"swap_last_axes expects rank >= 2, got {a.ndim}")
-
-    def back(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.swapaxes(g, -1, -2))
-
-    return _make(np.swapaxes(a.data, -1, -2), (a,), back)
 
 
 def reshape(a, *shape) -> Tensor:
@@ -341,13 +296,3 @@ def tensor_mean(a) -> Tensor:
 
     return _make(a.data.mean(), (a,), back)
 
-
-def tanh(a) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.tanh(a.data)
-
-    def back(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * (1.0 - out_data * out_data))
-
-    return _make(out_data, (a,), back)

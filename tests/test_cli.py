@@ -154,6 +154,23 @@ class TestTrainCommand:
                          "--data", str(tmp_path / "gone.csv")])
         assert code == cli.EXIT_DATA
 
+    @pytest.mark.parametrize("stamp, cell, message", [
+        ("day 5", None, "mixed timestamp formats"),
+        (None, "nan", "non-finite"),
+        (None, "inf", "non-finite"),
+    ])
+    def test_malformed_row_exits_data_code(self, tiny_run, capsys, stamp, cell, message):
+        # line 6 of the file gets a non-ISO stamp among ISO ones, or a bad cell
+        cfg_path, data, out_dir = tiny_run
+        lines = data.read_text().splitlines()
+        old_stamp, first, *rest = lines[5].split(",")
+        lines[5] = ",".join([stamp or old_stamp, cell or first, *rest])
+        data.write_text("\n".join(lines) + "\n")
+        assert cli.main(["train", "--config", str(cfg_path)]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{data}:6:" in err and message in err
+        assert not (out_dir / "metrics.csv").exists()
+
     def test_unknown_config_key_exits_config_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("model.magic = 1\n")
@@ -214,6 +231,37 @@ class TestEvalCommand:
                 errs.append((seg[o + L:o + L + T, c] - mean) ** 2)
         baseline = float(np.mean(errs))
         assert float(row["mse"]) == pytest.approx(baseline, rel=1e-6)
+
+    @pytest.mark.parametrize("damage, message", [
+        ("missing_key", "checkpoint key w_up is missing"),
+        ("not_a_zip", "is not a readable checkpoint"),
+        ("truncated", "is not a readable checkpoint"),
+        ("empty", "is not a readable checkpoint"),
+        ("object_array", "checkpoint key w_up is unreadable"),
+    ])
+    def test_damaged_checkpoint_exits_data_code(self, tiny_run, capsys, damage, message):
+        cfg_path, _, out_dir = tiny_run
+        out_dir.mkdir(parents=True, exist_ok=True)
+        ckpt = out_dir / "damaged.npz"
+        HaKanModel(load_config(cfg_path).bind(2, seed=1)[0]).save(ckpt)
+        with np.load(ckpt) as archive:
+            arrays = dict(archive)
+        if damage == "missing_key":
+            del arrays["w_up"]
+            np.savez(ckpt, **arrays)
+        elif damage == "not_a_zip":
+            ckpt.write_text("w_up,w_down\n1,2\n")
+        elif damage == "truncated":
+            ckpt.write_bytes(ckpt.read_bytes()[:-100])
+        elif damage == "empty":
+            ckpt.write_bytes(b"")
+        else:
+            arrays["w_up"] = np.array([{"w": 1}], dtype=object)
+            np.savez(ckpt, **arrays)
+        code = cli.main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg_path)])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and message in err
 
 
 class TestSweepCommand:
@@ -293,10 +341,17 @@ class TestParamsCommand:
         (["--lookback", "8"], "patch_len"),
         (["--blocks", "-1"], "n_blocks"),
         (["--horizon", "0"], "horizon"),
+        (["model.degree = 9", "model.hahn_n = 7"], "degree 9 exceeds n=7"),
+        (["model.basis = bspline"], "bspline"),
+        (["model.hahn_a = -3"], "a > -1"),
     ])
-    def test_invalid_model_exits_config_code(self, capsys, flags, field):
-        # the same settings that make `train` exit 2
-        assert cli.main(["params", *flags]) == cli.EXIT_CONFIG
+    def test_invalid_model_exits_config_code(self, capsys, tmp_path, flags, field):
+        # the same settings that make `train` exit 2; keys without a flag
+        # go into a config file
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("".join(f"{line}\n" for line in flags if " = " in line))
+        argv = [flag for flag in flags if " = " not in flag]
+        assert cli.main(["params", "--config", str(cfg), *argv]) == cli.EXIT_CONFIG
         captured = capsys.readouterr()
         assert field in captured.err
         assert "total" not in captured.out

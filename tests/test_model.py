@@ -229,9 +229,9 @@ def reference_forward(model: HaKanModel, series: np.ndarray) -> np.ndarray:
         return out
 
     for block in model.blocks:
-        cur = kan_ref(block.intra, h) if block.intra_enabled else h
+        cur = kan_ref(block.intra, h) if block.intra is not None else h
         cur = cur.T
-        cur = kan_ref(block.inter, cur) if block.inter_enabled else cur
+        cur = kan_ref(block.inter, cur) if block.inter is not None else cur
         h = cur.T + h
     flat = h.reshape(-1)
     hidden = model.w_down.data @ flat

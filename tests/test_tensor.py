@@ -61,42 +61,9 @@ class TestMatmul:
         fd_check(lambda: tt.matmul(a, b).sum(), [a, b], tol=1e-6)
 
 
-class TestTranspose:
-    def test_one_by_one(self):
-        t = Tensor([[4.0]])
-        np.testing.assert_array_equal(tt.transpose(t).data, [[4.0]])
-
-    def test_row_to_column(self):
-        out = tt.transpose(Tensor([[1.0, 2.0, 3.0]]))
-        np.testing.assert_array_equal(out.data, [[1.0], [2.0], [3.0]])
-
-    def test_involution(self):
-        x = np.random.default_rng(3).normal(size=(4, 7))
-        np.testing.assert_array_equal(tt.transpose(tt.transpose(Tensor(x))).data, x)
-
-    def test_rank_error(self):
-        with pytest.raises(DimensionError):
-            tt.transpose(Tensor(np.zeros(3)))
-        with pytest.raises(DimensionError):
-            tt.transpose(Tensor(np.zeros((2, 2, 2))))
-
-    def test_swap_last_axes_gradient(self):
-        x = Tensor(np.random.default_rng(4).normal(size=(2, 3, 4)), requires_grad=True)
-        fd_check(lambda: (tt.swap_last_axes(x) * tt.swap_last_axes(x)).sum(), [x], tol=1e-6)
-
-
 class TestElementwise:
-    def test_tanh_zero(self):
-        assert tt.tanh(Tensor(0.0)).item() == 0.0
-
     def test_sum_ones(self):
         assert Tensor(np.ones((2, 3))).sum().item() == 6.0
-
-    def test_tanh_derivative_matches_central_difference(self):
-        x = Tensor(np.array(0.5), requires_grad=True)
-        tt.backward(tt.tanh(x))
-        fd = (np.tanh(0.5 + 1e-6) - np.tanh(0.5 - 1e-6)) / 2e-6
-        assert abs(float(x.grad) - fd) < 1e-8
 
     def test_add_shape_mismatch(self):
         with pytest.raises(DimensionError):
@@ -169,7 +136,7 @@ class TestHygiene:
         b = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
         a_before, b_before = a.data.copy(), b.data.copy()
         out = tt.matmul(a, b) + a - b
-        out = tt.tanh(out).mean()
+        out = (out * out).reshape(9).sum() + (a * b).mean()
         tt.backward(out)
         np.testing.assert_array_equal(a.data, a_before)
         np.testing.assert_array_equal(b.data, b_before)
@@ -194,11 +161,3 @@ class TestHygiene:
             for _ in range(5):
                 (w * w).mean()
         assert len(tt._tape()) == 0
-
-    def test_flatten(self):
-        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        flat = x.flatten()
-        assert flat.shape == (6,)
-        np.testing.assert_array_equal(flat.data, np.arange(6.0))
-        tt.backward((flat * flat).sum())
-        np.testing.assert_allclose(x.grad, 2 * x.data, atol=1e-12)

@@ -214,6 +214,17 @@ class TestTrainLoop:
         with pytest.raises(ConfigError, match="max_epochs"):
             TrainSpec(max_epochs=0, patience=0).validate()
 
+    @pytest.mark.parametrize("blocks", [0, 1, 3])
+    def test_step_tape_node_count(self, blocks):
+        # embed (product, position add) 2, per block intra + inter + skip 3,
+        # flatten and the two head products 3, denormalize 2, loss 3
+        model = HaKanModel(tiny_train_config(n_blocks=blocks))
+        rng = np.random.default_rng(blocks)
+        loss = mse_loss(model.forward_batch(rng.normal(size=(5, 16))),
+                        Tensor(rng.normal(size=(5, 4))))
+        assert len(tt._tape()) == 10 + 3 * blocks
+        tt.backward(loss)
+
 
 class TestGradCheck:
     def test_kan_mode_within_tolerance(self, tiny_config):
