@@ -6,12 +6,11 @@ from .model import (
     HaKanModel,
     ModelConfig,
     make_patches,
-    model_param_count,
     revin_denormalize,
     revin_normalize,
 )
 from .tensor import Tensor, backward, no_grad
-from .training import Adam, MetricRecord, TrainSpec, grad_check, mae_metric, mse_loss, train
+from .training import Adam, MetricRecord, TrainSpec, grad_check, mse_loss, train
 
 __all__ = [
     "Adam",
@@ -27,10 +26,8 @@ __all__ = [
     "TrainSpec",
     "backward",
     "grad_check",
-    "mae_metric",
     "make_basis",
     "make_patches",
-    "model_param_count",
     "mse_loss",
     "no_grad",
     "revin_denormalize",

@@ -25,7 +25,7 @@ from .config import (
 from .data import load_csv, prepare
 from .errors import ConfigError, ContractError, DataError, DimensionError
 from .model import HaKanModel, ModelConfig, count_breakdown
-from .training import aggregate_report, evaluate, grad_check, train
+from .training import evaluate, grad_check, seed_summary, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -110,7 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_config_arg(p_grad, required=False)
     p_grad.add_argument("--tolerance", type=float,
                         help="worst relative error allowed (default by mode)")
-    p_grad.add_argument("--step", type=float, default=1e-5)
     p_grad.set_defaults(handler=cmd_gradcheck)
 
     return parser
@@ -193,18 +192,14 @@ def cmd_train(args) -> int:
               f"epochs={rec.epoch_stopped} {rec.wall_time:.1f}s")
         records.append(rec)
     if len(records) > 1:
-        report = aggregate_report(records)
+        mse, mse_std, mae, mae_std = seed_summary(records)
         horizon = cfg.model.horizon
-        stats = report.cells[(splits.name, horizon)]
         _append_metrics(out / "metrics.csv", [
-            (splits.name, horizon, "mean", f"{stats.mse_mean:.6f}",
-             f"{stats.mae_mean:.6f}", "", ""),
-            (splits.name, horizon, "std", f"{stats.mse_std:.6f}",
-             f"{stats.mae_std:.6f}", "", ""),
+            (splits.name, horizon, "mean", f"{mse:.6f}", f"{mae:.6f}", "", ""),
+            (splits.name, horizon, "std", f"{mse_std:.6f}", f"{mae_std:.6f}", "", ""),
         ])
-        print(f"{splits.name} T={horizon} over {stats.n_seeds} seeds: "
-              f"mse={stats.mse_mean:.4f}±{stats.mse_std:.4f} "
-              f"mae={stats.mae_mean:.4f}±{stats.mae_std:.4f}")
+        print(f"{splits.name} T={horizon} over {len(records)} seeds: "
+              f"mse={mse:.4f}±{mse_std:.4f} mae={mae:.4f}±{mae_std:.4f}")
     return EXIT_OK
 
 
@@ -279,9 +274,8 @@ def cmd_sweep(args) -> int:
             records.append(rec)
             print(f"  [{args.axis}={label}] seed={seed} "
                   f"mse={rec.mse:.4f} mae={rec.mae:.4f}")
-        report = aggregate_report(records)
-        stats = report.cells[(splits.name, cfg.model.horizon)]
-        rows.append((label, stats.mse_mean, stats.mae_mean, model.param_count()))
+        mse, _, mae, _ = seed_summary(records)
+        rows.append((label, mse, mae, model.param_count()))
     print(f"\n{args.axis:<12}{'mse':>10}{'mae':>10}{'params':>12}")
     for label, mse, mae, params in rows:
         print(f"{label:<12}{mse:>10.4f}{mae:>10.4f}{params:>12,}")
@@ -329,7 +323,7 @@ def cmd_gradcheck(args) -> int:
     tolerance = args.tolerance
     if tolerance is None:
         tolerance = 1e-6 if check_cfg.mode == "linear" else 1e-4
-    report = grad_check(check_cfg, step=args.step)
+    report = grad_check(check_cfg)
     worst_name, worst = max(report.items(), key=lambda kv: kv[1])
     for name, err in report.items():
         print(f"{name:<24} {err:.3e}")

@@ -80,8 +80,6 @@ _FALSE = {"false", "off", "no", "0"}
 
 
 def _parse(kind: str, raw: str):
-    if kind.endswith(" | None"):
-        return None if raw.lower() == "none" else _parse(kind[:-len(" | None")], raw)
     if kind == "bool":
         if raw.lower() in _TRUE:
             return True
@@ -136,8 +134,6 @@ def with_values(cfg: RunConfig, values: dict) -> RunConfig:
 def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if value is None:
-        return "none"
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     if isinstance(value, float):
@@ -178,4 +174,10 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    return parse_config(path.read_text(encoding="utf-8"))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text ({err.reason})")
+    except OSError as err:
+        raise ConfigError(f"{path}: cannot read ({err.strerror})")
+    return parse_config(text)

@@ -47,7 +47,6 @@ class RawDataset:
 class SplitSpec:
     kind: str  # "ett_months" or "ratio"
     frequency: str = "hourly"
-    prepend_context: bool = True
 
     def __post_init__(self):
         if self.kind not in ("ett_months", "ratio"):
@@ -72,31 +71,39 @@ def load_csv(path, name: str | None = None, frequency: str = "") -> RawDataset:
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file")
-        if len(header) < 2:
-            raise DataError(f"{path}: need a timestamp column plus features")
-        width = len(header)
-        timestamps = []
-        rows = []
-        linenos = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise DataError(
-                    f"{path}:{lineno}: ragged row, {len(row)} cells vs {width} columns"
-                )
-            timestamps.append(row[0])
-            linenos.append(lineno)
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                rows.append([float(cell) for cell in row[1:]])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric feature cell")
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file")
+            if len(header) < 2:
+                raise DataError(f"{path}: need a timestamp column plus features")
+            width = len(header)
+            timestamps = []
+            rows = []
+            linenos = []
+            for row in reader:
+                if not row:
+                    continue
+                lineno = reader.line_num  # file lines, quoted newlines included
+                if len(row) != width:
+                    raise DataError(
+                        f"{path}:{lineno}: ragged row, {len(row)} cells vs {width} columns"
+                    )
+                timestamps.append(row[0])
+                linenos.append(lineno)
+                try:
+                    rows.append([float(cell) for cell in row[1:]])
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: non-numeric feature cell")
+    except csv.Error as err:
+        raise DataError(f"{path}:{reader.line_num}: {err}")
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path}: not UTF-8 text ({err.reason})")
+    except OSError as err:
+        raise DataError(f"{path}: cannot read ({err.strerror})")
     if not rows:
         raise DataError(f"{path}: no data rows")
     keys = [_time_key(t) for t in timestamps]
@@ -110,7 +117,7 @@ def load_csv(path, name: str | None = None, frequency: str = "") -> RawDataset:
             )
         if not increasing:
             raise DataError(
-                f"{path}: timestamps not strictly increasing at row {i + 1} "
+                f"{path}:{linenos[i]}: timestamps not strictly increasing "
                 f"({timestamps[i - 1]!r} then {timestamps[i]!r})"
             )
     values = np.asarray(rows, dtype=np.float64)
@@ -146,10 +153,9 @@ def split(ds: RawDataset, spec: SplitSpec, lookback: int) -> tuple:
         n_train = int(total * RATIO_SPLIT[0])
         n_val = int(total * RATIO_SPLIT[1])
         n_test = total - n_train - n_val
-    ext = lookback if spec.prepend_context else 0
     train = SegmentBounds(0, n_train)
-    val = SegmentBounds(n_train - ext, n_train + n_val)
-    test = SegmentBounds(n_train + n_val - ext, n_train + n_val + n_test)
+    val = SegmentBounds(n_train - lookback, n_train + n_val)
+    test = SegmentBounds(n_train + n_val - lookback, n_train + n_val + n_test)
     for label, seg in (("train", train), ("val", val), ("test", test)):
         if seg.start < 0 or len(seg) < lookback + 1:
             raise ConfigError(

@@ -3,10 +3,10 @@
 Each output coordinate q applies its own degree-d polynomial expansion to
 every input coordinate p and sums the results,
 
-    out[q] = sum_p sum_r gamma[q, p, r] * P_r(squash(x[p])).
+    out[q] = sum_p sum_r gamma[q, p, r] * P_r(s(x[p])),
 
-Inputs are squashed onto the basis domain with a tanh map before
-evaluation.  A `linear` mode swaps the expansion for a plain bias-free
+where s, a `DomainMap`, squashes the reals onto the basis domain with a
+tanh map.  A `linear` mode swaps the expansion for a plain bias-free
 weight matrix so the same network can be run as an MLP variant; it and the
 model's bottleneck head both apply weights through `linear`.
 
@@ -68,10 +68,6 @@ class DomainMap:
         return s.reshape(x.shape), None if ds is None else ds.reshape(x.shape)
 
 
-def squash(x, lo: float, hi: float):
-    return DomainMap(lo, hi).apply(x)
-
-
 def _contract(v: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
     """sum_k w[q, k] v[..., k] (axis -1) or sum_k w[q, k] v[..., k, j] (axis -2).
 
@@ -119,10 +115,10 @@ def _check_extent(x: Tensor, extent: int, axis: int) -> None:
 class KanLayer:
     """One layer mapping in_dim inputs to out_dim outputs along `axis`.
 
-    kan mode stores coefficients gamma[out_dim, in_dim, degree + 1] drawn
-    from Normal(0, sqrt(init_scale / in_dim)).  linear mode stores a weight
-    matrix [out_dim, in_dim] drawn from Uniform(-k, k) with k = sqrt(1 / in_dim)
-    and applies it with no bias: x @ W^T on axis -1, W @ x on axis -2.
+    With k = sqrt(1 / in_dim), kan mode stores coefficients
+    gamma[out_dim, in_dim, degree + 1] drawn from Normal(0, k).  linear mode
+    stores a weight matrix [out_dim, in_dim] drawn from Uniform(-k, k) and
+    applies it with no bias: x @ W^T on axis -1, W @ x on axis -2.
     """
 
     def __init__(
@@ -132,7 +128,6 @@ class KanLayer:
         basis: Basis | None = None,
         mode: str = "kan",
         rng: np.random.Generator | None = None,
-        init_scale: float = 1.0,
         axis: int = -1,
     ):
         if mode not in ("kan", "linear"):
@@ -147,13 +142,12 @@ class KanLayer:
         self.mode = mode
         self.axis = axis
         self.basis = basis
+        k = np.sqrt(1.0 / in_dim)
         if mode == "kan":
             self.squash = DomainMap(*basis.domain)
-            std = np.sqrt(init_scale / in_dim)
-            init = rng.normal(0.0, std, size=(out_dim, in_dim, basis.size))
+            init = rng.normal(0.0, k, size=(out_dim, in_dim, basis.size))
         else:
             self.squash = None
-            k = np.sqrt(1.0 / in_dim)
             init = rng.uniform(-k, k, size=(out_dim, in_dim))
         self.gamma = Tensor(init, requires_grad=True)
 

@@ -51,7 +51,6 @@ class ModelConfig:
     inter_enabled: bool = True
     seed: int = 2021
     revin_eps: float = 1e-5
-    init_scale: float = 1.0
 
     @property
     def n_patches(self) -> int:
@@ -105,22 +104,6 @@ def revin_denormalize(pred, state: RevInState):
     return pred * (state.std + state.eps) + state.mean
 
 
-# channel handling -----------------------------------------------------------
-
-
-def split_channels(x: np.ndarray) -> np.ndarray:
-    """View an [L, M] series as M univariate rows [M, L]."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise DimensionError(f"expected [length, channels], got shape {x.shape}")
-    return x.T
-
-
-def combine_channels(rows: np.ndarray) -> np.ndarray:
-    """Inverse of split_channels: [M, T] rows back to a [T, M] series."""
-    return np.asarray(rows, dtype=np.float64).T
-
-
 # patching -------------------------------------------------------------------
 
 
@@ -162,7 +145,7 @@ class HahnKanBlock:
     """
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
-        kwargs = dict(mode=config.mode, rng=rng, init_scale=config.init_scale)
+        kwargs = dict(mode=config.mode, rng=rng)
         d, n = config.embed_dim, config.n_patches
         self.intra = (KanLayer(d, d, basis=config.make_basis(), **kwargs)
                       if config.intra_enabled else None)
@@ -248,14 +231,16 @@ class HaKanModel:
         Channels run through the backbone one at a time, so a channel's
         forecast is bit-identical whether or not others are present.
         """
-        rows = split_channels(x)
-        if rows.shape[1] != self.config.lookback:
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2:
+            raise DimensionError(f"expected [length, channels], got shape {x.shape}")
+        if x.shape[0] != self.config.lookback:
             raise DimensionError(
-                f"expected lookback {self.config.lookback}, got {rows.shape[1]}"
+                f"expected lookback {self.config.lookback}, got {x.shape[0]}"
             )
         with tt.no_grad():
-            preds = [self.forward_batch(row[None]).data[0] for row in rows]
-        return combine_channels(np.stack(preds))
+            preds = [self.forward_batch(row[None]).data[0] for row in x.T]
+        return np.stack(preds).T
 
     # checkpointing ---------------------------------------------------------
 
@@ -275,10 +260,12 @@ class HaKanModel:
             raise DataError(f"{path} is not a readable checkpoint: {err}")
         if CHECKPOINT_CONFIG_KEY not in archive:
             raise DataError(f"{path} is not a model checkpoint")
-        raw = json.loads(str(_read_key(archive, path, CHECKPOINT_CONFIG_KEY)))
         known = {f.name for f in fields(ModelConfig)}
-        config = ModelConfig(**{k: v for k, v in raw.items() if k in known})
-        model = cls(config)
+        try:
+            raw = json.loads(str(_read_key(archive, path, CHECKPOINT_CONFIG_KEY)))
+            model = cls(ModelConfig(**{k: v for k, v in raw.items() if k in known}))
+        except (ValueError, TypeError, AttributeError, ConfigError) as err:
+            raise DataError(f"{path}: {CHECKPOINT_CONFIG_KEY} builds no model: {err}")
         for name, t in model.named_parameters():
             stored = _read_key(archive, path, name)
             if stored.shape != t.data.shape:
@@ -324,7 +311,3 @@ def count_breakdown(config: ModelConfig) -> list:
     items.append(("w_down", model.w_down.size))
     items.append(("w_up", model.w_up.size))
     return items
-
-
-def model_param_count(config: ModelConfig) -> int:
-    return HaKanModel(config).param_count()

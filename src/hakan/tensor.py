@@ -140,18 +140,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def record(out: Tensor, parents: tuple, backward) -> Tensor:
-    """Attach `out` to the tape.
-
-    `backward(g)` must accumulate into each requires_grad parent.  Custom
-    fused operations (the KAN layer) use this entry point directly.
-    """
-    if grad_enabled() and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        _tape().append(_Node(out, backward))
-    return out
-
-
 def backward(root: Tensor) -> None:
     """Accumulate d(root)/d(leaf) into every reachable requires_grad leaf.
 
@@ -183,11 +171,19 @@ def _check_finite(arr: np.ndarray) -> np.ndarray:
 
 
 def _make(data, parents, backward_fn) -> Tensor:
+    """Wrap an op's result and attach it to the tape.
+
+    `backward_fn(g)` must accumulate into each requires_grad parent.  Every
+    op, the fused KAN layer included, creates its result here.
+    """
     out = Tensor.__new__(Tensor)
     out.data = _check_finite(np.asarray(data, dtype=np.float64))
     out.grad = None
     out.requires_grad = False
-    return record(out, parents, backward_fn)
+    if grad_enabled() and any(p.requires_grad for p in parents):
+        out.requires_grad = True
+        _tape().append(_Node(out, backward_fn))
+    return out
 
 
 # operations ---------------------------------------------------------------

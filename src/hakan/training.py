@@ -1,4 +1,4 @@
-"""Training objective, optimizer, loop, metrics, and the gradient checker.
+"""Training objective, optimizer, loop, metrics, gradient checker, seed summary.
 
 Training flattens (window origin, channel) pairs into one sample pool, so
 a minibatch mixes channels while every channel runs through the shared
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,15 +31,6 @@ def mse_loss(pred: Tensor, truth) -> Tensor:
         raise DimensionError(f"mse_loss: shapes {pred.shape} vs {truth.shape}")
     diff = pred - truth
     return (diff * diff).mean()
-
-
-def mae_metric(pred, truth) -> float:
-    """Mean absolute error; evaluation only, never differentiated."""
-    p = pred.data if isinstance(pred, Tensor) else np.asarray(pred)
-    t = truth.data if isinstance(truth, Tensor) else np.asarray(truth)
-    if p.shape != t.shape:
-        raise DimensionError(f"mae_metric: shapes {p.shape} vs {t.shape}")
-    return float(np.mean(np.abs(p - t)))
 
 
 class Adam:
@@ -75,21 +66,6 @@ class Adam:
             p.zero_grad()
 
 
-def clip_gradients(params, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm."""
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float(np.sum(p.grad * p.grad))
-    norm = float(np.sqrt(total))
-    if norm > max_norm > 0.0:
-        factor = max_norm / norm
-        for p in params:
-            if p.grad is not None:
-                p.grad *= factor
-    return norm
-
-
 @dataclass
 class TrainSpec:
     max_epochs: int = 100
@@ -97,7 +73,6 @@ class TrainSpec:
     lr: float = 1e-4
     batch_size: int = 64
     seed: int = 2021
-    clip_grad: float | None = None
 
     def validate(self) -> "TrainSpec":
         if self.max_epochs < 1:
@@ -212,8 +187,6 @@ def train(model: HaKanModel, splits: DatasetSplits, spec: TrainSpec) -> tuple:
                            chans[sel], cfg.lookback, cfg.horizon)
             loss = mse_loss(model.forward_batch(x), Tensor(y))
             tt.backward(loss)
-            if spec.clip_grad is not None:
-                clip_gradients(model.parameters(), spec.clip_grad)
             optimizer.step()
             optimizer.zero_grad()
             loss_sum += loss.item() * sel.size
@@ -289,66 +262,16 @@ def grad_check(config: ModelConfig, step: float = 1e-5, n_windows: int = 3,
     return report
 
 
-# aggregation -----------------------------------------------------------------
+# seed protocol ---------------------------------------------------------------
 
 
-@dataclass
-class CellStats:
-    mse_mean: float
-    mse_std: float
-    mae_mean: float
-    mae_std: float
-    n_seeds: int
+def seed_summary(records) -> tuple:
+    """(mse mean, mse std, mae mean, mae std) over the records of one run's seeds.
 
-
-@dataclass
-class ForecastReport:
-    cells: dict = field(default_factory=dict)  # (dataset, horizon) -> CellStats
-    per_dataset: dict = field(default_factory=dict)  # dataset -> (mse, mae)
-    overall: tuple | None = None  # (mse, mae)
-
-    def table(self) -> str:
-        lines = ["dataset     horizon      mse ± std        mae ± std   seeds"]
-        for (dataset, horizon), c in sorted(self.cells.items()):
-            lines.append(
-                f"{dataset:<12}{horizon:>6}  {c.mse_mean:.4f} ± {c.mse_std:.4f}"
-                f"  {c.mae_mean:.4f} ± {c.mae_std:.4f}  {c.n_seeds:>4}"
-            )
-        for dataset, (mse, mae) in sorted(self.per_dataset.items()):
-            lines.append(f"{dataset:<12}  avg.  {mse:.4f}           {mae:.4f}")
-        if self.overall is not None:
-            lines.append(f"overall mse {self.overall[0]:.4f}  mae {self.overall[1]:.4f}")
-        return "\n".join(lines)
-
-
-def aggregate_report(records) -> ForecastReport:
-    """Mean over seeds per (dataset, horizon), then over horizons, then overall."""
-    report = ForecastReport()
-    groups: dict = {}
-    for rec in records:
-        groups.setdefault((rec.dataset, rec.horizon), []).append(rec)
-    for key, recs in groups.items():
-        mses = np.array([r.mse for r in recs])
-        maes = np.array([r.mae for r in recs])
-        ddof = 1 if len(recs) > 1 else 0
-        report.cells[key] = CellStats(
-            mse_mean=float(mses.mean()),
-            mse_std=float(mses.std(ddof=ddof)),
-            mae_mean=float(maes.mean()),
-            mae_std=float(maes.std(ddof=ddof)),
-            n_seeds=len(recs),
-        )
-    by_dataset: dict = {}
-    for (dataset, _), stats in report.cells.items():
-        by_dataset.setdefault(dataset, []).append(stats)
-    for dataset, cells in by_dataset.items():
-        report.per_dataset[dataset] = (
-            float(np.mean([c.mse_mean for c in cells])),
-            float(np.mean([c.mae_mean for c in cells])),
-        )
-    if report.per_dataset:
-        report.overall = (
-            float(np.mean([m for m, _ in report.per_dataset.values()])),
-            float(np.mean([a for _, a in report.per_dataset.values()])),
-        )
-    return report
+    The std is the sample std (ddof 1) when there is more than one seed.
+    """
+    mses = np.array([r.mse for r in records])
+    maes = np.array([r.mae for r in records])
+    ddof = 1 if len(records) > 1 else 0
+    return (float(mses.mean()), float(mses.std(ddof=ddof)),
+            float(maes.mean()), float(maes.std(ddof=ddof)))

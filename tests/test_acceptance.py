@@ -27,7 +27,6 @@ from hakan.model import (
     HaKanModel,
     ModelConfig,
     make_patches,
-    model_param_count,
     revin_denormalize,
     revin_normalize,
 )
@@ -79,7 +78,7 @@ def test_criterion_2_gradient_correctness(tmp_path):
 
     started = time.perf_counter()
     kan_cfg = tiny_check_config()
-    assert model_param_count(kan_cfg) < 5000
+    assert HaKanModel(kan_cfg).param_count() < 5000
     worst_kan = max(grad_check(kan_cfg).values())
     assert worst_kan < 1e-4
     worst_linear = max(grad_check(replace(kan_cfg, mode="linear")).values())
@@ -106,7 +105,7 @@ def test_criterion_3_parameter_count_slope():
 
     def averaged_count(blocks: int) -> float:
         counts = [
-            model_param_count(ModelConfig(lookback=96, horizon=t, n_blocks=blocks))
+            HaKanModel(ModelConfig(lookback=96, horizon=t, n_blocks=blocks)).param_count()
             for t in horizons
         ]
         return float(np.mean(counts))

@@ -1,7 +1,13 @@
+import contextlib
 import csv
+import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hakan import cli
 from hakan.config import RunConfig, load_config, parse_config, serialize_config
@@ -51,7 +57,6 @@ data.path = \n\
 data.name = \n\
 data.split = ratio
 data.frequency = hourly
-data.prepend_context = true
 
 model.lookback = 96
 model.horizon = 96
@@ -69,13 +74,11 @@ model.mode = kan
 model.intra = true
 model.inter = true
 model.revin_eps = 1e-05
-model.init_scale = 1.0
 
 train.max_epochs = 100
 train.patience = 10
 train.lr = 0.0001
 train.batch_size = 64
-train.clip_grad = none
 
 run.seeds = 2021,2022,2023
 run.out = runs
@@ -91,18 +94,21 @@ class TestConfigFormat:
     def test_round_trip(self):
         cfg = RunConfig(data_path="x.csv",
                         model=ModelConfig(lookback=104, horizon=96, intra_enabled=False),
-                        train=TrainSpec(lr=2.5e-3, clip_grad=0.5), seeds=(1, 2, 3))
+                        train=TrainSpec(lr=2.5e-3), seeds=(1, 2, 3))
         assert parse_config(serialize_config(cfg)) == cfg
 
     def test_default_serialization_is_pinned(self):
         assert serialize_config(RunConfig()) == DEFAULT_CONFIG_TEXT
 
-    @pytest.mark.parametrize("key", ["run.deterministic", "run.finite_guards"])
+    @pytest.mark.parametrize("key", ["run.deterministic", "run.finite_guards",
+                                     "data.prepend_context", "model.init_scale",
+                                     "train.clip_grad"])
     def test_removed_keys_are_unknown(self, tmp_path, key, capsys):
         cfg = tmp_path / "old.cfg"
         cfg.write_text(f"{key} = true\n")
         assert cli.main(["params", "--config", str(cfg)]) == cli.EXIT_CONFIG
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unknown key" in err and key in err
 
     def test_unknown_key_is_named(self):
         with pytest.raises(ConfigError, match="model.width"):
@@ -158,6 +164,7 @@ class TestTrainCommand:
         ("day 5", None, "mixed timestamp formats"),
         (None, "nan", "non-finite"),
         (None, "inf", "non-finite"),
+        ("2020-01-01 00:00:03", None, "not strictly increasing"),  # line 5's stamp
     ])
     def test_malformed_row_exits_data_code(self, tiny_run, capsys, stamp, cell, message):
         # line 6 of the file gets a non-ISO stamp among ISO ones, or a bad cell
@@ -171,10 +178,104 @@ class TestTrainCommand:
         assert f"{data}:6:" in err and message in err
         assert not (out_dir / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("damage, where, message", [
+        ("bad_utf8", "", "not UTF-8 text"),
+        ("long_field", ":6:", "field larger than field limit"),
+        ("directory", "", "Is a directory"),
+    ])
+    def test_unreadable_csv_exits_data_code(self, tiny_run, capsys, damage, where, message):
+        cfg_path, data, out_dir = tiny_run
+        raw = data.read_bytes().split(b"\n")
+        if damage == "bad_utf8":
+            raw[5] = raw[5].replace(b"2020", b"\xff\xfe20", 1)
+            data.write_bytes(b"\n".join(raw))
+        elif damage == "long_field":
+            raw[5] = b"x" * 131073 + raw[5][raw[5].index(b","):]
+            data.write_bytes(b"\n".join(raw))
+        else:
+            data.unlink()
+            data.mkdir()
+        assert cli.main(["train", "--config", str(cfg_path)]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{data}{where}" in err and message in err
+        assert not (out_dir / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("damage, message", [
+        ("bad_utf8", "not UTF-8 text"),
+        ("directory", "Is a directory"),
+    ])
+    def test_unreadable_config_exits_config_code(self, tmp_path, capsys, damage, message):
+        cfg = tmp_path / "run.cfg"
+        if damage == "bad_utf8":
+            cfg.write_bytes(b"model.lookback = 96\n# caf\xe9\n")
+        else:
+            cfg.mkdir()
+        assert cli.main(["train", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(cfg) in err and message in err
+
     def test_unknown_config_key_exits_config_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("model.magic = 1\n")
         assert cli.main(["train", "--config", str(bad)]) == cli.EXIT_CONFIG
+
+
+# Each defect on its own makes load_csv reject the file.
+CSV_DEFECTS = ("ragged", "duplicate_stamp", "mixed_stamp", "non_finite",
+               "bad_utf8", "header_only", "empty")
+
+
+@st.composite
+def malformed_csv(draw) -> bytes:
+    """A small CSV with at least one defect, sometimes behind a UTF-8 BOM."""
+    rows = [[f"2020-01-01 00:00:{i:02d}", f"{np.sin(i):.4f}", f"{np.cos(i):.4f}"]
+            for i in range(60)]
+    defects = draw(st.sets(st.sampled_from(CSV_DEFECTS), min_size=1, max_size=2))
+    line = st.integers(1, len(rows) - 1)
+    if "non_finite" in defects:
+        rows[draw(line)][draw(st.integers(1, 2))] = draw(
+            st.sampled_from(["nan", "inf", "-inf", "NaN", "1e999"]))
+    if "duplicate_stamp" in defects:
+        i = draw(line)
+        rows[i][0] = rows[i - 1][0]
+    if "mixed_stamp" in defects:
+        rows[draw(line)][0] = draw(st.sampled_from(["day 5", "", "05/01/2020",
+                                                     "2020-13-01"]))
+    if "ragged" in defects:  # last, so the edits above index full rows
+        i = draw(line)
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["0.0"]
+    text = "date,a,b\n" + "".join(",".join(row) + "\n" for row in rows)
+    if "header_only" in defects:
+        text = "date,a,b\n"
+    if "empty" in defects:
+        text = ""
+    raw = text.encode("utf-8")
+    if "bad_utf8" in defects:
+        cut = draw(st.integers(0, len(raw)))
+        bad = draw(st.sampled_from([b"\xff", b"\xc3\x28", b"\xed\xa0\x80"]))
+        raw = raw[:cut] + bad + raw[cut:]
+    if draw(st.booleans()):
+        raw = b"\xef\xbb\xbf" + raw
+    return raw
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(raw=malformed_csv())
+def test_malformed_csv_fuzz(raw):
+    # the exit-code contract at the CSV boundary: a contract code and a
+    # one-line message naming the file, never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "series.csv"
+        data.write_bytes(raw)
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(f"data.path = {data}\nrun.out = {Path(tmp) / 'runs'}\n"
+                       f"run.seeds = 1\n{TINY_MODEL_KEYS}")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["train", "--config", str(cfg)])
+    assert code in (cli.EXIT_CONFIG, cli.EXIT_DATA, cli.EXIT_NUMERIC)
+    assert len(err.getvalue().splitlines()) == 1
+    assert str(data) in err.getvalue()
 
 
 class TestEvalCommand:
@@ -238,6 +339,9 @@ class TestEvalCommand:
         ("truncated", "is not a readable checkpoint"),
         ("empty", "is not a readable checkpoint"),
         ("object_array", "checkpoint key w_up is unreadable"),
+        ("config_not_json", "__model_config__"),
+        ("config_not_object", "__model_config__"),
+        ("config_bad_field", "__model_config__"),
     ])
     def test_damaged_checkpoint_exits_data_code(self, tiny_run, capsys, damage, message):
         cfg_path, _, out_dir = tiny_run
@@ -255,6 +359,13 @@ class TestEvalCommand:
             ckpt.write_bytes(ckpt.read_bytes()[:-100])
         elif damage == "empty":
             ckpt.write_bytes(b"")
+        elif damage.startswith("config_"):
+            arrays["__model_config__"] = np.array({
+                "config_not_json": "{lookback: 16",
+                "config_not_object": "[16, 4]",
+                "config_bad_field": '{"lookback": "x"}',
+            }[damage])
+            np.savez(ckpt, **arrays)
         else:
             arrays["w_up"] = np.array([{"w": 1}], dtype=object)
             np.savez(ckpt, **arrays)

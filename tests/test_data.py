@@ -49,6 +49,13 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="ragged"):
             load_csv(path)
 
+    def test_errors_name_the_file_line(self, tmp_path):
+        # the quoted header cell spans two lines, so the ragged row is line 4
+        path = tmp_path / "quoted.csv"
+        path.write_text('date,"a\nb",c\n2020-01-01,1.0,2.0\n2020-01-02,3.0\n')
+        with pytest.raises(DataError, match=r"quoted\.csv:4: ragged"):
+            load_csv(path)
+
     def test_non_numeric_cell(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("date,a\n2020-01-01,1.0\n2020-01-02,oops\n")
@@ -103,13 +110,6 @@ class TestSplit:
         assert len(train) == 676
         assert val.end - train.end == 96
         assert test.end - val.end == 194
-
-    def test_without_context_extension(self):
-        ds = fake_dataset(1000)
-        spec = SplitSpec("ratio", prepend_context=False)
-        train, val, test = split(ds, spec, lookback=10)
-        assert val.start == train.end
-        assert test.start == val.end
 
     def test_too_short_segment(self):
         ds = fake_dataset(300)

@@ -6,7 +6,7 @@ import pytest
 import hakan.tensor as tt
 from hakan.basis import HahnBasis, make_basis
 from hakan.errors import ContractError, DimensionError
-from hakan.layers import DomainMap, KanLayer, squash
+from hakan.layers import DomainMap, KanLayer
 from hakan.tensor import Tensor
 
 from test_tensor import fd_check
@@ -19,13 +19,13 @@ def hahn_layer(in_dim, out_dim, degree=3, seed=0, n=7):
 
 class TestSquash:
     def test_midpoint(self):
-        assert squash(0.0, 0.0, 7.0) == pytest.approx(3.5, abs=1e-14)
+        assert DomainMap(0.0, 7.0).apply(0.0) == pytest.approx(3.5, abs=1e-14)
 
     def test_saturation(self):
-        high = squash(15.0, 0.0, 7.0)
+        high = DomainMap(0.0, 7.0).apply(15.0)
         assert high < 7.0
         assert high == pytest.approx(7.0, abs=1e-9)
-        assert squash(-15.0, 0.0, 7.0) > 0.0
+        assert DomainMap(0.0, 7.0).apply(-15.0) > 0.0
 
     def test_derivative_at_zero(self):
         dm = DomainMap(0.0, 7.0)
@@ -153,7 +153,7 @@ class TestParamCount:
 
 
 def naive_output(layer, x):
-    """sum_p sum_r gamma[q, p, r] P_r(squash(x_p)) over the layer's axis, by einsum."""
+    """sum_p sum_r gamma[q, p, r] P_r(s(x_p)) over the layer's axis, by einsum."""
     if layer.mode == "linear":
         terms, gamma = x[..., None], layer.gamma.data[:, :, None]
     else:

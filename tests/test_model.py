@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,17 +8,15 @@ from hypothesis import strategies as st
 import hakan.tensor as tt
 from hakan.errors import ConfigError, DimensionError
 from hakan.model import (
+    CHECKPOINT_CONFIG_KEY,
     HaKanModel,
     ModelConfig,
     RevInState,
-    combine_channels,
     count_breakdown,
     embed,
     make_patches,
-    model_param_count,
     revin_denormalize,
     revin_normalize,
-    split_channels,
 )
 from hakan.tensor import Tensor
 
@@ -26,17 +26,36 @@ from hakan.tensor import Tensor
 
 class TestChannels:
     def test_single_channel_passthrough(self):
-        x = np.arange(5.0).reshape(5, 1)
-        rows = split_channels(x)
-        np.testing.assert_array_equal(rows, [np.arange(5.0)])
+        # a one-column series comes back as one column: the forecast of it
+        model = _tiny_model(seed=2)
+        x = np.arange(8.0).reshape(8, 1)
+        out = model.predict(x)
+        assert out.shape == (4, 1)
+        np.testing.assert_array_equal(out[:, 0], model.forward(np.arange(8.0)))
 
     def test_column_order(self):
-        rows = split_channels(np.array([[1.0, 10.0], [2.0, 20.0]]))
-        np.testing.assert_array_equal(rows, [[1.0, 2.0], [10.0, 20.0]])
+        # predict takes [length, channels] and returns [horizon, channels]:
+        # column c is the forecast of input column c alone
+        model = _tiny_model(seed=2)
+        x = np.random.default_rng(3).normal(size=(8, 3))
+        out = model.predict(x)
+        assert out.shape == (4, 3)
+        for c in range(3):
+            np.testing.assert_array_equal(out[:, c], model.forward(x[:, c]))
+        with pytest.raises(DimensionError, match="length, channels"):
+            model.predict(x[:, 0])
+        with pytest.raises(DimensionError, match="lookback"):
+            model.predict(x.T)
 
     def test_round_trip(self):
-        x = np.random.default_rng(0).normal(size=(96, 7))
-        np.testing.assert_array_equal(combine_channels(split_channels(x)), x)
+        # channels are independent: predicting all seven at once equals
+        # predicting each column alone and putting the columns back together
+        model = _tiny_model(seed=4)
+        x = np.random.default_rng(0).normal(size=(8, 7))
+        together = model.predict(x)
+        apart = np.hstack([model.predict(x[:, [c]]) for c in range(7)])
+        assert together.shape == (4, 7)
+        np.testing.assert_array_equal(together, apart)
 
 
 # ---------------------------------------------------------------- revin
@@ -157,7 +176,7 @@ class TestBlockForward:
 
     def test_hand_unrolled_two_by_two(self):
         # N = D = 2, degree 1, Hahn(1, 1, 7): P0 = 1, P1(s) = 1 - 4 s / 14,
-        # squash(v) = 3.5 (tanh(v) + 1).  Fully unrolled reference below.
+        # s(v) = 3.5 (tanh(v) + 1).  Fully unrolled reference below.
         cfg = ModelConfig(lookback=6, horizon=2, patch_len=4, stride=4,
                           embed_dim=2, n_blocks=1, bottleneck_dim=2, degree=1,
                           seed=0)
@@ -304,13 +323,13 @@ class TestForward:
 class TestParamCount:
     def test_matches_live_model(self, tiny_config):
         model = HaKanModel(tiny_config)
-        assert model.param_count() == model_param_count(tiny_config)
+        assert model.param_count() == sum(n for _, n in count_breakdown(tiny_config))
 
     def test_per_block_slope_at_reference_config(self):
         counts = {}
         for blocks in (1, 3, 5):
             cfg = ModelConfig(lookback=96, horizon=96, n_blocks=blocks)
-            counts[blocks] = model_param_count(cfg)
+            counts[blocks] = HaKanModel(cfg).param_count()
         assert counts[3] - counts[1] == 2 * 66_112
         assert counts[5] - counts[3] == 2 * 66_112
 
@@ -320,9 +339,9 @@ class TestParamCount:
         assert names == ["w_p", "w_pos", "w_down", "w_up"]
 
     def test_bottleneck_slope(self):
-        base = model_param_count(ModelConfig(lookback=96, horizon=96))
-        bumped = model_param_count(ModelConfig(lookback=96, horizon=96,
-                                               bottleneck_dim=337))
+        base = HaKanModel(ModelConfig(lookback=96, horizon=96)).param_count()
+        bumped = HaKanModel(ModelConfig(lookback=96, horizon=96,
+                                        bottleneck_dim=337)).param_count()
         assert bumped - base == 12 * 128 + 96
 
     def test_linear_mode_shrinks_blocks(self):
@@ -348,6 +367,22 @@ class TestCheckpoint:
             np.testing.assert_array_equal(t_a.data, t_b.data)
         x = np.random.default_rng(22).normal(size=8)
         np.testing.assert_array_equal(model.forward(x), loaded.forward(x))
+
+    def test_stored_field_unknown_to_the_config_is_ignored(self, tmp_path):
+        # checkpoints written while ModelConfig still had `init_scale` carry
+        # it in their stored config
+        model = _tiny_model(seed=23)
+        path = tmp_path / "model.npz"
+        model.save(path)
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        stored = json.loads(str(arrays[CHECKPOINT_CONFIG_KEY]))
+        arrays[CHECKPOINT_CONFIG_KEY] = np.array(json.dumps({**stored, "init_scale": 1.0}))
+        np.savez(path, **arrays)
+        loaded = HaKanModel.load(path)
+        assert loaded.config == model.config
+        for (_, t_a), (_, t_b) in zip(model.named_parameters(), loaded.named_parameters()):
+            np.testing.assert_array_equal(t_a.data, t_b.data)
 
     def test_missing_file(self, tmp_path):
         from hakan.errors import DataError

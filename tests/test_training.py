@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import hakan.tensor as tt
-from hakan.data import RawDataset, SplitSpec, prepare
+from hakan.data import RawDataset, SplitSpec, prepare, window_count
 from hakan.errors import ConfigError, ContractError, DimensionError
 from hakan.model import HaKanModel, ModelConfig
 from hakan.tensor import Tensor
@@ -11,12 +11,10 @@ from hakan.training import (
     EarlyStopper,
     MetricRecord,
     TrainSpec,
-    aggregate_report,
-    clip_gradients,
     evaluate,
     grad_check,
-    mae_metric,
     mse_loss,
+    seed_summary,
     train,
 )
 
@@ -35,18 +33,9 @@ class TestLosses:
         truth = Tensor([[1.0, 0.0], [0.0, 4.0]])
         assert mse_loss(pred, truth).item() == pytest.approx(3.25)
 
-    def test_mae_cases(self):
-        truth = np.random.default_rng(2).normal(size=(4, 3))
-        assert mae_metric(truth, truth) == 0.0
-        assert mae_metric(truth - 2.0, truth) == pytest.approx(2.0)
-        assert mae_metric(np.array([[1.0, 2.0], [3.0, 4.0]]),
-                          np.array([[1.0, 0.0], [0.0, 4.0]])) == pytest.approx(1.25)
-
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             mse_loss(Tensor(np.zeros((2, 2))), np.zeros((2, 3)))
-        with pytest.raises(DimensionError):
-            mae_metric(np.zeros((2, 2)), np.zeros((2, 3)))
 
     def test_mse_is_differentiable(self):
         pred = Tensor(np.array([[2.0, 4.0]]), requires_grad=True)
@@ -105,13 +94,6 @@ class TestAdam:
         opt.step()
         np.testing.assert_array_equal(p.data, [1.0, 2.0])
 
-    def test_clip_gradients(self):
-        p = Tensor(np.zeros(2), requires_grad=True)
-        p.grad = np.array([3.0, 4.0])
-        norm = clip_gradients([p], max_norm=1.0)
-        assert norm == pytest.approx(5.0)
-        np.testing.assert_allclose(p.grad, [0.6, 0.8], atol=1e-12)
-
 
 class TestEarlyStopper:
     def test_patience_one_sequence(self):
@@ -156,6 +138,28 @@ def tiny_train_config(**overrides) -> ModelConfig:
                 n_blocks=1, bottleneck_dim=6, degree=2, seed=3)
     base.update(overrides)
     return ModelConfig(**base)
+
+
+class TestEvaluate:
+    def test_matches_brute_force_over_every_window(self):
+        # one forecast per (origin, channel) window of the test segment; 98
+        # windows at batch size 15 leave a last batch of 8
+        splits = synthetic_splits()
+        model = HaKanModel(tiny_train_config(seed=12))
+        cfg = model.config
+        seg = splits.values[splits.test.start:splits.test.end]
+        n_origins = window_count(len(seg), cfg.lookback, cfg.horizon)
+        assert (n_origins * splits.n_channels) % 15 != 0
+        sq, ab = [], []
+        for o in range(n_origins):
+            for c in range(splits.n_channels):
+                pred = model.forward(seg[o:o + cfg.lookback, c])
+                err = pred - seg[o + cfg.lookback:o + cfg.lookback + cfg.horizon, c]
+                sq.extend(err * err)
+                ab.extend(np.abs(err))
+        mse, mae = evaluate(model, splits, splits.test, batch_size=15)
+        assert mse == pytest.approx(np.mean(sq), rel=1e-12)
+        assert mae == pytest.approx(np.mean(ab), rel=1e-12)
 
 
 class TestTrainLoop:
@@ -272,27 +276,19 @@ class TestGradCheck:
 class TestAggregation:
     def test_single_record(self):
         rec = MetricRecord("ds", 96, 1, 0.5, 0.4, 10, 1.0)
-        report = aggregate_report([rec])
-        stats = report.cells[("ds", 96)]
-        assert stats.mse_mean == 0.5 and stats.mse_std == 0.0
-        assert report.overall == (0.5, 0.4)
+        assert seed_summary([rec]) == (0.5, 0.0, 0.4, 0.0)
 
     def test_two_records_average(self):
         recs = [MetricRecord("ds", 96, s, mse, 0.1, 1, 0.0)
                 for s, mse in ((1, 0.2), (2, 0.4))]
-        report = aggregate_report(recs)
-        assert report.cells[("ds", 96)].mse_mean == pytest.approx(0.3)
+        mse_mean, _, _, _ = seed_summary(recs)
+        assert mse_mean == pytest.approx(0.3)
 
     def test_seed_protocol_layout(self):
         recs = [MetricRecord("etth1", 96, seed, 0.36 + 0.001 * i, 0.39, 1, 0.0)
                 for i, seed in enumerate((2021, 2022, 2023))]
-        recs += [MetricRecord("etth1", 192, seed, 0.40, 0.41, 1, 0.0)
-                 for seed in (2021, 2022, 2023)]
-        report = aggregate_report(recs)
-        stats = report.cells[("etth1", 96)]
-        assert stats.n_seeds == 3
-        assert stats.mse_mean == pytest.approx(0.361)
-        assert stats.mse_std == pytest.approx(np.std([0.36, 0.361, 0.362], ddof=1))
-        mse_ds, _ = report.per_dataset["etth1"]
-        assert mse_ds == pytest.approx((0.361 + 0.40) / 2)
-        assert "±" in report.table()
+        mse_mean, mse_std, mae_mean, mae_std = seed_summary(recs)
+        assert mse_mean == pytest.approx(0.361)
+        assert mse_std == pytest.approx(np.std([0.36, 0.361, 0.362], ddof=1))
+        assert mae_mean == pytest.approx(0.39)
+        assert mae_std == pytest.approx(0.0, abs=1e-15)
