@@ -1,6 +1,6 @@
 """Time series forecasting with Hahn-polynomial Kolmogorov-Arnold networks."""
 
-from .basis import ChebyshevBasis, HahnBasis, LucasBasis, make_basis
+from .basis import make_basis
 from .layers import DomainMap, KanLayer
 from .model import (
     HaKanModel,
@@ -14,12 +14,9 @@ from .training import Adam, MetricRecord, TrainSpec, grad_check, mse_loss, train
 
 __all__ = [
     "Adam",
-    "ChebyshevBasis",
     "DomainMap",
     "HaKanModel",
-    "HahnBasis",
     "KanLayer",
-    "LucasBasis",
     "MetricRecord",
     "ModelConfig",
     "Tensor",

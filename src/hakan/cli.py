@@ -149,6 +149,15 @@ def _write_manifest(path: Path, cfg: RunConfig, extras: dict) -> None:
     path.write_text(body + "\n" + notes, encoding="utf-8")
 
 
+def _out_dir(cfg: RunConfig) -> Path:
+    out = Path(cfg.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"run.out {out} is not a usable directory ({err.strerror})")
+    return out
+
+
 def _train_one(cfg: RunConfig, splits, seed: int):
     model_cfg, spec = cfg.bind(splits.n_channels, seed)
     return train(HaKanModel(model_cfg), splits, spec)
@@ -164,8 +173,7 @@ def _load_splits(cfg: RunConfig, lookback: int):
 def cmd_train(args) -> int:
     cfg = _resolve(args, OVERRIDES)
     splits = _load_splits(cfg, cfg.model.lookback)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     records = []
     for seed in cfg.seeds:
         started = time.strftime("%Y-%m-%d %H:%M:%S")
@@ -220,8 +228,7 @@ def cmd_eval(args) -> int:
     mse, mae = evaluate(model, splits, splits.test, cfg.train.batch_size)
     print(f"{splits.name} T={model.config.horizon} test "
           f"mse={mse:.4f} mae={mae:.4f}")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     _append_metrics(out / "metrics.csv", [
         (splits.name, model.config.horizon, model.config.seed,
          f"{mse:.6f}", f"{mae:.6f}", "", "")
@@ -232,6 +239,8 @@ def cmd_eval(args) -> int:
 def _axis_variants(axis: str, values: str):
     """Yield (label, {config key: value}) pairs for a sweep axis."""
     items = [v.strip() for v in values.split(",") if v.strip()]
+    if not items:
+        raise ConfigError(f"--values {values!r} names no value")
     if axis == "components":
         table = {
             "both": {"model.intra": True, "model.inter": True},
@@ -262,8 +271,7 @@ def _axis_variants(axis: str, values: str):
 def cmd_sweep(args) -> int:
     base = _resolve(args, OVERRIDES)
     variants = list(_axis_variants(args.axis, args.values))
-    out = Path(base.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(base)
     rows = []
     for label, changes in variants:
         cfg = with_values(base, changes)

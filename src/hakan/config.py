@@ -14,6 +14,7 @@ run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -94,7 +95,10 @@ def _parse(kind: str, raw: str):
     if kind == "int":
         return int(raw)
     if kind == "float":
-        return float(raw)
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError(raw)
+        return value
     return raw
 
 

@@ -35,10 +35,6 @@ class RawDataset:
     values: np.ndarray  # [total_len, n_channels]
     frequency: str = ""
 
-    @property
-    def n_channels(self) -> int:
-        return self.values.shape[1]
-
     def __len__(self) -> int:
         return self.values.shape[0]
 
@@ -184,10 +180,6 @@ def standardize(ds: RawDataset, train_range: SegmentBounds) -> tuple:
         )
         std = np.where(flat, 1.0, std)
     return (ds.values - mean) / std, mean, std
-
-
-def destandardize(values: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    return values * std + mean
 
 
 def window_count(segment_len: int, lookback: int, horizon: int) -> int:

@@ -145,7 +145,7 @@ class KanLayer:
         k = np.sqrt(1.0 / in_dim)
         if mode == "kan":
             self.squash = DomainMap(*basis.domain)
-            init = rng.normal(0.0, k, size=(out_dim, in_dim, basis.size))
+            init = rng.normal(0.0, k, size=(out_dim, in_dim, basis.degree + 1))
         else:
             self.squash = None
             init = rng.uniform(-k, k, size=(out_dim, in_dim))

@@ -16,6 +16,7 @@ into the batch axis and never mix.
 from __future__ import annotations
 
 import json
+import numbers
 import zipfile
 import zlib
 from dataclasses import asdict, dataclass, fields
@@ -29,6 +30,8 @@ from .layers import KanLayer, linear
 from .tensor import Tensor
 
 CHECKPOINT_CONFIG_KEY = "__model_config__"
+FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str,
+               "bool": (bool, np.bool_)}
 
 
 @dataclass
@@ -57,6 +60,9 @@ class ModelConfig:
         return patch_count(self.lookback, self.patch_len, self.stride)
 
     def validate(self) -> "ModelConfig":
+        for f in fields(self):  # a checkpoint's config is JSON, not a parsed file
+            if not isinstance(getattr(self, f.name), FIELD_TYPES[f.type]):
+                raise ConfigError(f"{f.name} must be {f.type}, got {getattr(self, f.name)!r}")
         if self.patch_len > self.lookback:
             raise ConfigError(
                 f"patch_len {self.patch_len} exceeds lookback {self.lookback}"
@@ -156,8 +162,6 @@ class HahnKanBlock:
         h = self.intra.forward(x) if self.intra is not None else x
         h = self.inter.forward(h) if self.inter is not None else h
         return h + x
-
-    __call__ = forward
 
 
 class HaKanModel:
@@ -268,6 +272,9 @@ class HaKanModel:
             raise DataError(f"{path}: {CHECKPOINT_CONFIG_KEY} builds no model: {err}")
         for name, t in model.named_parameters():
             stored = _read_key(archive, path, name)
+            if stored.dtype.kind not in "fiu" or not np.isfinite(stored).all():
+                raise DataError(f"{path}: checkpoint key {name} holds {stored.dtype} "
+                                f"values that are not all finite real numbers")
             if stored.shape != t.data.shape:
                 raise DataError(
                     f"checkpoint key {name}: shape {stored.shape} != {t.data.shape}"

@@ -1,6 +1,6 @@
 """Dense float64 arrays with reverse-mode automatic differentiation.
 
-Operations record onto a thread-local tape in execution order.  `backward`
+Operations record onto a module-level tape in execution order.  `backward`
 sweeps that tape once in reverse, accumulates gradients into every
 `requires_grad` tensor reachable from the root, and then frees the tape.
 Parameter gradients persist across backward calls until `zero_grad`.
@@ -8,37 +8,34 @@ Parameter gradients persist across backward calls until `zero_grad`.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import ContractError, DimensionError
 
-_local = threading.local()
+_TAPE: list = []
+_grad_enabled = True
 
 
 def _tape() -> list:
-    tape = getattr(_local, "tape", None)
-    if tape is None:
-        tape = []
-        _local.tape = tape
-    return tape
+    return _TAPE
 
 
 def grad_enabled() -> bool:
-    return getattr(_local, "grad_enabled", True)
+    return _grad_enabled
 
 
 @contextmanager
 def no_grad():
     """Disable tape recording within the block (inference / finite differences)."""
-    prev = grad_enabled()
-    _local.grad_enabled = False
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
     try:
         yield
     finally:
-        _local.grad_enabled = prev
+        _grad_enabled = prev
 
 
 class _Node:
@@ -99,20 +96,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __sub__(self, other):
         return sub(self, other)
 
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def reshape(self, *shape):
         return reshape(self, *shape)
@@ -154,13 +142,12 @@ def backward(root: Tensor) -> None:
     if root.grad is None:
         root.grad = np.zeros_like(root.data)
     root.grad += 1.0
-    tape = _tape()
     try:
-        for node in reversed(tape):
+        for node in reversed(_TAPE):
             if node.out.grad is not None:
                 node.backward(node.out.grad)
     finally:
-        tape.clear()
+        _TAPE.clear()
 
 
 # Every op result passes this guard, so NaN/Inf fails at the op that made it.
@@ -182,7 +169,7 @@ def _make(data, parents, backward_fn) -> Tensor:
     out.requires_grad = False
     if grad_enabled() and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        _tape().append(_Node(out, backward_fn))
+        _TAPE.append(_Node(out, backward_fn))
     return out
 
 

@@ -1,10 +1,13 @@
-"""Plain test helpers: repository paths, dataset lookup, synthetic CSVs."""
+"""Plain test helpers: repository paths, dataset lookup, synthetic CSVs, basis oracles."""
 
 import os
+from math import comb
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from hakan.errors import BasisParameterError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DATA_DIR = Path(os.environ.get("HAKAN_DATA", REPO_ROOT / "data"))
@@ -35,3 +38,43 @@ def write_synthetic_csv(path: Path, rows: int, channels: int, seed: int = 0) -> 
         lines.append(stamp + "," + ",".join(f"{v:.6f}" for v in values[i]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+# basis oracles ----------------------------------------------------------------
+
+
+def eval_all(basis, x) -> np.ndarray:
+    """Values of every degree, P_0 included, stacked along a trailing axis."""
+    return _with_degree_zero(basis.eval_terms(np.asarray(x, dtype=np.float64)), basis.p0)
+
+
+def eval_all_with_deriv(basis, x) -> tuple:
+    """Values and first derivatives of every degree, stacked along a trailing axis."""
+    vals, ders = basis.eval_terms_with_deriv(np.asarray(x, dtype=np.float64))
+    return _with_degree_zero(vals, basis.p0), _with_degree_zero(ders, 0.0)
+
+
+def _with_degree_zero(terms: np.ndarray, value: float) -> np.ndarray:
+    return np.concatenate([np.full(terms.shape[:-1] + (1,), value), terms], axis=-1)
+
+
+def closed_form(a: float, b: float, n: int, r: int, x: float) -> float:
+    """Degree-r Hahn value as a terminating hypergeometric sum.
+
+    sum_{k=0}^{r} (-r)_k (r+a+b+1)_k (-x)_k / ((a+1)_k (-n)_k k!),
+    accumulated term by term in float64, independent of the recurrence.
+    """
+    if r > n:
+        raise BasisParameterError(f"degree r={r} exceeds n={n}")
+    total = 1.0
+    term = 1.0
+    for k in range(r):
+        term *= (-r + k) * (r + a + b + 1 + k) * (-x + k)
+        term /= (a + 1 + k) * (-n + k) * (k + 1)
+        total += term
+    return total
+
+
+def orthogonality_weight(a: int, b: int, n: int, x: int) -> float:
+    """Hahn counting-measure weight C(a+x, x) * C(b+n-x, n-x) on integer x, integer a and b."""
+    return float(comb(a + x, x) * comb(b + n - x, n - x))

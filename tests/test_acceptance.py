@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import hakan.tensor as tt
-from hakan.basis import HahnBasis
+from hakan.basis import make_basis
 from hakan.cli import tiny_check_config
 from hakan.config import load_config
 from hakan.data import load_csv, prepare
@@ -32,7 +32,13 @@ from hakan.model import (
 )
 from hakan.training import grad_check, train
 
-from helpers import REPO_ROOT, require_dataset
+from helpers import (
+    REPO_ROOT,
+    closed_form,
+    eval_all,
+    orthogonality_weight,
+    require_dataset,
+)
 
 SEEDS = (2021, 2022, 2023)
 
@@ -49,15 +55,15 @@ def test_criterion_1_polynomial_correctness():
     for a in (0.5, 1, 2):
         for b in (0.5, 1, 2):
             for n in (5, 7, 10):
-                basis = HahnBasis(a, b, n, degree=5)
+                basis = make_basis("hahn", 5, a, b, n)
                 for x in range(n + 1):
-                    vals = basis.eval_all(float(x))
+                    vals = eval_all(basis, float(x))
                     for r in range(6):
-                        assert abs(vals[r] - basis.closed_form(r, float(x))) < 1e-10
+                        assert abs(vals[r] - closed_form(a, b, n, r, float(x))) < 1e-10
 
-    basis = HahnBasis(1, 1, 7, degree=3)
-    weights = [basis.orthogonality_weight(x) for x in range(8)]
-    table = np.array([basis.eval_all(float(x)) for x in range(8)])
+    basis = make_basis("hahn", 3, 1, 1, 7)
+    weights = [orthogonality_weight(1, 1, 7, x) for x in range(8)]
+    table = np.array([eval_all(basis, float(x)) for x in range(8)])
     for r in range(4):
         for s in range(4):
             if r != s:

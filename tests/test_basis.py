@@ -4,8 +4,10 @@ from math import comb
 import numpy as np
 import pytest
 
-from hakan.basis import ChebyshevBasis, HahnBasis, LucasBasis, make_basis
+from hakan.basis import hahn_coeffs, make_basis
 from hakan.errors import BasisParameterError, ConfigError
+
+from helpers import closed_form, eval_all, eval_all_with_deriv, orthogonality_weight
 
 
 def rational_coeffs(r: int, a, b, n) -> tuple:
@@ -20,20 +22,17 @@ def rational_coeffs(r: int, a, b, n) -> tuple:
 
 class TestRecurrenceCoeffs:
     def test_hand_values(self):
-        basis = HahnBasis(1, 1, 7, 3)
-        A, B = basis.recurrence_coeffs(2)
+        A, B = hahn_coeffs(1.0, 1.0, 7, 2)
         assert A == pytest.approx(2.4, abs=1e-12)
         assert B == pytest.approx(1.1, abs=1e-12)
 
     def test_b1_is_zero(self):
-        basis = HahnBasis(1, 1, 7, 3)
-        _, B1 = basis.recurrence_coeffs(1)
+        _, B1 = hahn_coeffs(1.0, 1.0, 7, 1)
         assert B1 == 0.0
 
     def test_against_rational_arithmetic(self):
-        basis = HahnBasis(2, 0.5, 10, 5)
         for r in range(1, 6):
-            A, B = basis.recurrence_coeffs(r)
+            A, B = hahn_coeffs(2.0, 0.5, 10, r)
             A_exact, B_exact = rational_coeffs(r, 2, Fraction(1, 2), 10)
             assert A == pytest.approx(float(A_exact), rel=1e-14)
             assert B == pytest.approx(float(B_exact), rel=1e-14)
@@ -41,34 +40,34 @@ class TestRecurrenceCoeffs:
     def test_degenerate_parameters_rejected(self):
         # a + b = -1 zeroes both A_1's leading factor and its denominator
         with pytest.raises(BasisParameterError):
-            HahnBasis(a=-0.25, b=-0.75, n=7, degree=1)
+            make_basis("hahn", 1, -0.25, -0.75, 7)
 
     def test_degree_beyond_n_rejected(self):
         with pytest.raises(BasisParameterError):
-            HahnBasis(1, 1, n=3, degree=4)
+            make_basis("hahn", 4, 1, 1, 3)
 
     def test_parameter_domain(self):
         with pytest.raises(BasisParameterError):
-            HahnBasis(a=-1.0, b=1, n=7, degree=2)
+            make_basis("hahn", 2, -1.0, 1, 7)
         with pytest.raises(BasisParameterError):
-            HahnBasis(a=1, b=1, n=0, degree=0)
+            make_basis("hahn", 0, 1, 1, 0)
 
 
 class TestEvalAll:
     def test_all_ones_at_zero(self):
-        basis = HahnBasis(1, 1, 7, 3)
-        vals = basis.eval_all(0.0)
+        basis = make_basis("hahn", 3, 1, 1, 7)
+        vals = eval_all(basis, 0.0)
         np.testing.assert_allclose(vals, np.ones(4), atol=1e-14)
         for r in range(4):
-            assert basis.closed_form(r, 0.0) == pytest.approx(1.0, abs=1e-14)
+            assert closed_form(1, 1, 7, r, 0.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_degree_one_at_one(self):
-        vals = HahnBasis(1, 1, 7, 3).eval_all(1.0)
+        vals = eval_all(make_basis("hahn", 3, 1, 1, 7), 1.0)
         assert vals[1] == pytest.approx(5 / 7, abs=1e-12)
 
     def test_degree_two_at_one(self):
         # one recurrence step by hand: (A + B - x) P1 - B, over A, with A=2.4, B=1.1
-        vals = HahnBasis(1, 1, 7, 3).eval_all(1.0)
+        vals = eval_all(make_basis("hahn", 3, 1, 1, 7), 1.0)
         hand = ((2.4 + 1.1 - 1.0) * (5 / 7) - 1.1 * 1.0) / 2.4
         assert vals[2] == pytest.approx(hand, abs=1e-12)
         assert vals[2] == pytest.approx(2 / 7, abs=1e-12)
@@ -76,64 +75,63 @@ class TestEvalAll:
 
 class TestDerivatives:
     def test_constant_and_linear(self):
-        basis = HahnBasis(1, 1, 7, 3)
+        basis = make_basis("hahn", 3, 1, 1, 7)
         for x in (0.0, 1.7, 6.2):
-            _, ders = basis.eval_all_with_deriv(x)
+            _, ders = eval_all_with_deriv(basis, x)
             assert ders[0] == 0.0
             assert ders[1] == pytest.approx(-2 / 7, abs=1e-14)
 
     @pytest.mark.parametrize("x", [0.5, 3.1, 6.9])
     def test_matches_finite_differences(self, x):
-        basis = HahnBasis(1, 1, 7, 5)
-        _, ders = basis.eval_all_with_deriv(x)
+        basis = make_basis("hahn", 5, 1, 1, 7)
+        _, ders = eval_all_with_deriv(basis, x)
         step = 1e-6
-        fd = (basis.eval_all(x + step) - basis.eval_all(x - step)) / (2 * step)
+        fd = (eval_all(basis, x + step) - eval_all(basis, x - step)) / (2 * step)
         np.testing.assert_allclose(ders, fd, atol=1e-8)
 
 
 class TestClosedFormOracle:
     def test_degree_zero(self):
-        basis = HahnBasis(1, 1, 7, 3)
         for x in (0.0, 2.5, 7.0, -1.3):
-            assert basis.closed_form(0, x) == 1.0
+            assert closed_form(1, 1, 7, 0, x) == 1.0
 
     def test_one_term_sum_by_hand(self):
         # k=1 term: (-1)(4)(-1) / (2 * -7 * 1) = -2/7, so Q_1(1) = 5/7
-        assert HahnBasis(1, 1, 7, 3).closed_form(1, 1.0) == pytest.approx(5 / 7, abs=1e-14)
+        assert closed_form(1, 1, 7, 1, 1.0) == pytest.approx(5 / 7, abs=1e-14)
 
     def test_recurrence_agrees_on_grid(self):
         for a in (0.5, 1, 2):
             for b in (0.5, 1, 2):
                 for n in (5, 7, 10):
-                    basis = HahnBasis(a, b, n, degree=5)
+                    basis = make_basis("hahn", 5, a, b, n)
                     for x in range(n + 1):
-                        vals = basis.eval_all(float(x))
+                        vals = eval_all(basis, float(x))
                         for r in range(6):
                             assert vals[r] == pytest.approx(
-                                basis.closed_form(r, float(x)), abs=1e-10
+                                closed_form(a, b, n, r, float(x)), abs=1e-10
                             )
 
     def test_degree_above_n_rejected(self):
         with pytest.raises(BasisParameterError):
-            HahnBasis(1, 1, 7, 3).closed_form(8, 1.0)
+            closed_form(1, 1, 7, 8, 1.0)
 
 
 class TestPolynomialStructure:
     @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
     def test_exact_degree(self, r):
-        basis = HahnBasis(1, 1, 7, 5)
+        basis = make_basis("hahn", 5, 1, 1, 7)
         xs = np.linspace(0.0, 7.0, r + 2)
-        ys = np.array([basis.eval_all(x)[r] for x in xs])
+        ys = np.array([eval_all(basis, x)[r] for x in xs])
         coeffs = np.polynomial.polynomial.polyfit(xs, ys, deg=r)
         fitted = np.polynomial.polynomial.polyval(xs, coeffs)
         np.testing.assert_allclose(fitted, ys, atol=1e-9)
         assert abs(coeffs[-1]) > 1e-9
 
     def test_discrete_orthogonality(self):
-        basis = HahnBasis(1, 1, 7, 3)
-        weights = [basis.orthogonality_weight(x) for x in range(8)]
+        basis = make_basis("hahn", 3, 1, 1, 7)
+        weights = [orthogonality_weight(1, 1, 7, x) for x in range(8)]
         assert weights == [comb(1 + x, x) * comb(8 - x, 7 - x) for x in range(8)]
-        table = np.array([basis.eval_all(float(x)) for x in range(8)])
+        table = np.array([eval_all(basis, float(x)) for x in range(8)])
         for r in range(4):
             for s in range(4):
                 if r == s:
@@ -144,32 +142,35 @@ class TestPolynomialStructure:
 
 class TestAlternateBases:
     def test_chebyshev_hand_value(self):
-        vals = ChebyshevBasis(3).eval_all(0.5)
+        vals = eval_all(make_basis("chebyshev", 3), 0.5)
         assert vals[2] == pytest.approx(2 * 0.25 - 1, abs=1e-14)
 
     def test_lucas_hand_value(self):
-        vals = LucasBasis(3).eval_all(1.0)
+        vals = eval_all(make_basis("lucas", 3), 1.0)
         assert vals[0] == 2.0
         assert vals[2] == pytest.approx(3.0, abs=1e-14)
 
     @pytest.mark.parametrize("theta", [0.3, 1.1])
     def test_chebyshev_trig_identity(self, theta):
-        vals = ChebyshevBasis(5).eval_all(np.cos(theta))
+        vals = eval_all(make_basis("chebyshev", 5), np.cos(theta))
         for r in range(6):
             assert vals[r] == pytest.approx(np.cos(r * theta), abs=1e-12)
 
     def test_alternate_derivatives_match_finite_differences(self):
-        for basis in (ChebyshevBasis(4), LucasBasis(4)):
+        for basis in (make_basis("chebyshev", 4), make_basis("lucas", 4)):
             for x in (-0.8, 0.1, 0.9):
-                _, ders = basis.eval_all_with_deriv(x)
+                _, ders = eval_all_with_deriv(basis, x)
                 step = 1e-6
-                fd = (basis.eval_all(x + step) - basis.eval_all(x - step)) / (2 * step)
+                fd = (eval_all(basis, x + step) - eval_all(basis, x - step)) / (2 * step)
                 np.testing.assert_allclose(ders, fd, atol=1e-8)
 
     def test_factory(self):
-        assert isinstance(make_basis("hahn", 3), HahnBasis)
-        assert isinstance(make_basis("chebyshev", 3), ChebyshevBasis)
-        assert isinstance(make_basis("lucas", 3), LucasBasis)
+        hahn, cheb, lucas = (make_basis(kind, 3) for kind in ("hahn", "chebyshev", "lucas"))
+        assert (hahn.domain, hahn.p0, len(hahn.steps)) == ((0.0, 7.0), 1.0, 2)
+        assert (cheb.domain, cheb.p0, cheb.steps) == ((-1.0, 1.0), 1.0, [(0.0, 2.0, -1.0)] * 2)
+        assert (lucas.domain, lucas.p0, lucas.steps) == ((-1.0, 1.0), 2.0, [(0.0, 1.0, 1.0)] * 2)
+        with pytest.raises(BasisParameterError):
+            make_basis("lucas", -1)
         with pytest.raises(ConfigError):
             make_basis("bspline", 3)
         with pytest.raises(ConfigError):
@@ -177,8 +178,8 @@ class TestAlternateBases:
 
 
 def test_eval_counter_tracks_elements():
-    basis = HahnBasis(1, 1, 7, 3)
-    basis.eval_all(np.zeros((4, 5)))
+    basis = make_basis("hahn", 3, 1, 1, 7)
+    eval_all(basis, np.zeros((4, 5)))
     assert basis.eval_count == 20
-    basis.eval_all_with_deriv(np.zeros(3))
+    eval_all_with_deriv(basis, np.zeros(3))
     assert basis.eval_count == 23

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -278,6 +279,85 @@ def test_malformed_csv_fuzz(raw):
     assert str(data) in err.getvalue()
 
 
+CHECKPOINT_DEFECTS = ("drop_key", "dtype", "non_finite", "reshape", "truncate",
+                      "config_text", "config_json", "config_field")
+# JSON ints stay small: `HaKanModel.load` builds the model a stored config
+# names before it compares parameter shapes, so a huge size would allocate
+# that model (a raw MemoryError at absurd sizes)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def damaged_checkpoint(draw) -> tuple:
+    """(the file's bytes, whether the defect must exit 3) for a tiny saved model."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.npz"
+        HaKanModel(parse_config(TINY_MODEL_KEYS).bind(2, seed=1)[0]).save(path)
+        with np.load(path) as archive:
+            arrays = dict(archive)
+    params = sorted(k for k in arrays if k != "__model_config__")
+    key = draw(st.sampled_from(params))
+    damage = draw(st.sampled_from(CHECKPOINT_DEFECTS))
+    if damage == "drop_key":
+        del arrays[draw(st.sampled_from(sorted(arrays)))]
+    elif damage == "dtype":
+        arrays[key] = draw(st.sampled_from([
+            arrays[key].astype(str), arrays[key].astype(complex),
+            arrays[key].astype(object), arrays[key] > 0,
+        ]))
+    elif damage == "non_finite":
+        flat = arrays[key].reshape(-1).copy()
+        flat[draw(st.integers(0, flat.size - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+        arrays[key] = flat.reshape(arrays[key].shape)
+    elif damage == "reshape":
+        arrays[key] = draw(st.sampled_from([
+            arrays[key].reshape(-1), arrays[key][..., None], arrays[key][1:],
+            arrays[key].T,
+        ]))
+    elif damage == "config_text":
+        arrays["__model_config__"] = np.array(draw(st.text(max_size=40)))
+    elif damage == "config_json":
+        arrays["__model_config__"] = np.array(json.dumps(draw(JSON_VALUES)))
+    elif damage == "config_field":
+        config = json.loads(str(arrays["__model_config__"]))
+        config[draw(st.sampled_from(sorted(config)))] = draw(JSON_VALUES)
+        arrays["__model_config__"] = np.array(json.dumps(config))
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    raw = buffer.getvalue()
+    if damage == "truncate":
+        raw = raw[:draw(st.integers(0, len(raw) - 1))]
+    return raw, damage in ("dtype", "non_finite")
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=damaged_checkpoint())
+def test_damaged_checkpoint_fuzz(case):
+    # the exit-code contract at the checkpoint boundary: a contract code and
+    # at most one stderr line, never a traceback; a bad dtype or value is 3
+    raw, must_reject = case
+    with tempfile.TemporaryDirectory() as tmp:
+        data = write_synthetic_csv(Path(tmp) / "series.csv", rows=240, channels=2)
+        ckpt = Path(tmp) / "model.npz"
+        ckpt.write_bytes(raw)
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(f"data.path = {data}\nrun.out = {Path(tmp) / 'runs'}\n"
+                       f"{TINY_MODEL_KEYS}")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg)])
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DATA, cli.EXIT_NUMERIC)
+    assert len(err.getvalue().splitlines()) == (0 if code == cli.EXIT_OK else 1)
+    if must_reject:
+        assert code == cli.EXIT_DATA
+
+
 class TestEvalCommand:
     def test_matches_training_row(self, tiny_run):
         cfg_path, _, out_dir = tiny_run
@@ -342,6 +422,11 @@ class TestEvalCommand:
         ("config_not_json", "__model_config__"),
         ("config_not_object", "__model_config__"),
         ("config_bad_field", "__model_config__"),
+        ("config_field_type", "revin_eps must be float"),
+        ("str_dtype", "checkpoint key w_up holds <U"),
+        ("complex_dtype", "checkpoint key w_up holds complex128"),
+        ("nan_value", "checkpoint key w_up holds float64"),
+        ("inf_value", "checkpoint key w_up holds float64"),
     ])
     def test_damaged_checkpoint_exits_data_code(self, tiny_run, capsys, damage, message):
         cfg_path, _, out_dir = tiny_run
@@ -364,10 +449,21 @@ class TestEvalCommand:
                 "config_not_json": "{lookback: 16",
                 "config_not_object": "[16, 4]",
                 "config_bad_field": '{"lookback": "x"}',
+                "config_field_type": json.dumps({**json.loads(str(
+                    arrays["__model_config__"])), "revin_eps": "x"}),
             }[damage])
             np.savez(ckpt, **arrays)
-        else:
+        elif damage == "object_array":
             arrays["w_up"] = np.array([{"w": 1}], dtype=object)
+            np.savez(ckpt, **arrays)
+        else:
+            w_up = arrays["w_up"]
+            arrays["w_up"] = {
+                "str_dtype": w_up.astype(str),
+                "complex_dtype": w_up + 0.5j,
+                "nan_value": np.where(w_up > 0, np.nan, w_up),
+                "inf_value": np.full_like(w_up, np.inf),
+            }[damage]
             np.savez(ckpt, **arrays)
         code = cli.main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg_path)])
         assert code == cli.EXIT_DATA
@@ -427,6 +523,34 @@ class TestSweepCommand:
         assert delta == 4 * 4 + 8 * 8  # one more basis term per block
 
 
+    def test_no_values_exits_config_code(self, tiny_run, capsys):
+        cfg_path, _, out_dir = tiny_run
+        assert cli.main(["sweep", "--config", str(cfg_path), "--axis", "blocks",
+                         "--values", ","]) == cli.EXIT_CONFIG
+        assert "--values" in capsys.readouterr().err
+        assert not (out_dir / "sweep_blocks.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train"],
+    ["eval", "--checkpoint", "CKPT"],
+    ["sweep", "--axis", "blocks", "--values", "1", "--max-epochs", "1"],
+])
+def test_out_naming_a_file_exits_config_code(tiny_run, capsys, argv):
+    cfg_path, _, out_dir = tiny_run
+    if "CKPT" in argv:
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+    ckpt = out_dir / "synthetic_T4_seed11.npz"
+    argv = [str(ckpt) if arg == "CKPT" else arg for arg in argv]
+    blocker = cfg_path.parent / "not_a_dir"
+    blocker.write_text("")
+    code = cli.main([*argv, "--config", str(cfg_path), "--out", str(blocker)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "run.out" in err and str(blocker) in err
+
+
 class TestParamsCommand:
     def test_default_breakdown_shows_block_increment(self, capsys, tmp_path):
         cfg = tmp_path / "p.cfg"
@@ -477,6 +601,10 @@ class TestParamsCommand:
     (["params"], "run.seeds =", "run.seeds"),
     (["train"], "run.seeds =", "run.seeds"),
     (["train", "--max-epochs", "0"], "", "train.max_epochs"),
+    (["train", "--lr", "nan"], "", "train.lr"),
+    (["train", "--lr", "inf"], "", "train.lr"),
+    (["params"], "model.hahn_a = nan", "model.hahn_a"),
+    (["train"], "model.revin_eps = -inf", "model.revin_eps"),
 ])
 def test_bad_values_exit_config_code(tiny_run, capsys, argv, cfg_line, key):
     cfg_path, _, out_dir = tiny_run
@@ -497,13 +625,13 @@ class TestGradcheckCommand:
         assert "FAIL" in capsys.readouterr().out
 
     def test_corrupted_backward_detected(self, monkeypatch, capsys):
-        from hakan.basis import HahnBasis
-        true_fn = HahnBasis.eval_terms_with_deriv
+        from hakan.basis import Basis
+        true_fn = Basis.eval_terms_with_deriv
 
         def corrupted(self, x, axis=-1):
             vals, ders = true_fn(self, x, axis)
             return vals, ders * 1.01
 
-        monkeypatch.setattr(HahnBasis, "eval_terms_with_deriv", corrupted)
+        monkeypatch.setattr(Basis, "eval_terms_with_deriv", corrupted)
         assert cli.main(["gradcheck"]) == cli.EXIT_NUMERIC
         assert "FAIL" in capsys.readouterr().out

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 import hakan.tensor as tt
-from hakan.basis import HahnBasis, make_basis
+from hakan.basis import make_basis
 from hakan.errors import ContractError, DimensionError
 from hakan.layers import DomainMap, KanLayer
 from hakan.tensor import Tensor
 
+from helpers import eval_all
 from test_tensor import fd_check
 
 
 def hahn_layer(in_dim, out_dim, degree=3, seed=0, n=7):
-    basis = HahnBasis(1, 1, n, degree)
+    basis = make_basis("hahn", degree, 1, 1, n)
     return KanLayer(in_dim, out_dim, basis=basis, rng=np.random.default_rng(seed))
 
 
@@ -158,7 +159,7 @@ def naive_output(layer, x):
         terms, gamma = x[..., None], layer.gamma.data[:, :, None]
     else:
         lo, hi = layer.basis.domain
-        terms = layer.basis.eval_all(lo + (hi - lo) * 0.5 * (np.tanh(x) + 1.0))
+        terms = eval_all(layer.basis, lo + (hi - lo) * 0.5 * (np.tanh(x) + 1.0))
         gamma = layer.gamma.data
     if layer.axis == -1:
         return np.einsum("...pr,qpr->...q", terms, gamma)

@@ -20,6 +20,8 @@ from hakan.model import (
 )
 from hakan.tensor import Tensor
 
+from helpers import closed_form
+
 
 # ---------------------------------------------------------------- channels
 
@@ -236,14 +238,15 @@ def reference_forward(model: HaKanModel, series: np.ndarray) -> np.ndarray:
 
     def kan_ref(layer, mat):
         lo, hi = layer.basis.domain
+        a, b, n = cfg.hahn_a, cfg.hahn_b, cfg.hahn_n
         out = np.zeros((mat.shape[0], layer.out_dim))
         for i in range(mat.shape[0]):
             for q in range(layer.out_dim):
                 acc = 0.0
                 for pp in range(layer.in_dim):
                     s = lo + (hi - lo) * (np.tanh(mat[i, pp]) + 1.0) / 2.0
-                    for r in range(layer.basis.size):
-                        acc += layer.gamma.data[q, pp, r] * layer.basis.closed_form(r, s)
+                    for r in range(layer.basis.degree + 1):
+                        acc += layer.gamma.data[q, pp, r] * closed_form(a, b, n, r, s)
                 out[i, q] = acc
         return out
 

@@ -18,6 +18,8 @@ from hakan.training import (
     train,
 )
 
+from helpers import eval_all
+
 
 class TestLosses:
     def test_mse_zero_at_identity(self):
@@ -263,7 +265,7 @@ class TestGradCheck:
 
         basis = block.inter.basis
         mid = sum(basis.domain) / 2.0
-        p_mid = basis.eval_all(mid)
+        p_mid = eval_all(basis, mid)
         g_inter_out = np.swapaxes(g_blocks, -1, -2)
         expected = np.einsum("bdq,r->qr", g_inter_out, p_mid)
         expected = np.repeat(expected[:, None, :], cfg.n_patches, axis=1)
