@@ -11,6 +11,7 @@ into training.
 from __future__ import annotations
 
 import csv
+import itertools
 import warnings
 from dataclasses import dataclass
 from datetime import datetime
@@ -64,9 +65,80 @@ class SegmentBounds:
 
 
 def load_csv(path, name: str | None = None, frequency: str = "") -> RawDataset:
+    """Read a dataset file, checking its shape, stamp order and finiteness.
+
+    A file whose every line is plain (see `_plain_lines`) is parsed in one
+    `np.loadtxt` pass.  Any other file, and any file that fails a check, is
+    read again row by row, which names the file line of the first defect.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
+    try:
+        timestamps, values = _read_plain(path)
+        plain = _first_defect(timestamps, values) is None
+    except (_NotPlain, ValueError, OSError):  # UnicodeDecodeError is a ValueError
+        plain = False
+    if not plain:
+        timestamps, values, linenos = _read_rows(path)
+        defect = _first_defect(timestamps, values)
+        if defect is not None:
+            row, what = defect
+            raise DataError(f"{path}:{linenos[row]}: {what}")
+    return RawDataset(name=name or path.stem, timestamps=timestamps,
+                      values=values, frequency=frequency)
+
+
+class _NotPlain(Exception):
+    """The file has a line that only the row-by-row parser reads correctly."""
+
+
+def _read_plain(path: Path) -> tuple:
+    """(stamps, values) of a file of plain lines; _NotPlain or loadtxt's ValueError if not.
+
+    A stamp is the text before its line's first comma, and the rest of every
+    line goes through one `np.loadtxt` call.  loadtxt only checks that rows
+    agree with each other, so the shape is checked against the header.
+    """
+    limit = csv.field_size_limit()
+    stamps = []
+    with path.open(encoding="utf-8") as fh:
+        header = fh.readline()
+        if '"' in header or len(header) > limit:
+            raise _NotPlain
+        lines = _plain_lines(fh, stamps, limit)
+        first = next(lines, None)
+        if first is None:  # loadtxt would warn on a file with no data
+            raise _NotPlain
+        values = np.loadtxt(itertools.chain([first], lines), delimiter=",",
+                            comments=None, ndmin=2)
+    if values.shape != (len(stamps), header.count(",")):
+        raise _NotPlain
+    return stamps, values
+
+
+def _plain_lines(fh, stamps: list, limit: int):
+    """Yield each line's text after its first comma, appending its stamp.
+
+    A plain line is one `csv` splits at every comma and whose cells `float`
+    and `np.loadtxt` read alike: it has a comma but does not end in one, and
+    has no quote, no cell over the field size limit and only printable
+    characters.  loadtxt strips the separators U+001C-U+001F around a number
+    where `float` rejects them, skips an empty line where `float` rejects
+    an empty cell, and blank or quoted lines change what `csv` reads.
+    """
+    for line in fh:
+        body = line[:-1] if line.endswith("\n") else line
+        cut = body.find(",")
+        if (cut < 0 or body.endswith(",") or '"' in body or len(body) > limit
+                or not body.isprintable()):
+            raise _NotPlain
+        stamps.append(body[:cut])
+        yield body[cut + 1:]
+
+
+def _read_rows(path: Path) -> tuple:
+    """(stamps, values, file line of each row), parsed cell by cell with `csv`."""
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -102,27 +174,25 @@ def load_csv(path, name: str | None = None, frequency: str = "") -> RawDataset:
         raise DataError(f"{path}: cannot read ({err.strerror})")
     if not rows:
         raise DataError(f"{path}: no data rows")
+    return timestamps, np.asarray(rows, dtype=np.float64), linenos
+
+
+def _first_defect(timestamps: list, values: np.ndarray) -> tuple | None:
+    """(row, what is wrong) for the first stamp out of order or non-finite row."""
     keys = [_time_key(t) for t in timestamps]
     for i in range(1, len(keys)):
         try:
             increasing = keys[i - 1] < keys[i]
         except TypeError:  # an ISO stamp next to a non-ISO one
-            raise DataError(
-                f"{path}:{linenos[i]}: mixed timestamp formats "
-                f"({timestamps[i - 1]!r} then {timestamps[i]!r})"
-            )
+            return i, (f"mixed timestamp formats "
+                       f"({timestamps[i - 1]!r} then {timestamps[i]!r})")
         if not increasing:
-            raise DataError(
-                f"{path}:{linenos[i]}: timestamps not strictly increasing "
-                f"({timestamps[i - 1]!r} then {timestamps[i]!r})"
-            )
-    values = np.asarray(rows, dtype=np.float64)
-    finite = np.isfinite(values)
+            return i, (f"timestamps not strictly increasing "
+                       f"({timestamps[i - 1]!r} then {timestamps[i]!r})")
+    finite = np.isfinite(values).all(axis=1)
     if not finite.all():
-        row = int(np.argmin(finite.all(axis=1)))
-        raise DataError(f"{path}:{linenos[row]}: non-finite feature cell (nan or inf)")
-    return RawDataset(name=name or path.stem, timestamps=timestamps,
-                      values=values, frequency=frequency)
+        return int(np.argmin(finite)), "non-finite feature cell (nan or inf)"
+    return None
 
 
 def _time_key(stamp: str):

@@ -181,15 +181,21 @@ def train(model: HaKanModel, splits: DatasetSplits, spec: TrainSpec) -> tuple:
     for epoch in range(1, spec.max_epochs + 1):
         perm = rng.permutation(origins.size)
         loss_sum = 0.0
-        for lo in range(0, perm.size, spec.batch_size):
+        for step, lo in enumerate(range(0, perm.size, spec.batch_size), start=1):
             sel = perm[lo:lo + spec.batch_size]
             x, y = _gather(splits.values, splits.train.start, origins[sel],
                            chans[sel], cfg.lookback, cfg.horizon)
-            loss = mse_loss(model.forward_batch(x), Tensor(y))
-            tt.backward(loss)
-            optimizer.step()
+            try:
+                loss = mse_loss(model.forward_batch(x), Tensor(y))
+                value = loss.item()
+                if not np.isfinite(value):
+                    raise ContractError(f"training loss is {value}")
+                tt.backward(loss)
+                optimizer.step()
+            except ContractError as err:
+                raise ContractError(f"epoch {epoch} step {step}: {err}") from err
             optimizer.zero_grad()
-            loss_sum += loss.item() * sel.size
+            loss_sum += value * sel.size
         val_mse, _ = evaluate(model, splits, splits.val, spec.batch_size)
         improved = stopper.update(val_mse)
         if improved:

@@ -155,6 +155,18 @@ class TestTrainCommand:
         seeds = [row["seed"] for row in rows]
         assert seeds == ["1", "2", "3", "mean", "std"]
 
+    def test_non_finite_training_names_epoch_and_step(self, tiny_run, capsys):
+        # the first Adam step moves every weight by ~lr, so the second
+        # forward overflows and the op guard stops training
+        cfg_path, _, out_dir = tiny_run
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["train", "--config", str(cfg_path), "--lr", "1e300"])
+        assert code == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err == ("numeric error: epoch 1 step 2: "
+                       "operation produced non-finite values\n")
+        assert not (out_dir / "metrics.csv").exists()
+
     def test_missing_dataset_exits_data_code(self, tiny_run, tmp_path):
         cfg_path, _, _ = tiny_run
         code = cli.main(["train", "--config", str(cfg_path),
@@ -280,12 +292,11 @@ def test_malformed_csv_fuzz(raw):
 
 
 CHECKPOINT_DEFECTS = ("drop_key", "dtype", "non_finite", "reshape", "truncate",
-                      "config_text", "config_json", "config_field")
-# JSON ints stay small: `HaKanModel.load` builds the model a stored config
-# names before it compares parameter shapes, so a huge size would allocate
-# that model (a raw MemoryError at absurd sizes)
+                      "config_text", "config_json", "config_field", "config_size")
+HUGE_INTS = st.sampled_from([10**9, 10**15, 2**63])
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=8),
+    st.none() | st.booleans() | st.integers(-3, 40) | HUGE_INTS | st.floats()
+    | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
                                                                  max_size=3),
     max_leaves=6,
@@ -327,6 +338,11 @@ def damaged_checkpoint(draw) -> tuple:
     elif damage == "config_field":
         config = json.loads(str(arrays["__model_config__"]))
         config[draw(st.sampled_from(sorted(config)))] = draw(JSON_VALUES)
+        arrays["__model_config__"] = np.array(json.dumps(config))
+    elif damage == "config_size":  # an int field that no real model could hold
+        config = json.loads(str(arrays["__model_config__"]))
+        ints = sorted(k for k, v in config.items() if type(v) is int)
+        config[draw(st.sampled_from(ints))] = draw(HUGE_INTS)
         arrays["__model_config__"] = np.array(json.dumps(config))
     buffer = io.BytesIO()
     np.savez(buffer, **arrays)
@@ -423,6 +439,9 @@ class TestEvalCommand:
         ("config_not_object", "__model_config__"),
         ("config_bad_field", "__model_config__"),
         ("config_field_type", "revin_eps must be float"),
+        ("config_huge_size", "key w_down: shape (6, 32) != (1000000000000000, 32)"),
+        ("config_huge_blocks", "n_blocks 1000000000 does not match the 2 block keys"),
+        ("config_huge_float", "int too large to convert to float"),
         ("str_dtype", "checkpoint key w_up holds <U"),
         ("complex_dtype", "checkpoint key w_up holds complex128"),
         ("nan_value", "checkpoint key w_up holds float64"),
@@ -445,12 +464,16 @@ class TestEvalCommand:
         elif damage == "empty":
             ckpt.write_bytes(b"")
         elif damage.startswith("config_"):
+            stored = json.loads(str(arrays["__model_config__"]))
             arrays["__model_config__"] = np.array({
                 "config_not_json": "{lookback: 16",
                 "config_not_object": "[16, 4]",
                 "config_bad_field": '{"lookback": "x"}',
-                "config_field_type": json.dumps({**json.loads(str(
-                    arrays["__model_config__"])), "revin_eps": "x"}),
+                "config_field_type": json.dumps({**stored, "revin_eps": "x"}),
+                # sizes that would not fit in memory are rejected before any allocation
+                "config_huge_size": json.dumps({**stored, "bottleneck_dim": 10**15}),
+                "config_huge_blocks": json.dumps({**stored, "n_blocks": 10**9}),
+                "config_huge_float": json.dumps({**stored, "hahn_a": 10**400}),
             }[damage])
             np.savez(ckpt, **arrays)
         elif damage == "object_array":

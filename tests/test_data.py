@@ -1,8 +1,16 @@
+import csv
+import tempfile
+import tracemalloc
+import warnings
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hakan import data
 from hakan.data import (
     RawDataset,
     SegmentBounds,
@@ -75,6 +83,29 @@ class TestLoadCsv:
         second = load_csv(path).values
         np.testing.assert_array_equal(first, second)
 
+    def test_plain_file_skips_the_row_parser(self, tmp_path):
+        # plain lines, behind a BOM or with CRLF endings, are parsed in one pass
+        path = write_synthetic_csv(tmp_path / "s.csv", rows=40, channels=3)
+        expected = load_csv(path)
+        for raw in (b"\xef\xbb\xbf" + path.read_bytes(),
+                    path.read_bytes().replace(b"\n", b"\r\n")):
+            path.write_bytes(raw)
+            with mock.patch.object(data, "_read_rows", side_effect=AssertionError):
+                ds = load_csv(path)
+            assert ds.timestamps == expected.timestamps
+            np.testing.assert_array_equal(ds.values, expected.values)
+
+    def test_peak_memory_is_a_small_multiple_of_the_values(self, tmp_path):
+        # a Python float per cell cost 5.7x the array; one loadtxt pass 1.5x
+        path = write_synthetic_csv(tmp_path / "wide.csv", rows=4000, channels=50)
+        tracemalloc.start()
+        try:
+            ds = load_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * ds.values.nbytes
+
     @pytest.mark.slow
     def test_etth1_shape(self):
         ds = load_csv(require_dataset("ETTh1.csv"))
@@ -84,6 +115,100 @@ class TestLoadCsv:
     def test_illness_shape(self):
         ds = load_csv(require_dataset("national_illness.csv"))
         assert ds.values.shape == (966, 7)
+
+
+ODD_CELLS = [" 1.5 ", "+1e5", "1_000", "\u0661\u0662", "1#2", '"2.5"', "\t3", "-0",
+             "\u00a07", "1.", ".5", "0x10", "", " ", "\x1c4", "4\x1f", "nan", "-inf",
+             "1e999", "1e-400"]
+LOADER_EDITS = ("bom", "crlf", "blank_line", "odd_cell", "quoted_stamps", "extra_cell",
+                "missing_cell", "long_stamp", "hash_stamp", "non_iso_stamp",
+                "duplicate_stamp", "quoted_header", "long_header")
+
+
+@st.composite
+def loader_csv(draw) -> bytes:
+    """A small CSV, plain or with up to two edits the fast loader must not misread."""
+    width = draw(st.integers(1, 3))
+    number = (st.floats(-1e6, 1e6, allow_nan=False).map(repr)
+              | st.integers(-999, 999).map(str))
+    rows = [[f"2020-01-01 00:00:{i:02d}"] + [draw(number) for _ in range(width)]
+            for i in range(draw(st.integers(1, 6)))]
+    row = st.integers(0, len(rows) - 1)
+    edits = draw(st.lists(st.sampled_from(LOADER_EDITS), max_size=2))
+    # cells are added or removed last, so the other edits index full rows
+    for edit in sorted(edits, key=lambda e: e in ("extra_cell", "missing_cell")):
+        i = draw(row)
+        if edit == "odd_cell":
+            rows[i][draw(st.integers(1, width))] = draw(st.sampled_from(ODD_CELLS))
+        elif edit == "quoted_stamps":  # as some writers quote every string
+            for r in rows:
+                r[0] = f'"{r[0]}"'
+        elif edit == "extra_cell":
+            rows[i].append("0.5")
+        elif edit == "missing_cell":
+            rows[i].pop()
+        elif edit == "long_stamp":  # not ISO, one character over csv's field limit
+            rows[i][0] = "x" * (csv.field_size_limit() + 1)
+        elif edit == "hash_stamp":
+            rows[i][0] = "#" + rows[i][0]
+        elif edit == "non_iso_stamp":
+            rows[i][0] = "day 5"
+        elif edit == "duplicate_stamp" and i > 0:
+            rows[i][0] = rows[i - 1][0]
+    header = ["date"] + [f"c{j}" for j in range(width)]
+    if "quoted_header" in edits:  # a comma inside quotes is not a separator
+        header[-1] = '"c,x"'
+    if "long_header" in edits:
+        header[-1] = "c" * (csv.field_size_limit() + 1)
+    lines = [",".join(header)] + [",".join(r) for r in rows]
+    if "blank_line" in edits:
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    newline = "\r\n" if "crlf" in edits else "\n"
+    raw = (newline.join(lines) + newline).encode("utf-8")
+    return b"\xef\xbb\xbf" + raw if "bom" in edits else raw
+
+
+def load_outcome(path):
+    """load_csv's (stamps, values), or the text of the DataError it raised."""
+    try:
+        ds = load_csv(path)
+    except DataError as err:
+        return str(err)
+    return ds.timestamps, ds.values
+
+
+def assert_loaders_agree(path):
+    # load_csv as shipped against load_csv with only its row-by-row parser:
+    # the same stamps and bitwise values, or the same error message
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. loadtxt's "input contained no data"
+        fast = load_outcome(path)
+        with mock.patch.object(data, "_read_plain", side_effect=data._NotPlain):
+            slow = load_outcome(path)
+    if isinstance(slow, str):
+        assert fast == slow
+    else:
+        assert not isinstance(fast, str), fast
+        assert fast[0] == slow[0]
+        assert fast[1].shape == slow[1].shape
+        assert fast[1].tobytes() == slow[1].tobytes()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(raw=loader_csv())
+def test_fast_and_row_by_row_loaders_agree(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "series.csv"
+        path.write_bytes(raw)
+        assert_loaders_agree(path)
+
+
+@pytest.mark.parametrize("cells", ODD_CELLS + ["1.5,2.5"])
+def test_loaders_agree_on_a_lone_odd_row(tmp_path, cells):
+    # one row, so no other row's defect can hide the one under test
+    path = tmp_path / "series.csv"
+    path.write_text(f"date,a\n2020-01-01 00:00:00,{cells}\n", encoding="utf-8")
+    assert_loaders_agree(path)
 
 
 class TestSplit:

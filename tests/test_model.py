@@ -9,6 +9,7 @@ import hakan.tensor as tt
 from hakan.errors import ConfigError, DimensionError
 from hakan.model import (
     CHECKPOINT_CONFIG_KEY,
+    PREDICT_CHUNK,
     HaKanModel,
     ModelConfig,
     RevInState,
@@ -58,6 +59,29 @@ class TestChannels:
         apart = np.hstack([model.predict(x[:, [c]]) for c in range(7)])
         assert together.shape == (4, 7)
         np.testing.assert_array_equal(together, apart)
+
+    def test_chunks_at_the_benchmark_shape(self):
+        # two full chunks and a padded third; each checked channel is
+        # bit-identical alone and within float64 noise of a batch-1 forward
+        model = HaKanModel(ModelConfig(lookback=336, horizon=96, embed_dim=128,
+                                       n_blocks=3, seed=24))
+        channels = 2 * PREDICT_CHUNK + 3
+        x = np.random.default_rng(25).normal(size=(336, channels))
+        joint = model.predict(x)
+        for c in (0, channels // 2, 2 * PREDICT_CHUNK - 1, channels - 1):
+            np.testing.assert_array_equal(joint[:, c], model.predict(x[:, [c]])[:, 0])
+            with tt.no_grad():
+                batch_one = model.forward_batch(x[:, c][None]).data[0]
+            np.testing.assert_allclose(joint[:, c], batch_one, rtol=0, atol=1e-14)
+
+    def test_partial_chunk_without_revin_eps(self):
+        # the padding rows are real windows: a zero row would normalize 0/0
+        model = _tiny_model(revin_eps=0.0, seed=26)
+        x = np.random.default_rng(27).normal(size=(8, PREDICT_CHUNK + 3))
+        joint = model.predict(x)
+        assert np.isfinite(joint).all()
+        for c in range(x.shape[1]):
+            np.testing.assert_array_equal(joint[:, c], model.forward(x[:, c]))
 
 
 # ---------------------------------------------------------------- revin
@@ -415,15 +439,22 @@ class TestCheckpoint:
     n_blocks=st.integers(0, 2),
     bottleneck=st.integers(1, 10),
     degree=st.integers(0, 3),
+    mode=st.sampled_from(["kan", "linear"]),
+    intra=st.booleans(),
+    inter=st.booleans(),
 )
 def test_shape_contract_fuzz(lookback, horizon, patch_len, stride, embed_dim,
-                             n_blocks, bottleneck, degree):
+                             n_blocks, bottleneck, degree, mode, intra, inter):
     if patch_len > lookback:
         patch_len = lookback
     cfg = ModelConfig(lookback=lookback, horizon=horizon, patch_len=patch_len,
                       stride=stride, embed_dim=embed_dim, n_blocks=n_blocks,
-                      bottleneck_dim=bottleneck, degree=degree, seed=1)
+                      bottleneck_dim=bottleneck, degree=degree, mode=mode,
+                      intra_enabled=intra, inter_enabled=inter, seed=1)
     model = HaKanModel(cfg)
+    # HaKanModel.load checks a checkpoint against these before it builds the model
+    assert list(cfg.parameter_shapes().items()) == [
+        (name, t.shape) for name, t in model.named_parameters()]
     x = np.random.default_rng(0).normal(size=(2, lookback))
     with tt.no_grad():
         out = model.forward_batch(x)

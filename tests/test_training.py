@@ -187,6 +187,16 @@ class TestTrainLoop:
         assert record.epoch_stopped <= 40
         assert record.mse >= 0.0 and record.mae >= 0.0
 
+    def test_non_finite_loss_names_epoch_and_step_without_op_guards(self, monkeypatch):
+        # the per-step loss check does not rely on the tape's finiteness guards
+        monkeypatch.setattr(tt, "_check_finite", lambda arr: arr)
+        splits = synthetic_splits()
+        model = HaKanModel(tiny_train_config(seed=6))
+        spec = TrainSpec(max_epochs=2, patience=2, lr=1e300, batch_size=16, seed=6)
+        with np.errstate(all="ignore"), pytest.raises(
+                ContractError, match=r"^epoch 1 step 2: training loss is (nan|inf)$"):
+            train(model, splits, spec)
+
     def test_deterministic_given_seed(self):
         splits = synthetic_splits()
         results = []
