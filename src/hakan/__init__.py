@@ -1,7 +1,7 @@
 """Time series forecasting with Hahn-polynomial Kolmogorov-Arnold networks."""
 
 from .basis import make_basis
-from .layers import DomainMap, KanLayer
+from .layers import KanLayer
 from .model import (
     HaKanModel,
     ModelConfig,
@@ -14,7 +14,6 @@ from .training import Adam, MetricRecord, TrainSpec, grad_check, mse_loss, train
 
 __all__ = [
     "Adam",
-    "DomainMap",
     "HaKanModel",
     "KanLayer",
     "MetricRecord",

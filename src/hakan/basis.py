@@ -47,11 +47,12 @@ class Basis:
         P_r(x) = (a_r + b_r x) P_{r-1}(x) + c_r P_{r-2}(x),
 
     with (a_r, b_r, c_r) = steps[r - 2]; `make_basis` sets `p0`, `p1`,
-    `steps` and `domain`.  P_0 is a constant, so the layer folds degree 0
-    into a bias and `eval_terms` / `eval_terms_with_deriv` return degrees
-    1..degree only, stacked in one array along a new axis placed at `axis`
-    of the result (as in `np.stack`).  They run block by block over the
-    leading axes and write each block's terms straight into that array.
+    `steps` and `domain`, the interval `squash` maps the reals onto.  P_0
+    is a constant, so the layer folds degree 0 into a bias and
+    `eval_terms` / `eval_terms_with_deriv` return degrees 1..degree only,
+    stacked in one array along a new axis placed at `axis` of the result
+    (as in `np.stack`).  They run block by block over the leading axes and
+    write each block's terms straight into that array.
 
     `eval_count` tracks how many scalar basis evaluations have been
     performed; layers rely on one evaluation per input element regardless
@@ -64,6 +65,33 @@ class Basis:
     steps: list
     p0: float = 1.0
     eval_count: int = 0
+
+    def squash(self, x, slope: bool = False) -> tuple:
+        """(s, ds/dx or None): the reals mapped monotonically onto `domain` by tanh.
+
+        s = lo + (hi - lo) / 2 * (tanh(x) + 1), computed block by block
+        through one scratch array.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        flat = np.ascontiguousarray(x).reshape(-1)
+        s = np.empty_like(flat)
+        ds = np.empty_like(flat) if slope else None
+        t = np.empty(min(flat.size, block_rows(1)))
+        lo, hi = self.domain
+        half = (hi - lo) * 0.5
+        for blk in row_blocks(flat.size, 1):
+            sb = s[blk]
+            tb = t[:sb.size]
+            np.tanh(flat[blk], out=tb)
+            np.add(tb, 1.0, out=sb)  # lo + half * (t + 1)
+            sb *= half
+            sb += lo
+            if slope:  # half * (1 - t * t)
+                db = ds[blk]
+                np.multiply(tb, tb, out=db)
+                np.subtract(1.0, db, out=db)
+                db *= half
+        return s.reshape(x.shape), None if ds is None else ds.reshape(x.shape)
 
     def eval_terms(self, x, axis: int = -1) -> np.ndarray:
         """P_1(x) .. P_degree(x), stacked along `axis` of the result."""

@@ -305,24 +305,11 @@ def cmd_params(args) -> int:
 
 
 def tiny_check_config(base: ModelConfig | None = None) -> ModelConfig:
-    """Shrink a configuration to gradient-check scale (< 5000 parameters)."""
-    cfg = ModelConfig(
-        lookback=8, horizon=4, patch_len=4, stride=2, embed_dim=3,
-        n_blocks=1, bottleneck_dim=5, degree=2, hahn_n=7, seed=7,
-    )
-    if base is not None:
-        cfg = replace(
-            cfg,
-            basis=base.basis,
-            mode=base.mode,
-            hahn_a=base.hahn_a,
-            hahn_b=base.hahn_b,
-            hahn_n=base.hahn_n,
-            degree=min(base.degree, base.hahn_n),
-            intra_enabled=base.intra_enabled,
-            inter_enabled=base.inter_enabled,
-        )
-    return cfg
+    """`base` (by default a Hahn model) shrunk to gradient-check scale (< 5000 parameters)."""
+    base = base or ModelConfig(lookback=8, horizon=4, degree=2)
+    return replace(base, lookback=8, horizon=4, patch_len=4, stride=2, embed_dim=3,
+                   n_blocks=1, bottleneck_dim=5, seed=7,
+                   degree=min(base.degree, base.hahn_n))
 
 
 def cmd_gradcheck(args) -> int:

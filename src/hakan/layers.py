@@ -5,8 +5,8 @@ every input coordinate p and sums the results,
 
     out[q] = sum_p sum_r gamma[q, p, r] * P_r(s(x[p])),
 
-where s, a `DomainMap`, squashes the reals onto the basis domain with a
-tanh map.  A `linear` mode swaps the expansion for a plain bias-free
+where s, `Basis.squash`, maps the reals onto the basis domain with a
+tanh.  A `linear` mode swaps the expansion for a plain bias-free
 weight matrix so the same network can be run as an MLP variant; it and the
 model's bottleneck head both apply weights through `linear`.
 
@@ -17,55 +17,14 @@ slab), so the inter-patch layer mixes the patch axis of [B, n, d] in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
 import numpy as np
 
 from . import tensor as tt
-from .basis import Basis, block_rows, row_blocks
+from .basis import Basis, row_blocks
 from .errors import ContractError, DimensionError
 from .tensor import Tensor
-
-
-@dataclass(frozen=True)
-class DomainMap:
-    """Monotone squash of the reals onto (lo, hi) via tanh."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ContractError(f"domain map needs lo < hi, got ({self.lo}, {self.hi})")
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self._map(x, deriv=False)[0]
-
-    def apply_with_deriv(self, x: np.ndarray) -> tuple:
-        return self._map(x, deriv=True)
-
-    def _map(self, x, deriv: bool) -> tuple:
-        """The squash (and its slope), block by block through one cached scratch array."""
-        x = np.asarray(x, dtype=np.float64)
-        flat = np.ascontiguousarray(x).reshape(-1)
-        s = np.empty_like(flat)
-        ds = np.empty_like(flat) if deriv else None
-        t = np.empty(min(flat.size, block_rows(1)))
-        half = (self.hi - self.lo) * 0.5
-        for blk in row_blocks(flat.size, 1):
-            sb = s[blk]
-            tb = t[:sb.size]
-            np.tanh(flat[blk], out=tb)
-            np.add(tb, 1.0, out=sb)  # lo + half * (t + 1)
-            sb *= half
-            sb += self.lo
-            if deriv:  # half * (1 - t * t)
-                db = ds[blk]
-                np.multiply(tb, tb, out=db)
-                np.subtract(1.0, db, out=db)
-                db *= half
-        return s.reshape(x.shape), None if ds is None else ds.reshape(x.shape)
 
 
 def _contract(v: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
@@ -144,10 +103,8 @@ class KanLayer:
         self.basis = basis
         k = np.sqrt(1.0 / in_dim)
         if mode == "kan":
-            self.squash = DomainMap(*basis.domain)
             init = rng.normal(0.0, k, size=(out_dim, in_dim, basis.degree + 1))
         else:
-            self.squash = None
             init = rng.uniform(-k, k, size=(out_dim, in_dim))
         self.gamma = Tensor(init, requires_grad=True)
 
@@ -170,10 +127,10 @@ class KanLayer:
         gamma, axis, degree = self.gamma, self.axis, self.basis.degree
         need_grad = tt.grad_enabled() and (x.requires_grad or gamma.requires_grad)
         if need_grad:
-            s, dsdx = self.squash.apply_with_deriv(x.data)
+            s, dsdx = self.basis.squash(x.data, slope=True)
             vals, ders = self.basis.eval_terms_with_deriv(s, axis=axis - 1)
         else:
-            vals = self.basis.eval_terms(self.squash.apply(x.data), axis=axis - 1)
+            vals = self.basis.eval_terms(self.basis.squash(x.data)[0], axis=axis - 1)
         k = degree * self.in_dim
         stacked = vals.reshape(x.shape[:axis] + (k,) + x.shape[axis:][1:])
         weight = gamma.data[:, :, 1:].transpose(0, 2, 1).reshape(self.out_dim, k)

@@ -20,6 +20,7 @@ import numbers
 import zipfile
 import zlib
 from dataclasses import asdict, dataclass, fields
+from math import prod
 
 import numpy as np
 
@@ -80,6 +81,9 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.n_blocks < 0:
             raise ConfigError("n_blocks must be >= 0")
+        if self.n_blocks and not (self.intra_enabled or self.inter_enabled):
+            raise ConfigError(f"intra_enabled and inter_enabled are both false, so "
+                              f"each of the {self.n_blocks} blocks would hold no layer")
         if self.mode not in ("kan", "linear"):
             raise ConfigError(f"mode must be kan or linear, got {self.mode!r}")
         if self.n_patches < 2:
@@ -166,7 +170,8 @@ class HahnKanBlock:
 
     Both layers take [B, n, d]: intra contracts the embedding axis d and
     inter the patch axis n, in place.  A disabled layer is replaced by the
-    identity map and owns no parameters.
+    identity map and owns no parameters; `ModelConfig.validate` leaves
+    every block at least one layer.
     """
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
@@ -198,15 +203,13 @@ class HaKanModel:
         self.w_up = Tensor(_uniform(rng, h, (t, h)), requires_grad=True)
 
     def named_parameters(self) -> list:
-        items = [("w_p", self.w_p), ("w_pos", self.w_pos)]
-        for i, block in enumerate(self.blocks):
-            if block.intra is not None:
-                items.append((f"block.{i}.intra.gamma", block.intra.gamma))
-            if block.inter is not None:
-                items.append((f"block.{i}.inter.gamma", block.inter.gamma))
-        items.append(("w_down", self.w_down))
-        items.append(("w_up", self.w_up))
-        return items
+        """The names of `parameter_shapes` paired with the tensors in build order."""
+        gammas = [layer.gamma for block in self.blocks
+                  for layer in (block.intra, block.inter) if layer is not None]
+        tensors = [self.w_p, self.w_pos, *gammas, self.w_down, self.w_up]
+        shapes = self.config.parameter_shapes()
+        _expect([t.shape for t in tensors] == list(shapes.values()), "parameter shapes")
+        return list(zip(shapes, tensors))
 
     def parameters(self) -> list:
         return [t for _, t in self.named_parameters()]
@@ -303,7 +306,8 @@ class HaKanModel:
             config = ModelConfig(**{k: v for k, v in raw.items() if k in known}).validate()
         except (ValueError, TypeError, AttributeError, ConfigError) as err:
             raise DataError(f"{path}: {CHECKPOINT_CONFIG_KEY} builds no model: {err}")
-        # parameter_shapes loops over the blocks, so their count comes first
+        # parameter_shapes loops over the blocks, so their count comes first;
+        # validate leaves every block at least one key
         layers = bool(config.intra_enabled) + bool(config.inter_enabled)
         block_keys = sum(key.startswith("block.") for key in archive.files)
         if config.n_blocks * layers != block_keys:
@@ -353,13 +357,13 @@ def _expect(cond: bool, what: str) -> None:
 def count_breakdown(config: ModelConfig) -> list:
     """Per-component parameter counts of the model a configuration builds.
 
-    Each block gets one line, even when both of its layers are disabled.
+    Fails wherever building that model fails, but allocates none of it.
     """
-    model = HaKanModel(config)
-    items = [("w_p", model.w_p.size), ("w_pos", model.w_pos.size)]
-    for i, block in enumerate(model.blocks):
-        layers = [layer for layer in (block.intra, block.inter) if layer is not None]
-        items.append((f"block.{i}", sum(layer.gamma.size for layer in layers)))
-    items.append(("w_down", model.w_down.size))
-    items.append(("w_up", model.w_up.size))
-    return items
+    config.validate()
+    if config.n_blocks:  # only blocks build the basis, so only they can fail on it
+        config.make_basis()
+    counts = {}
+    for name, shape in config.parameter_shapes().items():
+        group = ".".join(name.split(".")[:2])  # block.{i}.* -> block.{i}
+        counts[group] = counts.get(group, 0) + prod(shape)
+    return list(counts.items())

@@ -47,15 +47,16 @@ class _Node:
 
 
 class Tensor:
-    """A dense real-valued array with an optional gradient buffer."""
+    """A dense real-valued array with an optional gradient buffer.
+
+    Construction checks no values: NaN or Inf in the data fails at the
+    first op that reads it, whose result `_make` checks.
+    """
 
     __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise ContractError("tensor holds non-finite values")
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
 

@@ -57,6 +57,8 @@ class Adam:
             g = p.grad
             self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
             self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
+            if not np.isfinite(self.v[i].max()):
+                raise ContractError("adam second moment is not finite")
             m_hat = self.m[i] / bc1
             v_hat = self.v[i] / bc2
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
@@ -246,8 +248,7 @@ def grad_check(config: ModelConfig, step: float = 1e-5, n_windows: int = 3,
 
     def loss_value() -> float:
         with tt.no_grad():
-            pred = model.forward_batch(x).data
-        return float(np.mean((pred - y) ** 2))
+            return mse_loss(model.forward_batch(x), truth).item()
 
     report = {}
     for name, t in model.named_parameters():

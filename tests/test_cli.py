@@ -14,7 +14,7 @@ from hakan import cli
 from hakan.config import RunConfig, load_config, parse_config, serialize_config
 from hakan.data import SplitSpec, load_csv, prepare, window_count
 from hakan.errors import ConfigError
-from hakan.model import HaKanModel, ModelConfig
+from hakan.model import HaKanModel, HahnKanBlock, ModelConfig
 from hakan.training import TrainSpec
 
 from helpers import REPO_ROOT, write_synthetic_csv
@@ -165,6 +165,17 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err == ("numeric error: epoch 1 step 2: "
                        "operation produced non-finite values\n")
+        assert not (out_dir / "metrics.csv").exists()
+
+    def test_adam_overflow_names_epoch_and_step(self, tiny_run, capsys):
+        # the gradients stay finite, but their squares overflow Adam's
+        # second moment before any forward does
+        cfg_path, _, out_dir = tiny_run
+        with np.errstate(over="ignore"):
+            code = cli.main(["train", "--config", str(cfg_path), "--lr", "1e30"])
+        assert code == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err == "numeric error: epoch 1 step 3: adam second moment is not finite\n"
         assert not (out_dir / "metrics.csv").exists()
 
     def test_missing_dataset_exits_data_code(self, tiny_run, tmp_path):
@@ -442,12 +453,14 @@ class TestEvalCommand:
         ("config_huge_size", "key w_down: shape (6, 32) != (1000000000000000, 32)"),
         ("config_huge_blocks", "n_blocks 1000000000 does not match the 2 block keys"),
         ("config_huge_float", "int too large to convert to float"),
+        ("config_empty_blocks", "intra_enabled and inter_enabled are both false"),
         ("str_dtype", "checkpoint key w_up holds <U"),
         ("complex_dtype", "checkpoint key w_up holds complex128"),
         ("nan_value", "checkpoint key w_up holds float64"),
         ("inf_value", "checkpoint key w_up holds float64"),
     ])
-    def test_damaged_checkpoint_exits_data_code(self, tiny_run, capsys, damage, message):
+    def test_damaged_checkpoint_exits_data_code(self, tiny_run, capsys, monkeypatch,
+                                                damage, message):
         cfg_path, _, out_dir = tiny_run
         out_dir.mkdir(parents=True, exist_ok=True)
         ckpt = out_dir / "damaged.npz"
@@ -474,7 +487,16 @@ class TestEvalCommand:
                 "config_huge_size": json.dumps({**stored, "bottleneck_dim": 10**15}),
                 "config_huge_blocks": json.dumps({**stored, "n_blocks": 10**9}),
                 "config_huge_float": json.dumps({**stored, "hahn_a": 10**400}),
+                "config_empty_blocks": json.dumps({**stored, "n_blocks": 10**6,
+                                                   "intra_enabled": False,
+                                                   "inter_enabled": False}),
             }[damage])
+            if damage == "config_empty_blocks":
+                # blocks without a layer store no keys; the config is refused
+                # before the first of them is built
+                arrays = {k: v for k, v in arrays.items() if not k.startswith("block.")}
+                monkeypatch.setattr(HahnKanBlock, "__init__",
+                                    lambda *_: pytest.fail("a block was built"))
             np.savez(ckpt, **arrays)
         elif damage == "object_array":
             arrays["w_up"] = np.array([{"w": 1}], dtype=object)
@@ -602,6 +624,8 @@ class TestParamsCommand:
         (["model.degree = 9", "model.hahn_n = 7"], "degree 9 exceeds n=7"),
         (["model.basis = bspline"], "bspline"),
         (["model.hahn_a = -3"], "a > -1"),
+        (["model.intra = false", "model.inter = false", "--blocks", "1000000"],
+         "intra_enabled and inter_enabled are both false"),
     ])
     def test_invalid_model_exits_config_code(self, capsys, tmp_path, flags, field):
         # the same settings that make `train` exit 2; keys without a flag

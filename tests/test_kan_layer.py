@@ -6,7 +6,7 @@ import pytest
 import hakan.tensor as tt
 from hakan.basis import make_basis
 from hakan.errors import ContractError, DimensionError
-from hakan.layers import DomainMap, KanLayer
+from hakan.layers import KanLayer
 from hakan.tensor import Tensor
 
 from helpers import eval_all
@@ -19,31 +19,30 @@ def hahn_layer(in_dim, out_dim, degree=3, seed=0, n=7):
 
 
 class TestSquash:
+    # Hahn(n = 7) lives on [0, 7], Chebyshev on [-1, 1]
     def test_midpoint(self):
-        assert DomainMap(0.0, 7.0).apply(0.0) == pytest.approx(3.5, abs=1e-14)
+        s, _ = make_basis("hahn", 3).squash(0.0)
+        assert s == pytest.approx(3.5, abs=1e-14)
 
     def test_saturation(self):
-        high = DomainMap(0.0, 7.0).apply(15.0)
+        basis = make_basis("hahn", 3)
+        high = basis.squash(15.0)[0]
         assert high < 7.0
         assert high == pytest.approx(7.0, abs=1e-9)
-        assert DomainMap(0.0, 7.0).apply(-15.0) > 0.0
+        assert basis.squash(-15.0)[0] > 0.0
 
     def test_derivative_at_zero(self):
-        dm = DomainMap(0.0, 7.0)
-        _, ds = dm.apply_with_deriv(np.array(0.0))
+        basis = make_basis("hahn", 3)
+        _, ds = basis.squash(np.array(0.0), slope=True)
         assert ds == pytest.approx(3.5, abs=1e-14)
         step = 1e-6
-        fd = (dm.apply(np.array(step)) - dm.apply(np.array(-step))) / (2 * step)
+        fd = (basis.squash(np.array(step))[0] - basis.squash(np.array(-step))[0]) / (2 * step)
         assert abs(ds - fd) < 1e-8
 
     def test_monotone(self):
         xs = np.linspace(-4, 4, 101)
-        ys = DomainMap(-1.0, 1.0).apply(xs)
+        ys, _ = make_basis("chebyshev", 3).squash(xs)
         assert np.all(np.diff(ys) > 0)
-
-    def test_invalid_interval(self):
-        with pytest.raises(ContractError):
-            DomainMap(1.0, 1.0)
 
 
 class TestKanForward:

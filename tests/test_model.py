@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hakan.tensor as tt
-from hakan.errors import ConfigError, DimensionError
+from hakan.errors import ConfigError, ContractError, DimensionError
 from hakan.model import (
     CHECKPOINT_CONFIG_KEY,
     PREDICT_CHUNK,
@@ -337,6 +337,13 @@ class TestForward:
         with pytest.raises(DimensionError):
             _tiny_model().forward(np.zeros(9))
 
+    def test_nan_window_rejected(self):
+        # the window becomes a Tensor unchecked; the embedding product is checked
+        x = np.random.default_rng(20).normal(size=(8, 2))
+        x[3, 1] = np.nan
+        with pytest.raises(ContractError, match="non-finite"):
+            _tiny_model().predict(x)
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
             ModelConfig(lookback=8, horizon=4, patch_len=16, stride=8).validate()
@@ -451,6 +458,10 @@ def test_shape_contract_fuzz(lookback, horizon, patch_len, stride, embed_dim,
                       stride=stride, embed_dim=embed_dim, n_blocks=n_blocks,
                       bottleneck_dim=bottleneck, degree=degree, mode=mode,
                       intra_enabled=intra, inter_enabled=inter, seed=1)
+    if n_blocks and not (intra or inter):  # a block with no layer
+        with pytest.raises(ConfigError, match="intra_enabled and inter_enabled"):
+            HaKanModel(cfg)
+        return
     model = HaKanModel(cfg)
     # HaKanModel.load checks a checkpoint against these before it builds the model
     assert list(cfg.parameter_shapes().items()) == [
