@@ -14,6 +14,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .config import (
     RunConfig,
     find_key,
@@ -59,7 +61,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        # every non-finite value is caught by an op guard, the loss check,
+        # Adam's check or evaluate, so numpy's own warnings would only repeat it
+        with np.errstate(all="ignore"):
+            return args.handler(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -127,10 +127,15 @@ def revin_normalize(x: np.ndarray, eps: float = 1e-5) -> tuple:
 
 
 def revin_denormalize(pred, state: RevInState):
-    """Undo revin_normalize; a Tensor `pred` stays differentiable."""
+    """Undo revin_normalize; a Tensor `pred` becomes one differentiable node."""
+    scale = state.std + state.eps
     if not isinstance(pred, Tensor):
-        pred = np.asarray(pred, dtype=np.float64)
-    return pred * (state.std + state.eps) + state.mean
+        return np.asarray(pred, dtype=np.float64) * scale + state.mean
+
+    def back(g):
+        pred.accumulate_grad(g * scale)
+
+    return tt._make(pred.data * scale + state.mean, (pred,), back)
 
 
 # patching -------------------------------------------------------------------
@@ -160,9 +165,25 @@ def make_patches(x: np.ndarray, patch_len: int, stride: int) -> np.ndarray:
 # embedding and blocks --------------------------------------------------------
 
 
-def embed(patches: Tensor, w_p: Tensor, w_pos: Tensor) -> Tensor:
-    """Project patches to the embedding width and add the position table."""
-    return tt.matmul(patches, w_p) + w_pos
+def embed(patches: np.ndarray, w_p: Tensor, w_pos: Tensor) -> Tensor:
+    """Project patches [n, p] or [B, n, p] by w_p [p, d] and add w_pos [n, d].
+
+    One node; the patches are data, so only w_p and w_pos get gradients.
+    """
+    if patches.shape[-2:] != (w_pos.shape[0], w_p.shape[0]):
+        raise DimensionError(f"embed: patches {patches.shape} do not fit "
+                             f"w_p {w_p.shape} and w_pos {w_pos.shape}")
+    out = np.matmul(patches, w_p.data)
+    out += w_pos.data
+
+    def back(g):
+        if w_p.requires_grad:
+            rows = patches.reshape(-1, w_p.shape[0])
+            w_p.accumulate_grad(rows.T @ g.reshape(-1, w_p.shape[1]))
+        if w_pos.requires_grad:
+            w_pos.accumulate_grad(g.reshape((-1,) + w_pos.shape).sum(axis=0))
+
+    return tt._make(out, (w_p, w_pos), back)
 
 
 class HahnKanBlock:
@@ -196,11 +217,15 @@ class HaKanModel:
         rng = np.random.default_rng(config.seed)
         n, p = config.n_patches, config.patch_len
         d, h, t = config.embed_dim, config.bottleneck_dim, config.horizon
-        self.w_p = Tensor(_uniform(rng, p, (p, d)), requires_grad=True)
-        self.w_pos = Tensor(rng.normal(0.0, 0.02, size=(n, d)), requires_grad=True)
-        self.blocks = [HahnKanBlock(config, rng) for _ in range(config.n_blocks)]
-        self.w_down = Tensor(_uniform(rng, n * d, (h, n * d)), requires_grad=True)
-        self.w_up = Tensor(_uniform(rng, h, (t, h)), requires_grad=True)
+        try:
+            self.w_p = Tensor(_uniform(rng, p, (p, d)), requires_grad=True)
+            self.w_pos = Tensor(rng.normal(0.0, 0.02, size=(n, d)), requires_grad=True)
+            self.blocks = [HahnKanBlock(config, rng) for _ in range(config.n_blocks)]
+            self.w_down = Tensor(_uniform(rng, n * d, (h, n * d)), requires_grad=True)
+            self.w_up = Tensor(_uniform(rng, h, (t, h)), requires_grad=True)
+        except MemoryError:
+            count = sum(prod(shape) for shape in config.parameter_shapes().values())
+            raise ConfigError(f"the model's {count:,} parameters do not fit in memory")
 
     def named_parameters(self) -> list:
         """The names of `parameter_shapes` paired with the tensors in build order."""
@@ -233,7 +258,7 @@ class HaKanModel:
         patches = make_patches(normed, cfg.patch_len, cfg.stride)
         _expect(patches.shape == (x.shape[0], cfg.n_patches, cfg.patch_len),
                 "patch stack shape")
-        h = embed(Tensor(patches), self.w_p, self.w_pos)
+        h = embed(patches, self.w_p, self.w_pos)
         for block in self.blocks:
             h = block.forward(h)
         _expect(h.shape == (x.shape[0], cfg.n_patches, cfg.embed_dim),
@@ -293,36 +318,20 @@ class HaKanModel:
         model it names.
         """
         try:
-            archive = np.load(path, allow_pickle=False)
+            fh = open(path, "rb")
         except FileNotFoundError:
             raise DataError(f"checkpoint not found: {path}")
-        except (OSError, ValueError, EOFError, zipfile.BadZipFile) as err:
+        except OSError as err:
             raise DataError(f"{path} is not a readable checkpoint: {err}")
-        if CHECKPOINT_CONFIG_KEY not in archive:
-            raise DataError(f"{path} is not a model checkpoint")
-        known = {f.name for f in fields(ModelConfig)}
-        try:
-            raw = json.loads(str(_read_key(archive, path, CHECKPOINT_CONFIG_KEY)))
-            config = ModelConfig(**{k: v for k, v in raw.items() if k in known}).validate()
-        except (ValueError, TypeError, AttributeError, ConfigError) as err:
-            raise DataError(f"{path}: {CHECKPOINT_CONFIG_KEY} builds no model: {err}")
-        # parameter_shapes loops over the blocks, so their count comes first;
-        # validate leaves every block at least one key
-        layers = bool(config.intra_enabled) + bool(config.inter_enabled)
-        block_keys = sum(key.startswith("block.") for key in archive.files)
-        if config.n_blocks * layers != block_keys:
-            raise DataError(f"{path}: {CHECKPOINT_CONFIG_KEY} n_blocks {config.n_blocks} "
-                            f"does not match the {block_keys} block keys stored")
-        params = {}
-        for name, shape in config.parameter_shapes().items():
-            stored = _read_key(archive, path, name)
-            if stored.dtype.kind not in "fiu" or not np.isfinite(stored).all():
-                raise DataError(f"{path}: checkpoint key {name} holds {stored.dtype} "
-                                f"values that are not all finite real numbers")
-            if stored.shape != shape:
-                raise DataError(f"{path}: checkpoint key {name}: shape {stored.shape} "
-                                f"!= {shape}")
-            params[name] = stored.astype(np.float64)
+        with fh:
+            try:
+                archive = np.load(fh, allow_pickle=False)
+            except (OSError, ValueError, EOFError, zipfile.BadZipFile) as err:
+                raise DataError(f"{path} is not a readable checkpoint: {err}")
+            if not isinstance(archive, np.lib.npyio.NpzFile):  # a .npy array
+                raise DataError(f"{path} is not a model checkpoint")
+            with archive:
+                config, params = _read_checkpoint(archive, path)
         try:  # OverflowError: a float field stored as an int past float range
             model = cls(config)
         except (ValueError, TypeError, OverflowError, ConfigError) as err:
@@ -330,6 +339,36 @@ class HaKanModel:
         for name, t in model.named_parameters():
             t.data = params[name]
         return model
+
+
+def _read_checkpoint(archive, path) -> tuple:
+    """(ModelConfig, {name: float64 array}) read and checked from an open archive."""
+    if CHECKPOINT_CONFIG_KEY not in archive:
+        raise DataError(f"{path} is not a model checkpoint")
+    known = {f.name for f in fields(ModelConfig)}
+    try:
+        raw = json.loads(str(_read_key(archive, path, CHECKPOINT_CONFIG_KEY)))
+        config = ModelConfig(**{k: v for k, v in raw.items() if k in known}).validate()
+    except (ValueError, TypeError, AttributeError, ConfigError) as err:
+        raise DataError(f"{path}: {CHECKPOINT_CONFIG_KEY} builds no model: {err}")
+    # parameter_shapes loops over the blocks, so their count comes first;
+    # validate leaves every block at least one key
+    layers = bool(config.intra_enabled) + bool(config.inter_enabled)
+    block_keys = sum(key.startswith("block.") for key in archive.files)
+    if config.n_blocks * layers != block_keys:
+        raise DataError(f"{path}: {CHECKPOINT_CONFIG_KEY} n_blocks {config.n_blocks} "
+                        f"does not match the {block_keys} block keys stored")
+    params = {}
+    for name, shape in config.parameter_shapes().items():
+        stored = _read_key(archive, path, name)
+        if stored.dtype.kind not in "fiu" or not np.isfinite(stored).all():
+            raise DataError(f"{path}: checkpoint key {name} holds {stored.dtype} "
+                            f"values that are not all finite real numbers")
+        if stored.shape != shape:
+            raise DataError(f"{path}: checkpoint key {name}: shape {stored.shape} "
+                            f"!= {shape}")
+        params[name] = stored.astype(np.float64)
+    return config, params
 
 
 def _read_key(archive, path, key: str) -> np.ndarray:

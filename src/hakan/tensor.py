@@ -79,7 +79,10 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        g = _unbroadcast(g, self.data.shape)
+        if g.shape != self.data.shape:
+            raise ContractError(
+                f"gradient of shape {g.shape} for a tensor of shape {self.shape}"
+            )
         if self.grad is None:
             # a C-ordered copy, never `g` itself: one backward may hand the
             # same array to several parents (add), and grads are updated in
@@ -97,36 +100,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
     def reshape(self, *shape):
         return reshape(self, *shape)
 
     def sum(self):
         return tensor_sum(self)
-
-    def mean(self):
-        return tensor_mean(self)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a gradient over axes that numpy broadcast during the forward op."""
-    if g.shape == shape:
-        return g
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, extent in enumerate(shape):
-        if extent == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
 
 
 def backward(root: Tensor) -> None:
@@ -162,7 +140,9 @@ def _make(data, parents, backward_fn) -> Tensor:
     """Wrap an op's result and attach it to the tape.
 
     `backward_fn(g)` must accumulate into each requires_grad parent.  Every
-    op, the fused KAN layer included, creates its result here.
+    op creates its result here, the fused nodes outside this module too:
+    `layers.linear`, the KAN layer, the embedding, RevIN's inverse and the
+    loss.
     """
     out = Tensor.__new__(Tensor)
     out.data = _check_finite(np.asarray(data, dtype=np.float64))
@@ -177,12 +157,10 @@ def _make(data, parents, backward_fn) -> Tensor:
 # operations ---------------------------------------------------------------
 
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        data = a.data + b.data
-    except ValueError:
-        raise DimensionError(f"add: shapes {a.shape} and {b.shape} do not align")
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of two tensors of one shape."""
+    if a.shape != b.shape:
+        raise DimensionError(f"add: shapes {a.shape} and {b.shape} differ")
 
     def back(g):
         if a.requires_grad:
@@ -190,62 +168,10 @@ def add(a, b) -> Tensor:
         if b.requires_grad:
             b.accumulate_grad(g)
 
-    return _make(data, (a, b), back)
+    return _make(a.data + b.data, (a, b), back)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise DimensionError(f"sub: shapes {a.shape} and {b.shape} do not align")
-
-    def back(g):
-        if a.requires_grad:
-            a.accumulate_grad(g)
-        if b.requires_grad:
-            b.accumulate_grad(-g)
-
-    return _make(data, (a, b), back)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise DimensionError(f"mul: shapes {a.shape} and {b.shape} do not align")
-
-    def back(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * b.data)
-        if b.requires_grad:
-            b.accumulate_grad(g * a.data)
-
-    return _make(data, (a, b), back)
-
-
-def matmul(a, b) -> Tensor:
-    """Matrix product.  `a` may carry one leading batch axis; `b` is a matrix."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim not in (2, 3) or b.ndim != 2 or a.shape[-1] != b.shape[0]:
-        raise DimensionError(
-            f"matmul: cannot multiply shapes {a.shape} and {b.shape}"
-        )
-    data = np.matmul(a.data, b.data)
-
-    def back(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.matmul(g, b.data.T))
-        if b.requires_grad:
-            lhs = a.data.reshape(-1, a.shape[-1])
-            b.accumulate_grad(lhs.T @ g.reshape(-1, g.shape[-1]))
-
-    return _make(data, (a, b), back)
-
-
-def reshape(a, *shape) -> Tensor:
-    a = _as_tensor(a)
+def reshape(a: Tensor, *shape) -> Tensor:
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
     try:
@@ -260,23 +186,9 @@ def reshape(a, *shape) -> Tensor:
     return _make(data, (a,), back)
 
 
-def tensor_sum(a) -> Tensor:
-    a = _as_tensor(a)
-
+def tensor_sum(a: Tensor) -> Tensor:
     def back(g):
         if a.requires_grad:
             a.accumulate_grad(np.broadcast_to(g, a.shape))
 
     return _make(a.data.sum(), (a,), back)
-
-
-def tensor_mean(a) -> Tensor:
-    a = _as_tensor(a)
-    inv = 1.0 / a.size
-
-    def back(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.broadcast_to(g * inv, a.shape))
-
-    return _make(a.data.mean(), (a,), back)
-

@@ -25,12 +25,22 @@ logger = logging.getLogger(__name__)
 
 
 def mse_loss(pred: Tensor, truth) -> Tensor:
-    """Mean squared error over every element; differentiable."""
-    truth = truth if isinstance(truth, Tensor) else Tensor(truth)
+    """Mean squared error over every element, one node differentiable in `pred`.
+
+    `truth` (a Tensor or an array) is data.  The backward adds g/n * diff
+    to itself, the bits of 2 g/n * diff that a square node would give.
+    """
+    truth = truth.data if isinstance(truth, Tensor) else np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape:
         raise DimensionError(f"mse_loss: shapes {pred.shape} vs {truth.shape}")
-    diff = pred - truth
-    return (diff * diff).mean()
+    diff = pred.data - truth
+    inv = 1.0 / diff.size
+
+    def back(g):
+        half = (g * inv) * diff
+        pred.accumulate_grad(half + half)
+
+    return tt._make((diff * diff).mean(), (pred,), back)
 
 
 class Adam:
@@ -165,7 +175,10 @@ def evaluate(model: HaKanModel, splits: DatasetSplits, bounds,
             sq_sum += float(np.sum(diff * diff))
             abs_sum += float(np.sum(np.abs(diff)))
             count += diff.size
-    return sq_sum / count, abs_sum / count
+    mse, mae = sq_sum / count, abs_sum / count
+    if not np.isfinite([mse, mae]).all():
+        raise ContractError(f"evaluation metrics are not finite: mse {mse}, mae {mae}")
+    return mse, mae
 
 
 def train(model: HaKanModel, splits: DatasetSplits, spec: TrainSpec) -> tuple:
@@ -188,13 +201,14 @@ def train(model: HaKanModel, splits: DatasetSplits, spec: TrainSpec) -> tuple:
             x, y = _gather(splits.values, splits.train.start, origins[sel],
                            chans[sel], cfg.lookback, cfg.horizon)
             try:
-                loss = mse_loss(model.forward_batch(x), Tensor(y))
+                loss = mse_loss(model.forward_batch(x), y)
                 value = loss.item()
                 if not np.isfinite(value):
                     raise ContractError(f"training loss is {value}")
                 tt.backward(loss)
                 optimizer.step()
             except ContractError as err:
+                tt._tape().clear()  # the failed step's nodes, as backward frees them
                 raise ContractError(f"epoch {epoch} step {step}: {err}") from err
             optimizer.zero_grad()
             loss_sum += value * sel.size
@@ -238,9 +252,8 @@ def grad_check(config: ModelConfig, step: float = 1e-5, n_windows: int = 3,
     rng = np.random.default_rng(seed)
     x = rng.uniform(-2.0, 2.0, size=(n_windows, config.lookback))
     y = rng.uniform(-2.0, 2.0, size=(n_windows, config.horizon))
-    truth = Tensor(y)
 
-    loss = mse_loss(model.forward_batch(x), truth)
+    loss = mse_loss(model.forward_batch(x), y)
     tt.backward(loss)
     analytic = {name: t.grad.copy() for name, t in model.named_parameters()}
     for p in model.parameters():
@@ -248,7 +261,7 @@ def grad_check(config: ModelConfig, step: float = 1e-5, n_windows: int = 3,
 
     def loss_value() -> float:
         with tt.no_grad():
-            return mse_loss(model.forward_batch(x), truth).item()
+            return mse_loss(model.forward_batch(x), y).item()
 
     report = {}
     for name, t in model.named_parameters():

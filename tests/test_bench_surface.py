@@ -44,7 +44,7 @@ def test_traced_step_records_every_target(tmp_path):
         forecast = model.predict(splits.values[:cfg.lookback])
         isolated = harness.isolated_kan_backward(model, inputs)
     assert forecast.shape == (cfg.horizon, 3)
-    assert nodes == 10 + 3 * cfg.n_blocks
+    assert nodes == 6 + 3 * cfg.n_blocks
     assert sorted(isolated) == ["inter", "intra"]
     recorded = {span.name for span in tracer.spans}
     missing = [name for _, _, name in targets if name not in recorded]

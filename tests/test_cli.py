@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hakan.tensor as tt
 from hakan import cli
 from hakan.config import RunConfig, load_config, parse_config, serialize_config
 from hakan.data import SplitSpec, load_csv, prepare, window_count
@@ -159,24 +160,52 @@ class TestTrainCommand:
         # the first Adam step moves every weight by ~lr, so the second
         # forward overflows and the op guard stops training
         cfg_path, _, out_dir = tiny_run
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = cli.main(["train", "--config", str(cfg_path), "--lr", "1e300"])
+        code = cli.main(["train", "--config", str(cfg_path), "--lr", "1e300"])
         assert code == cli.EXIT_NUMERIC
         err = capsys.readouterr().err
         assert err == ("numeric error: epoch 1 step 2: "
                        "operation produced non-finite values\n")
         assert not (out_dir / "metrics.csv").exists()
+        assert not tt._tape()  # the failed step's nodes are freed
 
     def test_adam_overflow_names_epoch_and_step(self, tiny_run, capsys):
         # the gradients stay finite, but their squares overflow Adam's
         # second moment before any forward does
         cfg_path, _, out_dir = tiny_run
-        with np.errstate(over="ignore"):
-            code = cli.main(["train", "--config", str(cfg_path), "--lr", "1e30"])
+        code = cli.main(["train", "--config", str(cfg_path), "--lr", "1e30"])
         assert code == cli.EXIT_NUMERIC
         err = capsys.readouterr().err
         assert err == "numeric error: epoch 1 step 3: adam second moment is not finite\n"
         assert not (out_dir / "metrics.csv").exists()
+
+    def test_non_finite_test_metric_exits_numeric_code(self, tiny_run, capsys):
+        # finite values whose squared test errors sum past float range
+        cfg_path, data, out_dir = tiny_run
+        lines = data.read_text().splitlines()
+        for i in range(len(lines) - 10, len(lines)):
+            stamp, _, *rest = lines[i].split(",")
+            lines[i] = ",".join([stamp, "3e153", *rest])
+        data.write_text("\n".join(lines) + "\n")
+        assert cli.main(["train", "--config", str(cfg_path)]) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: evaluation metrics are not finite: mse inf")
+        assert len(err.splitlines()) == 1
+        assert not (out_dir / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--horizon", "1000000000000"], None),
+        ([], "model.embed_dim = 1000000000000"),
+    ], ids=["horizon", "embed_dim"])
+    def test_absurd_model_size_exits_config_code(self, tiny_run, capsys, flags, key):
+        # sizes whose first parameter allocation fails at once
+        cfg_path, _, _ = tiny_run
+        if key:
+            cfg_path.write_text(cfg_path.read_text() + key + "\n")
+        code = cli.main(["train", "--config", str(cfg_path), *flags])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the model's ") and "do not fit in memory" in err
+        assert len(err.splitlines()) == 1
 
     def test_missing_dataset_exits_data_code(self, tiny_run, tmp_path):
         cfg_path, _, _ = tiny_run
@@ -445,6 +474,7 @@ class TestEvalCommand:
         ("not_a_zip", "is not a readable checkpoint"),
         ("truncated", "is not a readable checkpoint"),
         ("empty", "is not a readable checkpoint"),
+        ("npy_array", "is not a model checkpoint"),
         ("object_array", "checkpoint key w_up is unreadable"),
         ("config_not_json", "__model_config__"),
         ("config_not_object", "__model_config__"),
@@ -476,6 +506,9 @@ class TestEvalCommand:
             ckpt.write_bytes(ckpt.read_bytes()[:-100])
         elif damage == "empty":
             ckpt.write_bytes(b"")
+        elif damage == "npy_array":  # a bare array holding the config key's name
+            with ckpt.open("wb") as fh:
+                np.save(fh, np.array(["__model_config__"]))
         elif damage.startswith("config_"):
             stored = json.loads(str(arrays["__model_config__"]))
             arrays["__model_config__"] = np.array({

@@ -20,8 +20,10 @@ from hakan.model import (
     revin_normalize,
 )
 from hakan.tensor import Tensor
+from hakan.training import mse_loss
 
 from helpers import closed_form
+from test_tensor import fd_check
 
 
 # ---------------------------------------------------------------- channels
@@ -113,6 +115,16 @@ class TestRevin:
         out = revin_denormalize(np.array([1.0, -2.0]), RevInState(0.0, 1.0, 1e-5))
         np.testing.assert_allclose(out, [1.0 + 1e-5, -2.0 - 2e-5], atol=1e-12)
 
+    def test_tensor_denormalize_matches_array_and_finite_differences(self):
+        rng = np.random.default_rng(3)
+        _, state = revin_normalize(rng.normal(2.0, 3.0, size=(4, 20)))
+        pred = Tensor(rng.uniform(-2, 2, (4, 5)), requires_grad=True)
+        np.testing.assert_array_equal(revin_denormalize(pred, state).data,
+                                      revin_denormalize(pred.data, state))
+        target = rng.normal(size=(4, 5))
+        fd_check(lambda: mse_loss(revin_denormalize(pred, state), target), [pred],
+                 tol=1e-6)
+
 
 # ---------------------------------------------------------------- patching
 
@@ -155,22 +167,38 @@ class TestPatching:
 
 class TestEmbed:
     def test_all_zero(self):
-        out = embed(Tensor(np.ones((3, 4))), Tensor(np.zeros((4, 2))),
-                    Tensor(np.zeros((3, 2))))
+        out = embed(np.ones((3, 4)), Tensor(np.zeros((4, 2))), Tensor(np.zeros((3, 2))))
         np.testing.assert_array_equal(out.data, np.zeros((3, 2)))
 
     def test_zero_projection_returns_positions(self):
         pos = np.random.default_rng(4).normal(size=(3, 2))
-        out = embed(Tensor(np.ones((3, 4))), Tensor(np.zeros((4, 2))), Tensor(pos))
+        out = embed(np.ones((3, 4)), Tensor(np.zeros((4, 2))), Tensor(pos))
         np.testing.assert_array_equal(out.data, pos)
 
     def test_matches_direct_recomputation(self):
         rng = np.random.default_rng(5)
-        patches = rng.normal(size=(6, 4))
         w_p = rng.normal(size=(4, 3))
         w_pos = rng.normal(size=(6, 3))
-        out = embed(Tensor(patches), Tensor(w_p), Tensor(w_pos))
-        np.testing.assert_allclose(out.data, patches @ w_p + w_pos, atol=1e-12)
+        for shape in [(6, 4), (5, 6, 4)]:  # every window of a batch gets w_pos
+            patches = rng.normal(size=shape)
+            out = embed(patches, Tensor(w_p), Tensor(w_pos))
+            np.testing.assert_allclose(out.data, patches @ w_p + w_pos, atol=1e-12)
+
+    @pytest.mark.parametrize("lead", [(), (5,)])
+    def test_gradients_match_finite_differences(self, lead):
+        # against a random target, so each output element gets its own
+        # upstream gradient; w_pos sums it over the batch axis
+        rng = np.random.default_rng(6)
+        patches = rng.uniform(-2, 2, lead + (6, 4))
+        w_p = Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
+        w_pos = Tensor(rng.uniform(-1, 1, (6, 3)), requires_grad=True)
+        target = rng.normal(size=lead + (6, 3))
+        fd_check(lambda: mse_loss(embed(patches, w_p, w_pos), target), [w_p, w_pos],
+                 tol=1e-6)
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(DimensionError, match="embed"):
+            embed(np.ones((3, 4)), Tensor(np.zeros((4, 2))), Tensor(np.zeros((2, 2))))
 
 
 # ---------------------------------------------------------------- blocks

@@ -19,6 +19,7 @@ from hakan.training import (
 )
 
 from helpers import eval_all
+from test_tensor import fd_check
 
 
 class TestLosses:
@@ -44,6 +45,12 @@ class TestLosses:
         loss = mse_loss(pred, np.array([[1.0, 1.0]]))
         tt.backward(loss)
         np.testing.assert_allclose(pred.grad, [[1.0, 3.0]], atol=1e-12)
+
+    def test_mse_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(2)
+        pred = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
+        target = rng.normal(size=(3, 4))
+        fd_check(lambda: mse_loss(pred, target), [pred], tol=1e-6)
 
 
 class TestAdam:
@@ -232,13 +239,13 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("blocks", [0, 1, 3])
     def test_step_tape_node_count(self, blocks):
-        # embed (product, position add) 2, per block intra + inter + skip 3,
-        # flatten and the two head products 3, denormalize 2, loss 3
+        # embed 1, per block intra + inter + skip 3, flatten and the two
+        # head products 3, denormalize 1, loss 1
         model = HaKanModel(tiny_train_config(n_blocks=blocks))
         rng = np.random.default_rng(blocks)
         loss = mse_loss(model.forward_batch(rng.normal(size=(5, 16))),
                         Tensor(rng.normal(size=(5, 4))))
-        assert len(tt._tape()) == 10 + 3 * blocks
+        assert len(tt._tape()) == 6 + 3 * blocks
         tt.backward(loss)
 
 
