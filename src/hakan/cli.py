@@ -98,8 +98,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="ablation sweep along one axis")
     _add_config_arg(p_sweep)
     p_sweep.add_argument("--axis", required=True,
-                         help="components, patch_len, mlp, or any config key "
-                              "or unique key suffix")
+                         help="any config key or unique key suffix "
+                              "(components, mode, blocks, ...); patch_len "
+                              "also sets the stride")
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated axis values")
     _add_override_args(p_sweep, OVERRIDES)
@@ -246,27 +247,10 @@ def _axis_variants(axis: str, values: str):
     items = [v.strip() for v in values.split(",") if v.strip()]
     if not items:
         raise ConfigError(f"--values {values!r} names no value")
-    if axis == "components":
-        table = {
-            "both": {"model.intra": True, "model.inter": True},
-            "intra-only": {"model.intra": True, "model.inter": False},
-            "inter-only": {"model.intra": False, "model.inter": True},
-        }
-        for v in items:
-            if v not in table:
-                raise ConfigError(
-                    f"components value {v!r}; choose from {sorted(table)}"
-                )
-            yield v, table[v]
-    elif axis == "patch_len":
+    if axis == "patch_len":
         for v in items:
             p = parse_value("model.patch_len", v)
             yield v, {"model.patch_len": p, "model.stride": max(1, p // 2)}
-    elif axis == "mlp":
-        for v in items:
-            if v not in ("kan", "linear"):
-                raise ConfigError(f"mlp value {v!r}; choose kan or linear")
-            yield v, {"model.mode": v}
     else:
         key = find_key(axis)
         for v in items:
@@ -275,11 +259,14 @@ def _axis_variants(axis: str, values: str):
 
 def cmd_sweep(args) -> int:
     base = _resolve(args, OVERRIDES)
-    variants = list(_axis_variants(args.axis, args.values))
+    variants = [(label, with_values(base, changes))
+                for label, changes in _axis_variants(args.axis, args.values)]
+    for _, cfg in variants:  # a bad later value fails before anything trains
+        count_breakdown(cfg.model)
+        cfg.train.validate()
     out = _out_dir(base)
     rows = []
-    for label, changes in variants:
-        cfg = with_values(base, changes)
+    for label, cfg in variants:
         splits = _load_splits(cfg, cfg.model.lookback)
         records = []
         for seed in cfg.seeds:

@@ -32,8 +32,6 @@ ALIASES = {
     "data.kind": "data.split",
     "model.n_blocks": "model.blocks",
     "model.bottleneck_dim": "model.bottleneck",
-    "model.intra_enabled": "model.intra",
-    "model.inter_enabled": "model.inter",
     "run.out_dir": "run.out",
 }
 
@@ -51,9 +49,7 @@ class RunConfig:
     def bind(self, n_channels: int, seed: int) -> tuple:
         """(ModelConfig, TrainSpec) of the run with this seed on this dataset."""
         model = replace(self.model, n_channels=n_channels, seed=seed)
-        spec = replace(self.train, seed=seed,
-                       patience=min(self.train.patience, self.train.max_epochs))
-        return model, spec
+        return model, replace(self.train, seed=seed)
 
 
 def _key_table() -> dict:
@@ -76,17 +72,8 @@ def _key_table() -> dict:
 
 KEYS = _key_table()
 
-_TRUE = {"true", "on", "yes", "1"}
-_FALSE = {"false", "off", "no", "0"}
-
 
 def _parse(kind: str, raw: str):
-    if kind == "bool":
-        if raw.lower() in _TRUE:
-            return True
-        if raw.lower() in _FALSE:
-            return False
-        raise ValueError(raw)
     if kind == "tuple":
         seeds = tuple(int(s) for s in raw.split(",") if s.strip())
         if not seeds:
@@ -136,8 +123,6 @@ def with_values(cfg: RunConfig, values: dict) -> RunConfig:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     if isinstance(value, float):

@@ -36,8 +36,10 @@ CHECKPOINT_CONFIG_KEY = "__model_config__"
 # from the channel count; 8 is faster than batch-1 forwards at 7 and at
 # 321 channels, where 32 made a 7-channel call 2-3x slower.
 PREDICT_CHUNK = 8
-FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str,
-               "bool": (bool, np.bool_)}
+FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
+# ModelConfig.components -> the layers each block holds, in build order
+COMPONENTS = {"both": ("intra", "inter"), "intra-only": ("intra",),
+              "inter-only": ("inter",)}
 
 
 @dataclass
@@ -56,8 +58,7 @@ class ModelConfig:
     hahn_n: int = 7
     degree: int = 3
     mode: str = "kan"
-    intra_enabled: bool = True
-    inter_enabled: bool = True
+    components: str = "both"
     seed: int = 2021
     revin_eps: float = 1e-5
 
@@ -81,9 +82,9 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.n_blocks < 0:
             raise ConfigError("n_blocks must be >= 0")
-        if self.n_blocks and not (self.intra_enabled or self.inter_enabled):
-            raise ConfigError(f"intra_enabled and inter_enabled are both false, so "
-                              f"each of the {self.n_blocks} blocks would hold no layer")
+        if self.components not in COMPONENTS:
+            raise ConfigError(f"components must be one of ({', '.join(COMPONENTS)}), "
+                              f"got {self.components!r}")
         if self.mode not in ("kan", "linear"):
             raise ConfigError(f"mode must be kan or linear, got {self.mode!r}")
         if self.n_patches < 2:
@@ -98,11 +99,10 @@ class ModelConfig:
         n, p, d = self.n_patches, self.patch_len, self.embed_dim
         coeffs = (self.degree + 1,) if self.mode == "kan" else ()
         shapes = {"w_p": (p, d), "w_pos": (n, d)}
+        gamma = {"intra": (d, d) + coeffs, "inter": (n, n) + coeffs}
         for i in range(self.n_blocks):
-            if self.intra_enabled:
-                shapes[f"block.{i}.intra.gamma"] = (d, d) + coeffs
-            if self.inter_enabled:
-                shapes[f"block.{i}.inter.gamma"] = (n, n) + coeffs
+            for layer in COMPONENTS[self.components]:
+                shapes[f"block.{i}.{layer}.gamma"] = gamma[layer]
         shapes["w_down"] = (self.bottleneck_dim, n * d)
         shapes["w_up"] = (self.horizon, self.bottleneck_dim)
         return shapes
@@ -190,18 +190,18 @@ class HahnKanBlock:
     """Residual mixing block: intra-patch layer, inter-patch layer, skip.
 
     Both layers take [B, n, d]: intra contracts the embedding axis d and
-    inter the patch axis n, in place.  A disabled layer is replaced by the
-    identity map and owns no parameters; `ModelConfig.validate` leaves
-    every block at least one layer.
+    inter the patch axis n, in place.  A layer that `config.components`
+    leaves out is None: the identity map, with no parameters.
     """
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
         kwargs = dict(mode=config.mode, rng=rng)
         d, n = config.embed_dim, config.n_patches
+        layers = COMPONENTS[config.components]
         self.intra = (KanLayer(d, d, basis=config.make_basis(), **kwargs)
-                      if config.intra_enabled else None)
+                      if "intra" in layers else None)
         self.inter = (KanLayer(n, n, basis=config.make_basis(), axis=-2, **kwargs)
-                      if config.inter_enabled else None)
+                      if "inter" in layers else None)
 
     def forward(self, x: Tensor) -> Tensor:
         h = self.intra.forward(x) if self.intra is not None else x
@@ -352,12 +352,13 @@ def _read_checkpoint(archive, path) -> tuple:
     except (ValueError, TypeError, AttributeError, ConfigError) as err:
         raise DataError(f"{path}: {CHECKPOINT_CONFIG_KEY} builds no model: {err}")
     # parameter_shapes loops over the blocks, so their count comes first;
-    # validate leaves every block at least one key
-    layers = bool(config.intra_enabled) + bool(config.inter_enabled)
+    # every block stores at least one key
+    needed = config.n_blocks * len(COMPONENTS[config.components])
     block_keys = sum(key.startswith("block.") for key in archive.files)
-    if config.n_blocks * layers != block_keys:
+    if needed != block_keys:
         raise DataError(f"{path}: {CHECKPOINT_CONFIG_KEY} n_blocks {config.n_blocks} "
-                        f"does not match the {block_keys} block keys stored")
+                        f"with components {config.components!r} needs {needed} "
+                        f"block keys, {block_keys} stored")
     params = {}
     for name, shape in config.parameter_shapes().items():
         stored = _read_key(archive, path, name)
@@ -396,7 +397,8 @@ def _expect(cond: bool, what: str) -> None:
 def count_breakdown(config: ModelConfig) -> list:
     """Per-component parameter counts of the model a configuration builds.
 
-    Fails wherever building that model fails, but allocates none of it.
+    Fails where validation or the basis fails, but allocates none of the
+    model, so it counts models too large for `HaKanModel` to allocate.
     """
     config.validate()
     if config.n_blocks:  # only blocks build the basis, so only they can fail on it

@@ -89,8 +89,6 @@ class TrainSpec:
     def validate(self) -> "TrainSpec":
         if self.max_epochs < 1:
             raise ConfigError(f"train.max_epochs must be >= 1, got {self.max_epochs}")
-        if self.patience > self.max_epochs:
-            raise ConfigError("patience exceeds max_epochs")
         if self.lr <= 0:
             raise ConfigError("learning rate must be positive")
         if self.batch_size < 1:

@@ -193,13 +193,9 @@ def test_criterion_6_illness_reproduction():
                           "investigation, not rejection")
 def test_criterion_7_component_ablation_ordering():
     results = {}
-    for label, flags in (("both", (True, True)),
-                         ("intra-only", (True, False)),
-                         ("inter-only", (False, True))):
-        records = _run_seeds(
-            REPO_ROOT / "configs" / "l96" / "etth2.cfg", "ETTh2.csv",
-            seeds=(2021,), intra_enabled=flags[0], inter_enabled=flags[1],
-        )
+    for label in ("both", "intra-only", "inter-only"):
+        records = _run_seeds(REPO_ROOT / "configs" / "l96" / "etth2.cfg", "ETTh2.csv",
+                             seeds=(2021,), components=label)
         results[label] = records[0].mse
     assert results["both"] <= results["intra-only"]
     assert results["both"] <= results["inter-only"]

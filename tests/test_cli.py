@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import shlex
 import tempfile
 from pathlib import Path
 
@@ -12,10 +13,11 @@ from hypothesis import strategies as st
 
 import hakan.tensor as tt
 from hakan import cli
-from hakan.config import RunConfig, load_config, parse_config, serialize_config
+from hakan.config import (RunConfig, load_config, parse_config, serialize_config,
+                          with_values)
 from hakan.data import SplitSpec, load_csv, prepare, window_count
 from hakan.errors import ConfigError
-from hakan.model import HaKanModel, HahnKanBlock, ModelConfig
+from hakan.model import HaKanModel, HahnKanBlock, ModelConfig, count_breakdown
 from hakan.training import TrainSpec
 
 from helpers import REPO_ROOT, write_synthetic_csv
@@ -73,8 +75,7 @@ model.hahn_b = 1.0
 model.hahn_n = 7
 model.degree = 3
 model.mode = kan
-model.intra = true
-model.inter = true
+model.components = both
 model.revin_eps = 1e-05
 
 train.max_epochs = 100
@@ -95,7 +96,7 @@ def read_metrics(path):
 class TestConfigFormat:
     def test_round_trip(self):
         cfg = RunConfig(data_path="x.csv",
-                        model=ModelConfig(lookback=104, horizon=96, intra_enabled=False),
+                        model=ModelConfig(lookback=104, horizon=96, components="inter-only"),
                         train=TrainSpec(lr=2.5e-3), seeds=(1, 2, 3))
         assert parse_config(serialize_config(cfg)) == cfg
 
@@ -104,7 +105,7 @@ class TestConfigFormat:
 
     @pytest.mark.parametrize("key", ["run.deterministic", "run.finite_guards",
                                      "data.prepend_context", "model.init_scale",
-                                     "train.clip_grad"])
+                                     "train.clip_grad", "model.intra", "model.inter"])
     def test_removed_keys_are_unknown(self, tmp_path, key, capsys):
         cfg = tmp_path / "old.cfg"
         cfg.write_text(f"{key} = true\n")
@@ -481,9 +482,11 @@ class TestEvalCommand:
         ("config_bad_field", "__model_config__"),
         ("config_field_type", "revin_eps must be float"),
         ("config_huge_size", "key w_down: shape (6, 32) != (1000000000000000, 32)"),
-        ("config_huge_blocks", "n_blocks 1000000000 does not match the 2 block keys"),
+        ("config_huge_blocks",
+         "n_blocks 1000000000 with components 'both' needs 2000000000 block keys, 2 stored"),
         ("config_huge_float", "int too large to convert to float"),
-        ("config_empty_blocks", "intra_enabled and inter_enabled are both false"),
+        ("config_unknown_components", "components must be one of"),
+        ("config_old_switches", "n_blocks 1 with components 'both' needs 2 block keys, 1 stored"),
         ("str_dtype", "checkpoint key w_up holds <U"),
         ("complex_dtype", "checkpoint key w_up holds complex128"),
         ("nan_value", "checkpoint key w_up holds float64"),
@@ -520,16 +523,20 @@ class TestEvalCommand:
                 "config_huge_size": json.dumps({**stored, "bottleneck_dim": 10**15}),
                 "config_huge_blocks": json.dumps({**stored, "n_blocks": 10**9}),
                 "config_huge_float": json.dumps({**stored, "hahn_a": 10**400}),
-                "config_empty_blocks": json.dumps({**stored, "n_blocks": 10**6,
-                                                   "intra_enabled": False,
-                                                   "inter_enabled": False}),
+                "config_unknown_components": json.dumps({**stored, "n_blocks": 10**6,
+                                                         "components": "neither"}),
+                # the two switches `components` replaced, with the intra layer off
+                "config_old_switches": json.dumps(
+                    {**{k: v for k, v in stored.items() if k != "components"},
+                     "intra_enabled": False, "inter_enabled": True}),
             }[damage])
-            if damage == "config_empty_blocks":
-                # blocks without a layer store no keys; the config is refused
-                # before the first of them is built
+            if damage == "config_unknown_components":
+                # the config is refused before the first block is built
                 arrays = {k: v for k, v in arrays.items() if not k.startswith("block.")}
                 monkeypatch.setattr(HahnKanBlock, "__init__",
                                     lambda *_: pytest.fail("a block was built"))
+            if damage == "config_old_switches":
+                del arrays["block.0.intra.gamma"]
             np.savez(ckpt, **arrays)
         elif damage == "object_array":
             arrays["w_up"] = np.array([{"w": 1}], dtype=object)
@@ -573,10 +580,12 @@ class TestSweepCommand:
         delta = int(rows[1]["params"]) - int(rows[0]["params"])
         assert delta == (4 * 4 + 8 * 8) * 3  # (D^2 + N^2)(degree + 1)
 
-    def test_unknown_axis(self, tiny_run):
+    def test_unknown_axis(self, tiny_run, capsys):
         cfg_path, _, _ = tiny_run
-        assert cli.main(["sweep", "--config", str(cfg_path), "--axis", "nope",
-                         "--values", "1"]) == cli.EXIT_CONFIG
+        for axis in ("nope", "mlp"):  # `mlp` was a second spelling of `mode`
+            assert cli.main(["sweep", "--config", str(cfg_path), "--axis", axis,
+                             "--values", "kan"]) == cli.EXIT_CONFIG
+            assert f"{axis!r} names no single config key" in capsys.readouterr().err
 
     def test_axis_value_derivations(self):
         variants = dict(cli._axis_variants("patch_len", "4, 8,16"))
@@ -584,10 +593,27 @@ class TestSweepCommand:
         assert variants["16"] == {"model.patch_len": 16, "model.stride": 8}
         variants = dict(cli._axis_variants("lookback", "48,96"))
         assert variants["96"] == {"model.lookback": 96}
-        variants = dict(cli._axis_variants("mlp", "kan,linear"))
+        variants = dict(cli._axis_variants("mode", "kan,linear"))
         assert variants["linear"] == {"model.mode": "linear"}
-        with pytest.raises(ConfigError):
-            list(cli._axis_variants("components", "intra"))
+        variants = dict(cli._axis_variants("components", "both,intra-only"))
+        assert variants["intra-only"] == {"model.components": "intra-only"}
+
+    @pytest.mark.parametrize("axis, values, message", [
+        ("degree", "2,9", "degree 9 exceeds n=7"),
+        ("lookback", "16,2", "patch_len 4 exceeds lookback 2"),
+        ("components", "both,intra", "components must be one of"),
+        ("lr", "1e-3,0", "learning rate must be positive"),
+    ])
+    def test_invalid_later_value_exits_before_training(self, tiny_run, capsys,
+                                                       axis, values, message):
+        cfg_path, _, out_dir = tiny_run
+        code = cli.main(["sweep", "--config", str(cfg_path), "--axis", axis,
+                         "--values", values, "--max-epochs", "1"])
+        assert code == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert f"[{axis}=" not in captured.out  # no variant trained
+        assert not (out_dir / f"sweep_{axis}.csv").exists()
 
     def test_any_key_is_an_axis(self, tiny_run):
         cfg_path, _, out_dir = tiny_run
@@ -657,8 +683,8 @@ class TestParamsCommand:
         (["model.degree = 9", "model.hahn_n = 7"], "degree 9 exceeds n=7"),
         (["model.basis = bspline"], "bspline"),
         (["model.hahn_a = -3"], "a > -1"),
-        (["model.intra = false", "model.inter = false", "--blocks", "1000000"],
-         "intra_enabled and inter_enabled are both false"),
+        (["model.components = neither", "--blocks", "1000000"],
+         "components must be one of"),
     ])
     def test_invalid_model_exits_config_code(self, capsys, tmp_path, flags, field):
         # the same settings that make `train` exit 2; keys without a flag
@@ -670,6 +696,12 @@ class TestParamsCommand:
         captured = capsys.readouterr()
         assert field in captured.err
         assert "total" not in captured.out
+
+    def test_counts_a_model_too_large_to_allocate(self, capsys):
+        # params allocates nothing, so it counts a model `train` refuses (exit 2)
+        assert cli.main(["params", "--horizon", "1000000000000"]) == 0
+        total = capsys.readouterr().out.splitlines()[-1]
+        assert total.split() == ["total", "336,000,000,850,240"]
 
 
 @pytest.mark.parametrize("argv, cfg_line, key", [
@@ -693,6 +725,22 @@ def test_bad_values_exit_config_code(tiny_run, capsys, argv, cfg_line, key):
     assert cli.main([command, "--config", str(cfg_path), *flags]) == cli.EXIT_CONFIG
     assert key in capsys.readouterr().err
     assert not (out_dir / "metrics.csv").exists()
+
+
+def test_readme_quick_start_commands_parse():
+    # a Quick start line naming a removed flag, key or axis fails here
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("hakan ")]
+    assert len(commands) == 11
+    parser = cli._build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        if args.command == "sweep":  # every value must build a model, as cmd_sweep checks
+            base = load_config(REPO_ROOT / args.config)
+            for _, changes in cli._axis_variants(args.axis, args.values):
+                count_breakdown(with_values(base, changes).model)
 
 
 class TestGradcheckCommand:

@@ -222,7 +222,7 @@ class TestBlockForward:
         np.testing.assert_array_equal(out.data, x)
 
     def test_disabled_intra_zero_inter(self):
-        model = _tiny_model(intra_enabled=False)
+        model = _tiny_model(components="inter-only")
         block = model.blocks[0]
         block.inter.gamma.data[:] = 0.0
         x = np.random.default_rng(7).normal(size=(2, 4, 3))
@@ -339,8 +339,8 @@ class TestForward:
                                    atol=1e-10)
 
     def test_reference_with_disabled_components(self):
-        for flags in ((True, False), (False, True)):
-            model = _tiny_model(intra_enabled=flags[0], inter_enabled=flags[1], seed=14)
+        for components in ("intra-only", "inter-only"):
+            model = _tiny_model(components=components, seed=14)
             x = np.random.default_rng(15).normal(size=8)
             np.testing.assert_allclose(model.forward(x), reference_forward(model, x),
                                        atol=1e-10)
@@ -475,21 +475,16 @@ class TestCheckpoint:
     bottleneck=st.integers(1, 10),
     degree=st.integers(0, 3),
     mode=st.sampled_from(["kan", "linear"]),
-    intra=st.booleans(),
-    inter=st.booleans(),
+    components=st.sampled_from(["both", "intra-only", "inter-only"]),
 )
 def test_shape_contract_fuzz(lookback, horizon, patch_len, stride, embed_dim,
-                             n_blocks, bottleneck, degree, mode, intra, inter):
+                             n_blocks, bottleneck, degree, mode, components):
     if patch_len > lookback:
         patch_len = lookback
     cfg = ModelConfig(lookback=lookback, horizon=horizon, patch_len=patch_len,
                       stride=stride, embed_dim=embed_dim, n_blocks=n_blocks,
                       bottleneck_dim=bottleneck, degree=degree, mode=mode,
-                      intra_enabled=intra, inter_enabled=inter, seed=1)
-    if n_blocks and not (intra or inter):  # a block with no layer
-        with pytest.raises(ConfigError, match="intra_enabled and inter_enabled"):
-            HaKanModel(cfg)
-        return
+                      components=components, seed=1)
     model = HaKanModel(cfg)
     # HaKanModel.load checks a checkpoint against these before it builds the model
     assert list(cfg.parameter_shapes().items()) == [

@@ -228,12 +228,16 @@ class TestTrainLoop:
 
     def test_spec_validation(self):
         with pytest.raises(ConfigError):
-            TrainSpec(max_epochs=5, patience=10).validate()
-        with pytest.raises(ConfigError):
             TrainSpec(lr=0.0).validate()
 
+    def test_patience_beyond_max_epochs_runs_every_epoch(self):
+        # epoch 1 always improves on inf, so no patience >= max_epochs stops early
+        model = HaKanModel(tiny_train_config(seed=8))
+        spec = TrainSpec(max_epochs=2, patience=5, lr=1e-3, batch_size=16, seed=8)
+        _, record = train(model, synthetic_splits(), spec)
+        assert record.epoch_stopped == 2
+
     def test_max_epochs_below_one_rejected(self):
-        # patience is clamped to max_epochs first, so 0/0 must still fail
         with pytest.raises(ConfigError, match="max_epochs"):
             TrainSpec(max_epochs=0, patience=0).validate()
 
