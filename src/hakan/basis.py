@@ -19,10 +19,10 @@ from .errors import BasisParameterError, ConfigError
 BASIS_KINDS = ("hahn", "chebyshev", "lucas")
 
 
-# Elements per cache block.  A block of the input, its two scratch arrays
-# and the terms it writes (256 KiB each at this size) stay in a 4 MiB L2
-# while the recurrence runs, so each element crosses main memory once in
-# and once per term out.
+# Elements per cache block.  A block of the input, its squash and slope,
+# two scratch arrays and the terms it writes (256 KiB each at this size)
+# stay in a 4 MiB L2 while the recurrence runs, so each element crosses
+# main memory once in and once per term out.
 BLOCK_ELEMENTS = 32_768
 
 
@@ -47,12 +47,13 @@ class Basis:
         P_r(x) = (a_r + b_r x) P_{r-1}(x) + c_r P_{r-2}(x),
 
     with (a_r, b_r, c_r) = steps[r - 2]; `make_basis` sets `p0`, `p1`,
-    `steps` and `domain`, the interval `squash` maps the reals onto.  P_0
-    is a constant, so the layer folds degree 0 into a bias and
-    `eval_terms` / `eval_terms_with_deriv` return degrees 1..degree only,
-    stacked in one array along a new axis placed at `axis` of the result
-    (as in `np.stack`).  They run block by block over the leading axes and
-    write each block's terms straight into that array.
+    `steps` and `domain`, the interval `squash` maps the reals onto.
+    `eval_terms` / `eval_terms_with_deriv` take any real x and evaluate
+    P_r(s(x)), s = `squash`.  P_0 is a constant, so the layer folds degree
+    0 into a bias and they return degrees 1..degree only, stacked in one
+    array along a new axis placed at `axis` of the result (as in
+    `np.stack`).  They run block by block over the leading axes, squash
+    each block in cache and write its terms straight into that array.
 
     `eval_count` tracks how many scalar basis evaluations have been
     performed; layers rely on one evaluation per input element regardless
@@ -69,36 +70,23 @@ class Basis:
     def squash(self, x, slope: bool = False) -> tuple:
         """(s, ds/dx or None): the reals mapped monotonically onto `domain` by tanh.
 
-        s = lo + (hi - lo) / 2 * (tanh(x) + 1), computed block by block
-        through one scratch array.
+        s = lo + (hi - lo) / 2 * (tanh(x) + 1) and ds/dx = (hi - lo) / 2 * (1 - tanh(x)^2).
         """
-        x = np.asarray(x, dtype=np.float64)
-        flat = np.ascontiguousarray(x).reshape(-1)
-        s = np.empty_like(flat)
-        ds = np.empty_like(flat) if slope else None
-        t = np.empty(min(flat.size, block_rows(1)))
         lo, hi = self.domain
         half = (hi - lo) * 0.5
-        for blk in row_blocks(flat.size, 1):
-            sb = s[blk]
-            tb = t[:sb.size]
-            np.tanh(flat[blk], out=tb)
-            np.add(tb, 1.0, out=sb)  # lo + half * (t + 1)
-            sb *= half
-            sb += lo
-            if slope:  # half * (1 - t * t)
-                db = ds[blk]
-                np.multiply(tb, tb, out=db)
-                np.subtract(1.0, db, out=db)
-                db *= half
-        return s.reshape(x.shape), None if ds is None else ds.reshape(x.shape)
+        t = np.tanh(x)
+        s = (t + 1.0) * half + lo
+        return s, (1.0 - t * t) * half if slope else None
 
     def eval_terms(self, x, axis: int = -1) -> np.ndarray:
-        """P_1(x) .. P_degree(x), stacked along `axis` of the result."""
+        """P_1(s(x)) .. P_degree(s(x)) of reals x, stacked along `axis` of the result."""
         return self._stacked(x, axis, deriv=False)[0]
 
     def eval_terms_with_deriv(self, x, axis: int = -1) -> tuple:
-        """(values, first derivatives) of degrees 1..degree, each stacked along `axis`."""
+        """(values, d/dx) of degrees 1..degree at s(x), each stacked along `axis`.
+
+        The derivative is the chain rule's P_r'(s(x)) * s'(x).
+        """
         return self._stacked(x, axis, deriv=True)
 
     def _stacked(self, x, axis: int, deriv: bool) -> tuple:
@@ -108,18 +96,19 @@ class Basis:
         lead, trail = prod(x.shape[:k]), prod(x.shape[k:])
         rows = np.ascontiguousarray(x).reshape(lead, trail)
         outs = [np.empty((lead, self.degree, trail)) for _ in range(1 + deriv)]
-        # a block's terms are computed in contiguous [rows, trail] slabs, then
-        # copied into their slots of the stacked outputs
+        # a block is squashed, its terms computed in contiguous [rows, trail]
+        # slabs, then copied into their slots of the stacked outputs
         height = min(lead, block_rows(trail))
         slabs = np.empty((len(outs), self.degree, height, trail))
         w, tmp = np.empty((2, height, trail))
         for blk in row_blocks(lead, trail):
-            xb = rows[blk]
-            m = len(xb)
+            s, ds = self.squash(rows[blk], slope=deriv)
+            m = len(s)
             terms = slabs[:, :, :m]
-            self._fill(xb, terms[0], terms[1] if deriv else None, w[:m], tmp[:m])
-            for out, slab in zip(outs, terms):
-                out[blk] = slab.swapaxes(0, 1)
+            self._fill(s, terms[0], terms[1] if deriv else None, w[:m], tmp[:m])
+            outs[0][blk] = terms[0].swapaxes(0, 1)
+            if deriv:  # the slope scales every degree's derivative
+                np.multiply(terms[1].swapaxes(0, 1), ds[:, None], out=outs[1][blk])
         shape = x.shape[:k] + (self.degree,) + x.shape[k:]
         return tuple(out.reshape(shape) for out in outs)
 

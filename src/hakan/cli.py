@@ -27,7 +27,7 @@ from .config import (
 from .data import load_csv, prepare
 from .errors import ConfigError, ContractError, DataError, DimensionError
 from .model import HaKanModel, ModelConfig, count_breakdown
-from .training import evaluate, grad_check, seed_summary, train
+from .training import evaluate, grad_check, seed_summary, train, train_pool
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -264,6 +264,8 @@ def cmd_sweep(args) -> int:
     for _, cfg in variants:  # a bad later value fails before anything trains
         count_breakdown(cfg.model)
         cfg.train.validate()
+        train_pool(_load_splits(cfg, cfg.model.lookback), cfg.model.lookback,
+                   cfg.model.horizon)
     out = _out_dir(base)
     rows = []
     for label, cfg in variants:

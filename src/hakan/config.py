@@ -74,9 +74,9 @@ KEYS = _key_table()
 
 
 def _parse(kind: str, raw: str):
-    if kind == "tuple":
+    if kind == "tuple":  # run.seeds, each a numpy seed: a non-negative int
         seeds = tuple(int(s) for s in raw.split(",") if s.strip())
-        if not seeds:
+        if not seeds or min(seeds) < 0:
             raise ValueError(raw)
         return seeds
     if kind == "int":

@@ -6,9 +6,10 @@ every input coordinate p and sums the results,
     out[q] = sum_p sum_r gamma[q, p, r] * P_r(s(x[p])),
 
 where s, `Basis.squash`, maps the reals onto the basis domain with a
-tanh.  A `linear` mode swaps the expansion for a plain bias-free
-weight matrix so the same network can be run as an MLP variant; it and the
-model's bottleneck head both apply weights through `linear`.
+tanh.  The basis applies s itself, so a layer hands it raw inputs.  A
+`linear` mode swaps the expansion for a plain bias-free weight matrix so
+the same network can be run as an MLP variant; it and the model's
+bottleneck head both apply weights through `linear`.
 
 A layer contracts one axis of its input: the last (`axis=-1`, the rows of
 `x` times W^T) or the second last (`axis=-2`, W times each [in_dim, d]
@@ -118,8 +119,8 @@ class KanLayer:
         of the expansion is one product with K = R * in_dim against
         gamma[:, :, 1:] laid out as [out_dim, R * in_dim].  The backward is
         one product for the coefficients and one, taken block by block, for
-        the input, chained through the basis derivatives and the squash
-        slope.
+        the input, chained through the basis derivatives, which already
+        carry the squash slope.
         """
         if self.mode == "linear":
             return linear(x, self.gamma, self.axis)
@@ -127,10 +128,9 @@ class KanLayer:
         gamma, axis, degree = self.gamma, self.axis, self.basis.degree
         need_grad = tt.grad_enabled() and (x.requires_grad or gamma.requires_grad)
         if need_grad:
-            s, dsdx = self.basis.squash(x.data, slope=True)
-            vals, ders = self.basis.eval_terms_with_deriv(s, axis=axis - 1)
+            vals, ders = self.basis.eval_terms_with_deriv(x.data, axis=axis - 1)
         else:
-            vals = self.basis.eval_terms(self.basis.squash(x.data)[0], axis=axis - 1)
+            vals = self.basis.eval_terms(x.data, axis=axis - 1)
         k = degree * self.in_dim
         stacked = vals.reshape(x.shape[:axis] + (k,) + x.shape[axis:][1:])
         weight = gamma.data[:, :, 1:].transpose(0, 2, 1).reshape(self.out_dim, k)
@@ -149,21 +149,19 @@ class KanLayer:
                     self.out_dim, degree, self.in_dim).transpose(0, 2, 1)
                 gamma.accumulate_grad(grad)
             if x.requires_grad:
-                x.accumulate_grad(self._input_grad(g, weight, ders, dsdx))
+                x.accumulate_grad(self._input_grad(g, weight, ders, x.shape))
 
         return tt._make(out_data, (x, gamma), back)
 
-    def _input_grad(self, g, weight, ders, dsdx) -> np.ndarray:
-        """sum_r (W_r^T g) * P_r'(s) * ds/dx, block by block over the leading rows."""
-        axis, shape = self.axis, dsdx.shape
+    def _input_grad(self, g, weight, ders, shape) -> np.ndarray:
+        """sum_r (W_r^T g) * dP_r(s(x))/dx, x of `shape`, in blocks of leading rows."""
+        axis = self.axis
         lead, trail = prod(shape[:axis]), prod(shape[axis:][1:])
         rows = _rows(g, -axis)
         ders = ders.reshape(lead, self.basis.degree, self.in_dim, trail)
-        dsdx = dsdx.reshape(lead, self.in_dim, trail)
-        gx = np.empty_like(dsdx)
+        gx = np.empty((lead, self.in_dim, trail))
         for blk in row_blocks(lead, self.in_dim * trail):
             terms = _contract(rows[blk], weight.T, axis).reshape(ders[blk].shape)
             terms *= ders[blk]
             np.sum(terms, axis=1, out=gx[blk])
-            gx[blk] *= dsdx[blk]
         return gx.reshape(shape)

@@ -223,7 +223,7 @@ class HaKanModel:
             self.blocks = [HahnKanBlock(config, rng) for _ in range(config.n_blocks)]
             self.w_down = Tensor(_uniform(rng, n * d, (h, n * d)), requires_grad=True)
             self.w_up = Tensor(_uniform(rng, h, (t, h)), requires_grad=True)
-        except MemoryError:
+        except (MemoryError, ValueError):  # ValueError: a shape numpy cannot represent
             count = sum(prod(shape) for shape in config.parameter_shapes().values())
             raise ConfigError(f"the model's {count:,} parameters do not fit in memory")
 

@@ -89,6 +89,8 @@ class TrainSpec:
     def validate(self) -> "TrainSpec":
         if self.max_epochs < 1:
             raise ConfigError(f"train.max_epochs must be >= 1, got {self.max_epochs}")
+        if self.patience < 1:
+            raise ConfigError(f"train.patience must be >= 1, got {self.patience}")
         if self.lr <= 0:
             raise ConfigError("learning rate must be positive")
         if self.batch_size < 1:
@@ -147,6 +149,13 @@ def _sample_pool(splits: DatasetSplits, lookback: int, horizon: int,
     return origins, chans
 
 
+def train_pool(splits: DatasetSplits, lookback: int, horizon: int) -> tuple:
+    """The train segment's (origins, channels); ConfigError if any segment has no window."""
+    pools = [_sample_pool(splits, lookback, horizon, bounds)
+             for bounds in (splits.train, splits.val, splits.test)]
+    return pools[0]
+
+
 def _gather(values: np.ndarray, start: int, origins: np.ndarray,
             chans: np.ndarray, lookback: int, horizon: int) -> tuple:
     rows = start + origins[:, None]
@@ -184,9 +193,7 @@ def train(model: HaKanModel, splits: DatasetSplits, spec: TrainSpec) -> tuple:
     spec.validate()
     cfg = model.config
     started = time.perf_counter()
-    origins, chans = _sample_pool(splits, cfg.lookback, cfg.horizon, splits.train)
-    for bounds in (splits.val, splits.test):
-        _sample_pool(splits, cfg.lookback, cfg.horizon, bounds)
+    origins, chans = train_pool(splits, cfg.lookback, cfg.horizon)
     rng = np.random.default_rng(spec.seed)
     optimizer = Adam(model.parameters(), lr=spec.lr)
     stopper = EarlyStopper(spec.patience)

@@ -44,14 +44,28 @@ def write_synthetic_csv(path: Path, rows: int, channels: int, seed: int = 0) -> 
 
 
 def eval_all(basis, x) -> np.ndarray:
-    """Values of every degree, P_0 included, stacked along a trailing axis."""
-    return _with_degree_zero(basis.eval_terms(np.asarray(x, dtype=np.float64)), basis.p0)
+    """Recurrence values of every degree at x, P_0 included, stacked along a trailing axis.
+
+    x is taken as is, with no squash, so domain points give the textbook values.
+    """
+    return _raw_terms(basis, x, deriv=False)[0]
 
 
 def eval_all_with_deriv(basis, x) -> tuple:
-    """Values and first derivatives of every degree, stacked along a trailing axis."""
-    vals, ders = basis.eval_terms_with_deriv(np.asarray(x, dtype=np.float64))
-    return _with_degree_zero(vals, basis.p0), _with_degree_zero(ders, 0.0)
+    """Recurrence values and x-derivatives of every degree at x, as `eval_all` stacks them."""
+    return _raw_terms(basis, x, deriv=True)
+
+
+def _raw_terms(basis, x, deriv: bool) -> tuple:
+    """`Basis._fill` run on x as one row, so the recurrence sees x unsquashed."""
+    x = np.asarray(x, dtype=np.float64)
+    row = x.reshape(1, -1)
+    terms = np.empty((1 + deriv, basis.degree) + row.shape)
+    w, tmp = np.empty((2,) + row.shape)
+    basis._fill(row, terms[0], terms[1] if deriv else None, w, tmp)
+    shape = x.shape + (basis.degree,)
+    return tuple(_with_degree_zero(np.moveaxis(a, 0, -1).reshape(shape), p0)
+                 for a, p0 in zip(terms, (basis.p0, 0.0)))
 
 
 def _with_degree_zero(terms: np.ndarray, value: float) -> np.ndarray:

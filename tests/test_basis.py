@@ -179,7 +179,24 @@ class TestAlternateBases:
 
 def test_eval_counter_tracks_elements():
     basis = make_basis("hahn", 3, 1, 1, 7)
-    eval_all(basis, np.zeros((4, 5)))
+    basis.eval_terms(np.zeros((4, 5)))
     assert basis.eval_count == 20
-    eval_all_with_deriv(basis, np.zeros(3))
+    basis.eval_terms_with_deriv(np.zeros(3))
     assert basis.eval_count == 23
+
+
+@pytest.mark.parametrize("kind", ["hahn", "chebyshev", "lucas"])
+def test_terms_of_reals_are_the_recurrence_at_the_squash(kind):
+    # eval_terms squashes reals itself, out to where tanh saturates
+    basis = make_basis(kind, 3)
+    x = np.concatenate([[-30.0, -3.0, 0.0, 0.4, 2.5, 30.0],
+                        np.random.default_rng(0).normal(0.0, 2.0, 40)]).reshape(2, 23)
+    s, ds = basis.squash(x, slope=True)
+    raw, raw_ders = eval_all_with_deriv(basis, s)
+    vals, ders = basis.eval_terms_with_deriv(x)
+    np.testing.assert_array_equal(basis.eval_terms(x), raw[..., 1:])
+    np.testing.assert_array_equal(vals, raw[..., 1:])
+    np.testing.assert_array_equal(ders, raw_ders[..., 1:] * ds[..., None])
+    step = 1e-6
+    fd = (basis.eval_terms(x + step) - basis.eval_terms(x - step)) / (2 * step)
+    np.testing.assert_allclose(ders, fd, rtol=1e-6, atol=1e-6)

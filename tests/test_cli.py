@@ -196,10 +196,15 @@ class TestTrainCommand:
     @pytest.mark.parametrize("flags, key", [
         (["--horizon", "1000000000000"], None),
         ([], "model.embed_dim = 1000000000000"),
-    ], ids=["horizon", "embed_dim"])
+        (["--horizon", "100000000000000000000"], None),
+        ([], "model.embed_dim = 100000000000000000000"),
+        ([], "model.bottleneck = 100000000000000000000"),
+    ], ids=["horizon", "embed_dim", "horizon-past-int64", "embed_dim-past-int64",
+            "bottleneck-past-int64"])
     def test_absurd_model_size_exits_config_code(self, tiny_run, capsys, flags, key):
-        # sizes whose first parameter allocation fails at once
-        cfg_path, _, _ = tiny_run
+        # sizes whose first parameter allocation fails at once; past int64,
+        # numpy refuses the shape before allocating anything
+        cfg_path, _, out_dir = tiny_run
         if key:
             cfg_path.write_text(cfg_path.read_text() + key + "\n")
         code = cli.main(["train", "--config", str(cfg_path), *flags])
@@ -207,6 +212,7 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: the model's ") and "do not fit in memory" in err
         assert len(err.splitlines()) == 1
+        assert not (out_dir / "metrics.csv").exists()
 
     def test_missing_dataset_exits_data_code(self, tiny_run, tmp_path):
         cfg_path, _, _ = tiny_run
@@ -603,6 +609,8 @@ class TestSweepCommand:
         ("lookback", "16,2", "patch_len 4 exceeds lookback 2"),
         ("components", "both,intra", "components must be one of"),
         ("lr", "1e-3,0", "learning rate must be positive"),
+        ("lookback", "16,200", "too short for lookback 200"),
+        ("horizon", "4,200", "has no windows for lookback 16 and horizon 200"),
     ])
     def test_invalid_later_value_exits_before_training(self, tiny_run, capsys,
                                                        axis, values, message):
@@ -717,13 +725,20 @@ class TestParamsCommand:
     (["train", "--lr", "inf"], "", "train.lr"),
     (["params"], "model.hahn_a = nan", "model.hahn_a"),
     (["train"], "model.revin_eps = -inf", "model.revin_eps"),
+    (["train"], "train.patience = 0", "train.patience"),
+    (["train"], "train.patience = -5", "train.patience"),
+    (["params"], "run.seeds = -1", "run.seeds"),
+    (["train"], "run.seeds = -1", "run.seeds"),
+    (["train"], "run.seeds = 3,-1", "run.seeds"),
+    (["train", "--seed", "-1"], "", "run.seeds"),
 ])
 def test_bad_values_exit_config_code(tiny_run, capsys, argv, cfg_line, key):
     cfg_path, _, out_dir = tiny_run
     cfg_path.write_text(cfg_path.read_text() + cfg_line + "\n")
     command, *flags = argv
     assert cli.main([command, "--config", str(cfg_path), *flags]) == cli.EXIT_CONFIG
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert key in err and len(err.splitlines()) == 1
     assert not (out_dir / "metrics.csv").exists()
 
 

@@ -236,15 +236,15 @@ class TestPatchAxis:
 @pytest.mark.parametrize("grad", [True, False])
 def test_one_basis_call_per_forward(case, grad):
     # the tracing contract: a tracer wraps the basis methods on the instance
-    # and sees exactly one call, on the whole squashed input
+    # and sees exactly one call, on the whole raw input
     layer, x = oracle_layer("hahn", 3, case)
     used = "eval_terms_with_deriv" if grad else "eval_terms"
     unused = "eval_terms" if grad else "eval_terms_with_deriv"
     calls = []
 
-    def traced(s, *args, _fn=getattr(layer.basis, used), **kwargs):
-        calls.append(np.shape(s))
-        return _fn(s, *args, **kwargs)
+    def traced(data, *args, _fn=getattr(layer.basis, used), **kwargs):
+        calls.append(np.shape(data))
+        return _fn(data, *args, **kwargs)
 
     def forbidden(*args, **kwargs):
         raise AssertionError(f"{unused} called")
