@@ -9,12 +9,12 @@ tests, never in the forward pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 
 import numpy as np
 
-from .errors import BasisParameterError, ConfigError
+from .errors import BasisParameterError, ConfigError, ContractError
 
 BASIS_KINDS = ("hahn", "chebyshev", "lucas")
 
@@ -54,6 +54,8 @@ class Basis:
     array along a new axis placed at `axis` of the result (as in
     `np.stack`).  They run block by block over the leading axes, squash
     each block in cache and write its terms straight into that array.
+    The block scratch is kept between calls, sized for a full block, so
+    a caller that walks its input block by block allocates nothing here.
 
     `eval_count` tracks how many scalar basis evaluations have been
     performed; layers rely on one evaluation per input element regardless
@@ -66,51 +68,82 @@ class Basis:
     steps: list
     p0: float = 1.0
     eval_count: int = 0
+    _scratch: np.ndarray = field(default_factory=lambda: np.empty(0), init=False, repr=False)
 
-    def squash(self, x, slope: bool = False) -> tuple:
+    def squash(self, x, slope: bool = False, out: tuple | None = None) -> tuple:
         """(s, ds/dx or None): the reals mapped monotonically onto `domain` by tanh.
 
-        s = lo + (hi - lo) / 2 * (tanh(x) + 1) and ds/dx = (hi - lo) / 2 * (1 - tanh(x)^2).
+        s = lo + (hi - lo) / 2 * (tanh(x) + 1) and ds/dx = (hi - lo) / 2 * (1 - tanh(x)^2),
+        written into the arrays `out` = (s, ds) when given.
         """
         lo, hi = self.domain
         half = (hi - lo) * 0.5
-        t = np.tanh(x)
-        s = (t + 1.0) * half + lo
-        return s, (1.0 - t * t) * half if slope else None
+        if out is None:
+            x = np.asarray(x, dtype=np.float64)
+            out = np.empty(x.shape), np.empty(x.shape) if slope else None
+        s, ds = out
+        t = np.tanh(x, out=ds if slope else s)  # ds holds tanh(x) until s is made
+        np.add(t, 1.0, out=s)
+        s *= half
+        s += lo
+        if not slope:
+            return s, None
+        np.multiply(t, t, out=ds)
+        np.subtract(1.0, ds, out=ds)
+        ds *= half
+        return s, ds
 
     def eval_terms(self, x, axis: int = -1) -> np.ndarray:
         """P_1(s(x)) .. P_degree(s(x)) of reals x, stacked along `axis` of the result."""
-        return self._stacked(x, axis, deriv=False)[0]
+        return self._stacked(x, axis, (None,))[0]
 
-    def eval_terms_with_deriv(self, x, axis: int = -1) -> tuple:
+    def eval_terms_with_deriv(self, x, axis: int = -1, out: tuple | None = None) -> tuple:
         """(values, d/dx) of degrees 1..degree at s(x), each stacked along `axis`.
 
-        The derivative is the chain rule's P_r'(s(x)) * s'(x).
+        The derivative is the chain rule's P_r'(s(x)) * s'(x).  `out` =
+        (values, derivatives) writes into C-contiguous arrays of the result's shape.
         """
-        return self._stacked(x, axis, deriv=True)
+        return self._stacked(x, axis, out or (None, None))
 
-    def _stacked(self, x, axis: int, deriv: bool) -> tuple:
+    def _stacked(self, x, axis: int, out: tuple) -> tuple:
         x = np.asarray(x, dtype=np.float64)
         self.eval_count += x.size
         k = axis % (x.ndim + 1)  # the degree axis's position in the result
         lead, trail = prod(x.shape[:k]), prod(x.shape[k:])
         rows = np.ascontiguousarray(x).reshape(lead, trail)
-        outs = [np.empty((lead, self.degree, trail)) for _ in range(1 + deriv)]
+        shape = x.shape[:k] + (self.degree,) + x.shape[k:]
+        out = tuple(np.empty(shape) if o is None else o for o in out)
+        if any(o.shape != shape or not o.flags.c_contiguous for o in out):
+            raise ContractError(f"basis out= needs C-contiguous arrays of shape {shape}")
+        stacked = [o.reshape(lead, self.degree, trail) for o in out]
+        deriv = len(out) == 2
         # a block is squashed, its terms computed in contiguous [rows, trail]
         # slabs, then copied into their slots of the stacked outputs
-        height = min(lead, block_rows(trail))
-        slabs = np.empty((len(outs), self.degree, height, trail))
-        w, tmp = np.empty((2, height, trail))
+        slabs, w, tmp, s, ds = self._block_scratch(trail)
         for blk in row_blocks(lead, trail):
-            s, ds = self.squash(rows[blk], slope=deriv)
-            m = len(s)
+            src = rows[blk]
+            m = len(src)
+            self.squash(src, slope=deriv, out=(s[:m], ds[:m]))
             terms = slabs[:, :, :m]
-            self._fill(s, terms[0], terms[1] if deriv else None, w[:m], tmp[:m])
-            outs[0][blk] = terms[0].swapaxes(0, 1)
+            self._fill(s[:m], terms[0], terms[1] if deriv else None, w[:m], tmp[:m])
             if deriv:  # the slope scales every degree's derivative
-                np.multiply(terms[1].swapaxes(0, 1), ds[:, None], out=outs[1][blk])
-        shape = x.shape[:k] + (self.degree,) + x.shape[k:]
-        return tuple(out.reshape(shape) for out in outs)
+                terms[1] *= ds[:m]
+            for out_rows, slab in zip(stacked, terms):
+                out_rows[blk] = slab.swapaxes(0, 1)
+        return out
+
+    def _block_scratch(self, trail: int) -> tuple:
+        """(slabs [2, degree, rows, trail], w, tmp, s, ds) for a full block of `trail`-wide rows.
+
+        One buffer, kept between calls and grown only when a block needs more.
+        """
+        rows = block_rows(trail)
+        size = (2 * self.degree + 4) * rows * trail
+        if self._scratch.size < size:
+            self._scratch = np.empty(size)
+        parts = self._scratch[:size].reshape(2 * self.degree + 4, rows, trail)
+        slabs = parts[:2 * self.degree].reshape(2, self.degree, rows, trail)
+        return (slabs, *parts[2 * self.degree:])
 
     def _fill(self, x, vals, ders, w, tmp) -> None:
         """Write P_r(x) (and P_r'(x)) of a block x [rows, trail] into vals[r - 1].

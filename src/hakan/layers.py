@@ -23,7 +23,7 @@ from math import prod
 import numpy as np
 
 from . import tensor as tt
-from .basis import Basis, row_blocks
+from .basis import Basis, block_rows, row_blocks
 from .errors import ContractError, DimensionError
 from .tensor import Tensor
 
@@ -119,18 +119,15 @@ class KanLayer:
         of the expansion is one product with K = R * in_dim against
         gamma[:, :, 1:] laid out as [out_dim, R * in_dim].  The backward is
         one product for the coefficients and one, taken block by block, for
-        the input, chained through the basis derivatives, which already
-        carry the squash slope.
+        the input.  Each block's basis derivatives, which carry the squash
+        slope, are recomputed from the saved input just before use, so no
+        derivative buffer lives from the forward to the backward.
         """
         if self.mode == "linear":
             return linear(x, self.gamma, self.axis)
         _check_extent(x, self.in_dim, self.axis)
         gamma, axis, degree = self.gamma, self.axis, self.basis.degree
-        need_grad = tt.grad_enabled() and (x.requires_grad or gamma.requires_grad)
-        if need_grad:
-            vals, ders = self.basis.eval_terms_with_deriv(x.data, axis=axis - 1)
-        else:
-            vals = self.basis.eval_terms(x.data, axis=axis - 1)
+        vals = self.basis.eval_terms(x.data, axis=axis - 1)
         k = degree * self.in_dim
         stacked = vals.reshape(x.shape[:axis] + (k,) + x.shape[axis:][1:])
         weight = gamma.data[:, :, 1:].transpose(0, 2, 1).reshape(self.out_dim, k)
@@ -149,19 +146,33 @@ class KanLayer:
                     self.out_dim, degree, self.in_dim).transpose(0, 2, 1)
                 gamma.accumulate_grad(grad)
             if x.requires_grad:
-                x.accumulate_grad(self._input_grad(g, weight, ders, x.shape))
+                x.accumulate_grad(self._input_grad(g, weight, x.data))
 
         return tt._make(out_data, (x, gamma), back)
 
-    def _input_grad(self, g, weight, ders, shape) -> np.ndarray:
-        """sum_r (W_r^T g) * dP_r(s(x))/dx, x of `shape`, in blocks of leading rows."""
+    def _input_grad(self, g, weight, x) -> np.ndarray:
+        """sum_r (W_r^T g) * dP_r(s(x))/dx, in blocks of leading rows.
+
+        Each block's derivatives come from one `eval_terms_with_deriv` call
+        on that block of x.  The product, values and derivatives of a block
+        land in scratch allocated once per call.
+        """
         axis = self.axis
-        lead, trail = prod(shape[:axis]), prod(shape[axis:][1:])
-        rows = _rows(g, -axis)
-        ders = ders.reshape(lead, self.basis.degree, self.in_dim, trail)
-        gx = np.empty((lead, self.in_dim, trail))
-        for blk in row_blocks(lead, self.in_dim * trail):
-            terms = _contract(rows[blk], weight.T, axis).reshape(ders[blk].shape)
-            terms *= ders[blk]
+        x_rows, g_rows = _rows(x, -axis), _rows(g, -axis)
+        lead, width = len(x_rows), prod(x.shape[axis:])
+        height = min(lead, block_rows(width))
+        vals, ders = np.empty((2, height, self.basis.degree) + x_rows.shape[1:])
+        product = np.empty((height, weight.shape[1]) + g_rows.shape[2:])
+        gx = np.empty(x_rows.shape)
+        for blk in row_blocks(lead, width):
+            m = len(x_rows[blk])
+            _, dp = self.basis.eval_terms_with_deriv(x_rows[blk], axis=axis - 1,
+                                                     out=(vals[:m], ders[:m]))
+            if axis == -1:  # the block's W_r^T g, as _contract(g, weight.T, axis)
+                np.matmul(g_rows[blk], weight, out=product[:m])
+            else:
+                np.matmul(weight.T, g_rows[blk], out=product[:m])
+            terms = product[:m].reshape(dp.shape)
+            terms *= dp
             np.sum(terms, axis=1, out=gx[blk])
-        return gx.reshape(shape)
+        return gx.reshape(x.shape)

@@ -19,7 +19,7 @@ import json
 import numbers
 import zipfile
 import zlib
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from math import prod
 
 import numpy as np
@@ -37,6 +37,7 @@ CHECKPOINT_CONFIG_KEY = "__model_config__"
 # 321 channels, where 32 made a 7-channel call 2-3x slower.
 PREDICT_CHUNK = 8
 FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
+INT64_MAX = int(np.iinfo(np.int64).max)
 # ModelConfig.components -> the layers each block holds, in build order
 COMPONENTS = {"both": ("intra", "inter"), "intra-only": ("intra",),
               "inter-only": ("inter",)}
@@ -74,8 +75,10 @@ class ModelConfig:
             raise ConfigError(
                 f"patch_len {self.patch_len} exceeds lookback {self.lookback}"
             )
-        if self.stride < 1:
-            raise ConfigError(f"stride must be >= 1, got {self.stride}")
+        if not 1 <= self.stride <= INT64_MAX:
+            raise ConfigError(f"stride must be in [1, 2**63 - 1], got {self.stride}")
+        if self.revin_eps < 0:
+            raise ConfigError(f"revin_eps must be >= 0, got {self.revin_eps}")
         for name in ("lookback", "horizon", "patch_len", "embed_dim",
                      "bottleneck_dim", "n_channels"):
             if getattr(self, name) < 1:
@@ -89,6 +92,8 @@ class ModelConfig:
             raise ConfigError(f"mode must be kan or linear, got {self.mode!r}")
         if self.n_patches < 2:
             raise ConfigError("derived patch count fell below 2")
+        if 8 * self.parameter_count() > INT64_MAX:  # more bytes than numpy addresses
+            raise _no_room(self)
         return self
 
     def make_basis(self):
@@ -106,6 +111,19 @@ class ModelConfig:
         shapes["w_down"] = (self.bottleneck_dim, n * d)
         shapes["w_up"] = (self.horizon, self.bottleneck_dim)
         return shapes
+
+    def parameter_count(self) -> int:
+        """The parameters of `parameter_shapes`, counted from at most one block's shapes."""
+        def total(blocks: int) -> int:
+            shapes = replace(self, n_blocks=blocks).parameter_shapes()
+            return sum(prod(shape) for shape in shapes.values())
+
+        head = total(0)
+        return head + self.n_blocks * (total(1) - head)
+
+
+def _no_room(config: ModelConfig) -> ConfigError:
+    return ConfigError(f"the model's {config.parameter_count():,} parameters do not fit in memory")
 
 
 # instance normalization ----------------------------------------------------
@@ -157,7 +175,9 @@ def make_patches(x: np.ndarray, patch_len: int, stride: int) -> np.ndarray:
     if patch_len > length:
         raise ConfigError(f"patch_len {patch_len} exceeds window length {length}")
     n = patch_count(length, patch_len, stride)
-    idx = np.arange(n)[:, None] * stride + np.arange(patch_len)[None, :]
+    # a stride past the window gives the same clamped positions as the
+    # window length, and keeps the index arithmetic inside int64
+    idx = np.arange(n)[:, None] * min(stride, length) + np.arange(patch_len)[None, :]
     idx = np.minimum(idx, length - 1)
     return x[..., idx]
 
@@ -224,8 +244,7 @@ class HaKanModel:
             self.w_down = Tensor(_uniform(rng, n * d, (h, n * d)), requires_grad=True)
             self.w_up = Tensor(_uniform(rng, h, (t, h)), requires_grad=True)
         except (MemoryError, ValueError):  # ValueError: a shape numpy cannot represent
-            count = sum(prod(shape) for shape in config.parameter_shapes().values())
-            raise ConfigError(f"the model's {count:,} parameters do not fit in memory")
+            raise _no_room(config)
 
     def named_parameters(self) -> list:
         """The names of `parameter_shapes` paired with the tensors in build order."""

@@ -58,20 +58,36 @@ class Adam:
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
+        """One update of every parameter, written in place.
+
+        Each parameter's arithmetic runs through one scratch array of two
+        halves, in the order of m = b1 m + (1 - b1) g,
+        v = b2 v + (1 - b2) g^2 and p -= lr (m / bc1) / (sqrt(v / bc2) + eps).
+        """
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for i, p in enumerate(self.params):
+        for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 raise ContractError("adam step with a missing gradient")
             g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            if not np.isfinite(self.v[i].max()):
+            num, den = np.empty((2,) + g.shape)
+            np.multiply(g, 1.0 - self.beta1, out=num)
+            m *= self.beta1
+            m += num
+            np.multiply(g, g, out=den)
+            den *= 1.0 - self.beta2
+            v *= self.beta2
+            v += den
+            if not np.isfinite(v.max()):
                 raise ContractError("adam second moment is not finite")
-            m_hat = self.m[i] / bc1
-            v_hat = self.v[i] / bc2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.divide(m, bc1, out=num)
+            num *= self.lr
+            np.divide(v, bc2, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            num /= den
+            p.data -= num
 
     def zero_grad(self) -> None:
         for p in self.params:

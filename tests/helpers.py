@@ -1,13 +1,15 @@
 """Plain test helpers: repository paths, dataset lookup, synthetic CSVs, basis oracles."""
 
 import os
-from math import comb
+from math import comb, prod
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hakan.basis import row_blocks
 from hakan.errors import BasisParameterError
+from hakan.layers import _contract, _rows
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DATA_DIR = Path(os.environ.get("HAKAN_DATA", REPO_ROOT / "data"))
@@ -66,6 +68,27 @@ def _raw_terms(basis, x, deriv: bool) -> tuple:
     shape = x.shape + (basis.degree,)
     return tuple(_with_degree_zero(np.moveaxis(a, 0, -1).reshape(shape), p0)
                  for a, p0 in zip(terms, (basis.p0, 0.0)))
+
+
+def whole_input_grad(layer, g, x) -> np.ndarray:
+    """A KAN layer's input gradient for the output gradient g, from one
+    `eval_terms_with_deriv` over all of x and the products taken per block.
+
+    This is the layer's backward from when its forward stored the
+    derivatives; the blocked recompute must match it bit for bit.
+    """
+    axis, degree = layer.axis, layer.basis.degree
+    _, ders = layer.basis.eval_terms_with_deriv(x, axis=axis - 1)
+    weight = layer.gamma.data[:, :, 1:].transpose(0, 2, 1).reshape(layer.out_dim, -1)
+    lead, trail = prod(x.shape[:axis]), prod(x.shape[axis:][1:])
+    rows = _rows(g, -axis)
+    ders = ders.reshape(lead, degree, layer.in_dim, trail)
+    gx = np.empty((lead, layer.in_dim, trail))
+    for blk in row_blocks(lead, layer.in_dim * trail):
+        terms = _contract(rows[blk], weight.T, axis).reshape(ders[blk].shape)
+        terms *= ders[blk]
+        np.sum(terms, axis=1, out=gx[blk])
+    return gx.reshape(x.shape)
 
 
 def _with_degree_zero(terms: np.ndarray, value: float) -> np.ndarray:

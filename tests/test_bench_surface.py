@@ -39,7 +39,8 @@ def test_traced_step_records_every_target(tmp_path):
                               data.SplitSpec("ratio"), cfg.lookback)
         HaKanModel.load(tmp_path / "model.npz")
         loop = harness.StepLoop(model, optimizer, splits, batch_size=16, seed=5)
-        _, nodes = loop.step()
+        with tracer.span("training.step") as step:  # as harness.Runner.step wraps it
+            _, nodes = loop.step()
         training.evaluate(model, splits, splits.val, harness.EVAL_BATCH)
         forecast = model.predict(splits.values[:cfg.lookback])
         isolated = harness.isolated_kan_backward(model, inputs)
@@ -49,3 +50,8 @@ def test_traced_step_records_every_target(tmp_path):
     recorded = {span.name for span in tracer.spans}
     missing = [name for _, _, name in targets if name not in recorded]
     assert not missing
+    # basis.eval_deriv_ms reads the derivative spans inside a train step,
+    # so each layer's must be there, not only in the isolated backward
+    in_step = {span.name for span in tracer.descendants(step)}
+    deriv = [name for _, _, name in targets if name.endswith(".basis.eval_deriv")]
+    assert len(deriv) == 2 * cfg.n_blocks and set(deriv) <= in_step

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import hakan.tensor as tt
 from hakan import cli
+from hakan import model as model_mod
 from hakan.config import (RunConfig, load_config, parse_config, serialize_config,
                           with_values)
 from hakan.data import SplitSpec, load_csv, prepare, window_count
@@ -705,6 +706,29 @@ class TestParamsCommand:
         assert field in captured.err
         assert "total" not in captured.out
 
+    @pytest.mark.parametrize("command", ["params", "train"])
+    def test_blocks_past_memory_exit_config_code(self, tiny_run, monkeypatch, capsys,
+                                                 command):
+        # refused from a count of at most one block's shapes, never by
+        # walking the 10**20 blocks or building them
+        shapes = ModelConfig.parameter_shapes
+
+        def bounded(config):
+            assert config.n_blocks <= 1, "parameter_shapes walked every block"
+            return shapes(config)
+
+        def no_block(*args):
+            raise AssertionError("a block was built")
+
+        monkeypatch.setattr(ModelConfig, "parameter_shapes", bounded)
+        monkeypatch.setattr(model_mod, "HahnKanBlock", no_block)
+        cfg_path, _, out_dir = tiny_run
+        cfg_path.write_text(cfg_path.read_text() + "model.blocks = 100000000000000000000\n")
+        assert cli.main([command, "--config", str(cfg_path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "do not fit in memory" in err and len(err.splitlines()) == 1
+        assert not (out_dir / "metrics.csv").exists()
+
     def test_counts_a_model_too_large_to_allocate(self, capsys):
         # params allocates nothing, so it counts a model `train` refuses (exit 2)
         assert cli.main(["params", "--horizon", "1000000000000"]) == 0
@@ -731,6 +755,10 @@ class TestParamsCommand:
     (["train"], "run.seeds = -1", "run.seeds"),
     (["train"], "run.seeds = 3,-1", "run.seeds"),
     (["train", "--seed", "-1"], "", "run.seeds"),
+    (["train"], "model.stride = 10000000000000000000000", "stride"),
+    (["params"], "model.stride = 10000000000000000000000", "stride"),
+    (["train"], "model.revin_eps = -1e-5", "revin_eps"),
+    (["params"], "model.revin_eps = -1e-5", "revin_eps"),
 ])
 def test_bad_values_exit_config_code(tiny_run, capsys, argv, cfg_line, key):
     cfg_path, _, out_dir = tiny_run
@@ -771,8 +799,8 @@ class TestGradcheckCommand:
         from hakan.basis import Basis
         true_fn = Basis.eval_terms_with_deriv
 
-        def corrupted(self, x, axis=-1):
-            vals, ders = true_fn(self, x, axis)
+        def corrupted(self, x, axis=-1, **kwargs):
+            vals, ders = true_fn(self, x, axis, **kwargs)
             return vals, ders * 1.01
 
         monkeypatch.setattr(Basis, "eval_terms_with_deriv", corrupted)

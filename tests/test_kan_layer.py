@@ -1,16 +1,18 @@
+import tracemalloc
 from contextlib import nullcontext
+from math import prod
 
 import numpy as np
 import pytest
 
 import hakan.tensor as tt
-from hakan.basis import make_basis
+from hakan.basis import BLOCK_ELEMENTS, make_basis, row_blocks
 from hakan.errors import ContractError, DimensionError
 from hakan.layers import KanLayer
 from hakan.tensor import Tensor
 from hakan.training import mse_loss
 
-from helpers import eval_all
+from helpers import eval_all, whole_input_grad
 from test_tensor import fd_check
 
 
@@ -235,28 +237,63 @@ class TestPatchAxis:
 @pytest.mark.parametrize("case", list(CASES))
 @pytest.mark.parametrize("grad", [True, False])
 def test_one_basis_call_per_forward(case, grad):
-    # the tracing contract: a tracer wraps the basis methods on the instance
-    # and sees exactly one call, on the whole raw input
+    # the tracing contract: a tracer wraps the basis methods on the instance.
+    # The forward makes one `eval_terms` call, on the whole raw input; the
+    # backward makes `eval_terms_with_deriv` calls whose blocks tile it once
     layer, x = oracle_layer("hahn", 3, case)
-    used = "eval_terms_with_deriv" if grad else "eval_terms"
-    unused = "eval_terms" if grad else "eval_terms_with_deriv"
     calls = []
+    for name in ("eval_terms", "eval_terms_with_deriv"):
+        def traced(data, *args, _fn=getattr(layer.basis, name), _name=name, **kwargs):
+            calls.append((_name, np.array(data)))
+            return _fn(data, *args, **kwargs)
 
-    def traced(data, *args, _fn=getattr(layer.basis, used), **kwargs):
-        calls.append(np.shape(data))
-        return _fn(data, *args, **kwargs)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError(f"{unused} called")
-
-    setattr(layer.basis, used, traced)
-    setattr(layer.basis, unused, forbidden)
+        setattr(layer.basis, name, traced)
     xt = Tensor(x, requires_grad=grad)
     before = layer.basis.eval_count
     with nullcontext() if grad else tt.no_grad():
         out = layer.forward(xt)
-    assert calls == [x.shape]
+    assert [(name, data.shape) for name, data in calls] == [("eval_terms", x.shape)]
     assert layer.basis.eval_count - before == x.size
     if grad:
         tt.backward(out.sum())
-        assert len(calls) == 1
+        blocks = calls[1:]
+        assert blocks and {name for name, _ in blocks} == {"eval_terms_with_deriv"}
+        rows = x.reshape((-1,) + x.shape[layer.axis:])
+        np.testing.assert_array_equal(np.concatenate([data for _, data in blocks]), rows)
+        assert layer.basis.eval_count - before == 2 * x.size
+
+
+@pytest.mark.parametrize("kind", ["hahn", "chebyshev", "lucas"])
+@pytest.mark.parametrize("axis, shape", [(-1, (1100, 64)), (-2, (37, 16, 128))],
+                         ids=["last", "patch"])
+def test_blocked_input_grad_is_the_whole_array_formula(kind, axis, shape):
+    # both shapes span three cache blocks, the last one short
+    in_dim = shape[axis]
+    layer = KanLayer(in_dim, in_dim + 3, basis=make_basis(kind, 3), axis=axis,
+                     rng=np.random.default_rng(11))
+    rng = np.random.default_rng(12)
+    x = rng.normal(0.0, 1.5, shape)
+    assert len(list(row_blocks(prod(shape[:axis]), prod(shape[axis:])))) == 3
+    xt = Tensor(x, requires_grad=True)
+    out = layer.forward(xt)
+    tt.backward(mse_loss(out, rng.normal(size=out.shape)))
+    np.testing.assert_array_equal(xt.grad, whole_input_grad(layer, out.grad, x))
+
+
+@pytest.mark.parametrize("axis, shape", [(-1, (4096, 128)), (-2, (64, 42, 128))],
+                         ids=["last", "patch"])
+def test_grad_forward_stores_no_derivatives(axis, shape):
+    # a grad-recording forward keeps the values (degree x the input) and
+    # the output; the basis adds one block of scratch, and no derivatives
+    degree = 3
+    layer = KanLayer(shape[axis], shape[axis], basis=make_basis("hahn", degree), axis=axis)
+    x = Tensor(np.random.default_rng(13).normal(size=shape), requires_grad=True)
+    tracemalloc.start()
+    try:
+        out = layer.forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tt.backward(out.sum())
+    scratch = BLOCK_ELEMENTS * (2 * degree + 4) * 8
+    assert peak < (degree + 2) * x.data.nbytes + scratch

@@ -151,6 +151,13 @@ class TestPatching:
             [[1, 2, 3, 4], [4, 5, 6, 7], [7, 8, 9, 10], [10, 10, 10, 10]],
         )
 
+    def test_stride_past_the_window_repeats_the_last_value(self):
+        # up to the largest stride numpy can hold, past which validate refuses
+        x = np.arange(1.0, 11.0)
+        for stride in (10, 11, 2**63 - 1):
+            np.testing.assert_array_equal(make_patches(x, 4, stride),
+                                          [[1, 2, 3, 4], [10, 10, 10, 10]])
+
     def test_patch_longer_than_window(self):
         with pytest.raises(ConfigError):
             make_patches(np.arange(8.0), 16, 8)
