@@ -22,8 +22,16 @@ BASIS_KINDS = ("hahn", "chebyshev", "lucas")
 # Elements per cache block.  A block of the input, its squash and slope,
 # two scratch arrays and the terms it writes (256 KiB each at this size)
 # stay in a 4 MiB L2 while the recurrence runs, so each element crosses
-# main memory once in and once per term out.
+# main memory once in and once per term out.  A KAN layer's backward
+# recomputes its values and derivatives one block at a time, so neither
+# outlives its block.
 BLOCK_ELEMENTS = 32_768
+# Cache blocks per run of a KAN layer's forward: one basis call writes a
+# run's values into scratch, one product turns them into the run's output
+# rows, and the next run reuses the scratch.  Two blocks make products
+# large enough at small batches (a batch-8 `predict` chunk is one run);
+# see README, Performance.
+RUN_BLOCKS = 2
 
 
 def block_rows(row_size: int) -> int:
@@ -31,9 +39,9 @@ def block_rows(row_size: int) -> int:
     return max(1, BLOCK_ELEMENTS // max(1, row_size))
 
 
-def row_blocks(rows: int, row_size: int):
-    """Slices over `rows` rows of `row_size` elements, one cache block each."""
-    step = block_rows(row_size)
+def row_blocks(rows: int, row_size: int, blocks: int = 1):
+    """Slices over `rows` rows of `row_size` elements, `blocks` cache blocks each."""
+    step = blocks * block_rows(row_size)
     for lo in range(0, rows, step):
         yield slice(lo, lo + step)
 
@@ -93,9 +101,12 @@ class Basis:
         ds *= half
         return s, ds
 
-    def eval_terms(self, x, axis: int = -1) -> np.ndarray:
-        """P_1(s(x)) .. P_degree(s(x)) of reals x, stacked along `axis` of the result."""
-        return self._stacked(x, axis, (None,))[0]
+    def eval_terms(self, x, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+        """P_1(s(x)) .. P_degree(s(x)) of reals x, stacked along `axis` of the result.
+
+        `out` writes into a C-contiguous array of the result's shape.
+        """
+        return self._stacked(x, axis, (out,))[0]
 
     def eval_terms_with_deriv(self, x, axis: int = -1, out: tuple | None = None) -> tuple:
         """(values, d/dx) of degrees 1..degree at s(x), each stacked along `axis`.

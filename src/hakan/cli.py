@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import os
 import sys
 import time
 from dataclasses import replace
@@ -155,6 +156,17 @@ def _write_manifest(path: Path, cfg: RunConfig, extras: dict) -> None:
     path.write_text(body + "\n" + notes, encoding="utf-8")
 
 
+def _machine() -> dict:
+    """The numpy, BLAS and CPU count a run computed with: float64 bits of
+    BLAS reductions depend on the BLAS and its thread count."""
+    blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    return {
+        "run.numpy": np.__version__,
+        "run.blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
+        "run.cpus": len(os.sched_getaffinity(0)),
+    }
+
+
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
     try:
@@ -176,8 +188,24 @@ def _load_splits(cfg: RunConfig, lookback: int):
     return prepare(ds, cfg.data, lookback)
 
 
+def _require_memory(config: ModelConfig) -> None:
+    """Refuse, before anything is built, a model whose parameters, gradients
+    and two Adam moments (4x its parameter bytes) exceed physical memory."""
+    config.validate()
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf here: nothing to compare
+        return
+    needed = 4 * 8 * config.parameter_count()
+    if needed > physical:
+        raise ConfigError(f"the model's {config.parameter_count():,} parameters do not fit "
+                          f"in memory: training holds {needed:,} bytes of parameters, "
+                          f"gradients and Adam moments, the machine has {physical:,}")
+
+
 def cmd_train(args) -> int:
     cfg = _resolve(args, OVERRIDES)
+    _require_memory(cfg.model)
     splits = _load_splits(cfg, cfg.model.lookback)
     out = _out_dir(cfg)
     records = []
@@ -189,6 +217,7 @@ def cmd_train(args) -> int:
         _write_manifest(out / f"{stem}.manifest", cfg, {
             "run.started": started,
             "run.seed": seed,
+            **_machine(),
             "split.train": f"{splits.train.start}:{splits.train.end}",
             "split.val": f"{splits.val.start}:{splits.val.end}",
             "split.test": f"{splits.test.start}:{splits.test.end}",
@@ -263,6 +292,7 @@ def cmd_sweep(args) -> int:
                 for label, changes in _axis_variants(args.axis, args.values)]
     for _, cfg in variants:  # a bad later value fails before anything trains
         count_breakdown(cfg.model)
+        _require_memory(cfg.model)
         cfg.train.validate()
         train_pool(_load_splits(cfg, cfg.model.lookback), cfg.model.lookback,
                    cfg.model.horizon)
@@ -289,12 +319,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_params(args) -> int:
-    breakdown = count_breakdown(_resolve(args, PARAMS_OVERRIDES).model)
-    width = max(len(name) for name, _ in breakdown)
-    for name, count in breakdown:
-        print(f"{name:<{width}}  {count:>12,}")
-    total = sum(count for _, count in breakdown)
-    print(f"{'total':<{width}}  {total:>12,}")
+    config = _resolve(args, PARAMS_OVERRIDES).model
+    rows = [(name if copies == 1 else f"{copies:,} x {name}", count)
+            for name, count, copies in count_breakdown(config)]
+    rows.append(("total", config.parameter_count()))
+    width = max(len(label) for label, _ in rows)
+    digits = max(12, len(f"{rows[-1][1]:,}"))
+    for label, count in rows:
+        print(f"{label:<{width}}  {count:>{digits},}")
     return EXIT_OK
 
 

@@ -23,19 +23,20 @@ from math import prod
 import numpy as np
 
 from . import tensor as tt
-from .basis import Basis, block_rows, row_blocks
+from .basis import RUN_BLOCKS, Basis, block_rows, row_blocks
 from .errors import ContractError, DimensionError
 from .tensor import Tensor
 
 
-def _contract(v: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
+def _contract(v: np.ndarray, w: np.ndarray, axis: int, out=None) -> np.ndarray:
     """sum_k w[q, k] v[..., k] (axis -1) or sum_k w[q, k] v[..., k, j] (axis -2).
 
-    Its gradient with respect to v is `_contract(g, w.T, axis)`.
+    Its gradient with respect to v is `_contract(g, w.T, axis)`.  `out`, if
+    given, is the result's C-contiguous array (rows by q on axis -1).
     """
     if axis == -1:
-        return (_rows(v, 1) @ w.T).reshape(v.shape[:-1] + (w.shape[0],))
-    return np.matmul(w, v)
+        return np.matmul(_rows(v, 1), w.T, out=out).reshape(v.shape[:-1] + (w.shape[0],))
+    return np.matmul(w, v, out=out)
 
 
 def _weight_grad(g: np.ndarray, v: np.ndarray, axis: int) -> np.ndarray:
@@ -112,67 +113,86 @@ class KanLayer:
     def forward(self, x: Tensor) -> Tensor:
         """The layer applied along its axis.
 
-        In kan mode the whole coefficient block is evaluated fused.  Degree
-        0 is a bias, P_0 times the coefficient sum over inputs.  The basis
-        writes degrees 1..R of every input element once, into one buffer
-        whose degree axis sits just before the contracted axis, so the rest
-        of the expansion is one product with K = R * in_dim against
-        gamma[:, :, 1:] laid out as [out_dim, R * in_dim].  The backward is
-        one product for the coefficients and one, taken block by block, for
-        the input.  Each block's basis derivatives, which carry the squash
-        slope, are recomputed from the saved input just before use, so no
-        derivative buffer lives from the forward to the backward.
+        In kan mode the input is walked in runs of leading rows, RUN_BLOCKS
+        cache blocks each.  Degree 0 is a bias, P_0 times the coefficient
+        sum over inputs.  For each run the basis writes degrees 1..R of its
+        elements into one scratch array whose degree axis sits just before
+        the contracted axis, and one product with K = R * in_dim against
+        gamma[:, :, 1:] laid out as [out_dim, R * in_dim] writes that run's
+        rows of the output; the scratch is then reused, so no values
+        buffer of the whole input exists.  The backward walks the saved
+        input in cache blocks and recomputes each block's values and
+        derivatives (which carry the squash slope) just before use: the
+        values give that block's coefficient gradient, the derivatives its
+        input gradient.
         """
         if self.mode == "linear":
             return linear(x, self.gamma, self.axis)
         _check_extent(x, self.in_dim, self.axis)
         gamma, axis, degree = self.gamma, self.axis, self.basis.degree
-        vals = self.basis.eval_terms(x.data, axis=axis - 1)
-        k = degree * self.in_dim
-        stacked = vals.reshape(x.shape[:axis] + (k,) + x.shape[axis:][1:])
-        weight = gamma.data[:, :, 1:].transpose(0, 2, 1).reshape(self.out_dim, k)
+        weight = gamma.data[:, :, 1:].transpose(0, 2, 1).reshape(self.out_dim, -1)
         bias = self.basis.p0 * gamma.data[:, :, 0].sum(axis=1)
-        bias_shape = (self.out_dim,) + (1,) * (-axis - 1)
-        out_data = _contract(stacked, weight, axis)
-        out_data += bias.reshape(bias_shape)
+        x_rows = _rows(x.data, -axis)
+        lead, width = len(x_rows), prod(x.shape[axis:])
+        out_rows = np.empty((lead, self.out_dim) + x_rows.shape[2:])
+        if degree:
+            values = np.empty((min(lead, RUN_BLOCKS * block_rows(width)), degree)
+                              + x_rows.shape[1:])
+            for run in row_blocks(lead, width, RUN_BLOCKS):
+                terms = self.basis.eval_terms(x_rows[run], axis=axis - 1,
+                                              out=values[:len(out_rows[run])])
+                stacked = terms.reshape((len(terms), -1) + x_rows.shape[2:])
+                _contract(stacked, weight, axis, out=out_rows[run])
+        else:  # the bias alone
+            out_rows.fill(0.0)
+        out_rows += bias.reshape((self.out_dim,) + (1,) * (-axis - 1))
 
         def back(g):
+            dw, gx = self._grads(g, weight, x.data, gamma.requires_grad, x.requires_grad)
             if gamma.requires_grad:
                 grad = np.empty(gamma.shape)
                 out_axis = g.ndim + axis
                 g_sum = g.sum(axis=tuple(i for i in range(g.ndim) if i != out_axis))
                 grad[:, :, 0] = (self.basis.p0 * g_sum)[:, None]
-                grad[:, :, 1:] = _weight_grad(g, stacked, axis).reshape(
-                    self.out_dim, degree, self.in_dim).transpose(0, 2, 1)
+                grad[:, :, 1:] = dw.reshape(self.out_dim, degree, self.in_dim).transpose(0, 2, 1)
                 gamma.accumulate_grad(grad)
             if x.requires_grad:
-                x.accumulate_grad(self._input_grad(g, weight, x.data))
+                x.accumulate_grad(gx)
 
-        return tt._make(out_data, (x, gamma), back)
+        shape = x.shape[:axis] + (self.out_dim,) + x.shape[axis:][1:]
+        return tt._make(out_rows.reshape(shape), (x, gamma), back)
 
-    def _input_grad(self, g, weight, x) -> np.ndarray:
-        """sum_r (W_r^T g) * dP_r(s(x))/dx, in blocks of leading rows.
+    def _grads(self, g, weight, x, want_weight: bool, want_input: bool) -> tuple:
+        """(d/d weight, d/dx) for the output gradient g, in cache blocks of leading rows.
 
-        Each block's derivatives come from one `eval_terms_with_deriv` call
-        on that block of x.  The product, values and derivatives of a block
-        land in scratch allocated once per call.
+        Each block's values, and its derivatives when the input gradient is
+        wanted, come from one basis call on that block of x.  The weight
+        gradient sums the blocks' partial products in block order; the
+        input gradient of a block is sum_r (W_r^T g) * dP_r(s(x))/dx.  A
+        block's values, derivatives and product land in scratch allocated
+        once per call.
         """
-        axis = self.axis
+        axis, degree = self.axis, self.basis.degree
         x_rows, g_rows = _rows(x, -axis), _rows(g, -axis)
         lead, width = len(x_rows), prod(x.shape[axis:])
+        dw = np.zeros(weight.shape) if want_weight else None
+        if not degree:  # the bias alone: no block to evaluate
+            return dw, np.zeros(x.shape) if want_input else None
         height = min(lead, block_rows(width))
-        vals, ders = np.empty((2, height, self.basis.degree) + x_rows.shape[1:])
+        vals, ders = np.empty((2, height, degree) + x_rows.shape[1:])
         product = np.empty((height, weight.shape[1]) + g_rows.shape[2:])
-        gx = np.empty(x_rows.shape)
+        gx = np.empty(x_rows.shape) if want_input else None
         for blk in row_blocks(lead, width):
             m = len(x_rows[blk])
-            _, dp = self.basis.eval_terms_with_deriv(x_rows[blk], axis=axis - 1,
-                                                     out=(vals[:m], ders[:m]))
-            if axis == -1:  # the block's W_r^T g, as _contract(g, weight.T, axis)
-                np.matmul(g_rows[blk], weight, out=product[:m])
+            if want_input:
+                v, dp = self.basis.eval_terms_with_deriv(x_rows[blk], axis=axis - 1,
+                                                         out=(vals[:m], ders[:m]))
             else:
-                np.matmul(weight.T, g_rows[blk], out=product[:m])
-            terms = product[:m].reshape(dp.shape)
-            terms *= dp
-            np.sum(terms, axis=1, out=gx[blk])
-        return gx.reshape(x.shape)
+                v = self.basis.eval_terms(x_rows[blk], axis=axis - 1, out=vals[:m])
+            if want_weight:
+                dw += _weight_grad(g_rows[blk], v.reshape(product[:m].shape), axis)
+            if want_input:  # the block's W_r^T g, times the derivatives
+                terms = _contract(g_rows[blk], weight.T, axis, out=product[:m]).reshape(dp.shape)
+                terms *= dp
+                np.sum(terms, axis=1, out=gx[blk])
+        return dw, gx.reshape(x.shape) if want_input else None

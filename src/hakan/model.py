@@ -259,7 +259,7 @@ class HaKanModel:
         return [t for _, t in self.named_parameters()]
 
     def param_count(self) -> int:
-        return sum(t.size for t in self.parameters())
+        return self.config.parameter_count()
 
     def forward_batch(self, windows: np.ndarray) -> Tensor:
         """Forecast a batch of univariate windows [B, lookback] -> [B, horizon].
@@ -370,17 +370,19 @@ def _read_checkpoint(archive, path) -> tuple:
         config = ModelConfig(**{k: v for k, v in raw.items() if k in known}).validate()
     except (ValueError, TypeError, AttributeError, ConfigError) as err:
         raise DataError(f"{path}: {CHECKPOINT_CONFIG_KEY} builds no model: {err}")
-    # parameter_shapes loops over the blocks, so their count comes first;
-    # every block stores at least one key
-    needed = config.n_blocks * len(COMPONENTS[config.components])
-    block_keys = sum(key.startswith("block.") for key in archive.files)
-    if needed != block_keys:
+    # parameter_shapes loops over the blocks, so the block parameters the
+    # config counts are checked against the stored ones first
+    blocks = {key: _read_key(archive, path, key) for key in archive.files
+              if key.startswith("block.")}
+    needed = config.parameter_count() - replace(config, n_blocks=0).parameter_count()
+    stored_count = sum(a.size for a in blocks.values())
+    if needed != stored_count:
         raise DataError(f"{path}: {CHECKPOINT_CONFIG_KEY} n_blocks {config.n_blocks} "
-                        f"with components {config.components!r} needs {needed} "
-                        f"block keys, {block_keys} stored")
+                        f"with components {config.components!r} needs {needed:,} "
+                        f"block parameters, {stored_count:,} stored")
     params = {}
     for name, shape in config.parameter_shapes().items():
-        stored = _read_key(archive, path, name)
+        stored = blocks[name] if name in blocks else _read_key(archive, path, name)
         if stored.dtype.kind not in "fiu" or not np.isfinite(stored).all():
             raise DataError(f"{path}: checkpoint key {name} holds {stored.dtype} "
                             f"values that are not all finite real numbers")
@@ -414,16 +416,21 @@ def _expect(cond: bool, what: str) -> None:
 
 
 def count_breakdown(config: ModelConfig) -> list:
-    """Per-component parameter counts of the model a configuration builds.
+    """(component, parameters, copies) of the model a configuration builds.
 
-    Fails where validation or the basis fails, but allocates none of the
-    model, so it counts models too large for `HaKanModel` to allocate.
+    Every block has the same parameters, so the blocks are one row, "block",
+    counting one block with `config.n_blocks` copies; a model without blocks
+    has no such row.  Fails where validation or the basis fails, but walks
+    no block and allocates none of the model, so it counts models too large
+    for `HaKanModel` to allocate.
     """
     config.validate()
     if config.n_blocks:  # only blocks build the basis, so only they can fail on it
         config.make_basis()
     counts = {}
-    for name, shape in config.parameter_shapes().items():
-        group = ".".join(name.split(".")[:2])  # block.{i}.* -> block.{i}
+    one_block = replace(config, n_blocks=min(1, config.n_blocks))
+    for name, shape in one_block.parameter_shapes().items():
+        group = name.split(".")[0]  # block.0.* -> block
         counts[group] = counts.get(group, 0) + prod(shape)
-    return list(counts.items())
+    return [(group, count, config.n_blocks if group == "block" else 1)
+            for group, count in counts.items()]

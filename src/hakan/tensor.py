@@ -3,7 +3,9 @@
 Operations record onto a module-level tape in execution order.  `backward`
 sweeps that tape once in reverse, accumulates gradients into every
 `requires_grad` tensor reachable from the root, and then frees the tape.
-Parameter gradients persist across backward calls until `zero_grad`.
+An op result's gradient is dropped as soon as its node has run; leaf
+(parameter) gradients persist across backward calls until `zero_grad`,
+which keeps their buffers for the next accumulation.
 """
 
 from __future__ import annotations
@@ -50,15 +52,18 @@ class Tensor:
     """A dense real-valued array with an optional gradient buffer.
 
     Construction checks no values: NaN or Inf in the data fails at the
-    first op that reads it, whose result `_make` checks.
+    first op that reads it, whose result `_make` checks.  `_spare` holds
+    the gradient buffer `zero_grad` cleared, for the next first
+    accumulation to copy into.
     """
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "grad", "requires_grad", "_spare")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
+        self._spare = None
 
     @property
     def shape(self) -> tuple:
@@ -76,6 +81,9 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def zero_grad(self) -> None:
+        """Clear the gradient; its buffer is kept and reused by the next accumulation."""
+        if self.grad is not None:
+            self._spare = self.grad
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
@@ -87,7 +95,12 @@ class Tensor:
             # a C-ordered copy, never `g` itself: one backward may hand the
             # same array to several parents (add), and grads are updated in
             # place (by later accumulations and by the optimizer)
-            self.grad = np.array(g, dtype=np.float64, order="C")
+            spare, self._spare = self._spare, None
+            if spare is not None and spare.shape == g.shape:
+                np.copyto(spare, g)
+                self.grad = spare
+            else:
+                self.grad = np.array(g, dtype=np.float64, order="C")
         else:
             self.grad += g
 
@@ -110,9 +123,10 @@ class Tensor:
 def backward(root: Tensor) -> None:
     """Accumulate d(root)/d(leaf) into every reachable requires_grad leaf.
 
-    The root must be a scalar.  The tape is freed afterwards, so each
-    recorded forward pass supports one backward sweep; repeated
-    forward/backward rounds keep accumulating into parameter grads.
+    The root must be a scalar.  Each op result's gradient is freed once its
+    node has run, and the tape afterwards, so each recorded forward pass
+    supports one backward sweep; repeated forward/backward rounds keep
+    accumulating into parameter grads.
     """
     if root.size != 1:
         raise ContractError(
@@ -123,8 +137,10 @@ def backward(root: Tensor) -> None:
     root.grad += 1.0
     try:
         for node in reversed(_TAPE):
-            if node.out.grad is not None:
-                node.backward(node.out.grad)
+            g = node.out.grad
+            if g is not None:
+                node.backward(g)
+                node.out.grad = None
     finally:
         _TAPE.clear()
 
@@ -148,6 +164,7 @@ def _make(data, parents, backward_fn) -> Tensor:
     out.data = _check_finite(np.asarray(data, dtype=np.float64))
     out.grad = None
     out.requires_grad = False
+    out._spare = None
     if grad_enabled() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         _TAPE.append(_Node(out, backward_fn))

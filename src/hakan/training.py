@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tensor as tt
+from .basis import BLOCK_ELEMENTS
 from .data import DatasetSplits, window_count
 from .errors import ConfigError, ContractError, DimensionError
 from .model import HaKanModel, ModelConfig
@@ -266,28 +267,15 @@ def grad_check(config: ModelConfig, step: float = 1e-5, n_windows: int = 3,
     """Compare tape gradients against central differences, per parameter group.
 
     Returns {group name: worst relative error}, with relative error
-    |analytic - fd| / max(1, |analytic|).  Meant for configurations with
-    fewer than a few thousand parameters.
+    |analytic - fd| / max(1, |analytic|), and under "directional" the
+    worst error of `directional_check` on `block_crossing(config)`.
+    Meant for configurations with fewer than a few thousand parameters.
     """
-    model = HaKanModel(config)
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-2.0, 2.0, size=(n_windows, config.lookback))
-    y = rng.uniform(-2.0, 2.0, size=(n_windows, config.horizon))
-
-    loss = mse_loss(model.forward_batch(x), y)
-    tt.backward(loss)
-    analytic = {name: t.grad.copy() for name, t in model.named_parameters()}
-    for p in model.parameters():
-        p.zero_grad()
-
-    def loss_value() -> float:
-        with tt.no_grad():
-            return mse_loss(model.forward_batch(x), y).item()
-
+    model, loss_value = _check_problem(config, n_windows, seed)
     report = {}
     for name, t in model.named_parameters():
         flat = t.data.reshape(-1)
-        grads = analytic[name].reshape(-1)
+        grads = t.grad.reshape(-1)
         worst = 0.0
         for i in range(flat.size):
             saved = flat[i]
@@ -300,7 +288,71 @@ def grad_check(config: ModelConfig, step: float = 1e-5, n_windows: int = 3,
             rel = abs(grads[i] - fd) / max(1.0, abs(grads[i]))
             worst = max(worst, rel)
         report[name] = worst
+    report["directional"] = directional_check(*block_crossing(config), seed=seed)
     return report
+
+
+def directional_check(config: ModelConfig, n_windows: int, directions: int = 3,
+                      step: float = 1e-4, seed: int = 0) -> float:
+    """Worst relative gap between <grad L, v> and (L(p + hv) - L(p - hv)) / 2h.
+
+    Each v is a random unit direction over all parameters at once, so the
+    check reads every gradient the backward forms without knowing how it
+    forms them; the gap is relative to the larger of the two derivatives.
+    """
+    model, loss_value = _check_problem(config, n_windows, seed)
+    params = model.parameters()
+    saved = [p.data for p in params]
+    rng = np.random.default_rng(seed + 1)
+    worst = 0.0
+    for _ in range(directions):
+        v = [rng.normal(size=p.shape) for p in params]
+        norm = np.sqrt(sum(float(np.vdot(d, d)) for d in v))
+        analytic = sum(float(np.vdot(p.grad, d)) for p, d in zip(params, v)) / norm
+        values = []
+        for sign in (1.0, -1.0):
+            for p, start, d in zip(params, saved, v):
+                p.data = start + (sign * step / norm) * d
+            values.append(loss_value())
+        for p, start in zip(params, saved):
+            p.data = start
+        fd = (values[0] - values[1]) / (2.0 * step)
+        worst = max(worst, abs(analytic - fd) / (max(abs(analytic), abs(fd)) or 1.0))
+    return worst
+
+
+def block_crossing(config: ModelConfig) -> tuple:
+    """(config, batch): `config` at a shape where each KAN layer's input spans
+    three cache blocks (`basis.BLOCK_ELEMENTS`), the last of them one row.
+
+    With 3 patches of width d, the patch-axis layer's rows hold 3d
+    elements, so a block takes q = E // 3d of them and a batch of 2q + 1
+    makes three blocks, the last one row.  The embedding-axis layer sees
+    3(2q + 1) rows of d elements, which split the same way when E // d,
+    its rows per block, is 3q + 1.  The first d at or below 128 where that
+    holds sets the shape; basis, mode and components are kept.
+    """
+    total = BLOCK_ELEMENTS
+    embed = next(d for d in range(min(128, total // 4), 0, -1) if (total // d) % 3 == 1)
+    shaped = replace(config, lookback=12, horizon=4, patch_len=8, stride=4,
+                     embed_dim=embed, n_blocks=2, bottleneck_dim=5)
+    return shaped.validate(), 2 * (total // (3 * embed)) + 1
+
+
+def _check_problem(config: ModelConfig, n_windows: int, seed: int) -> tuple:
+    """(model, loss at the current parameters) for seeded random windows,
+    after one backward has left the tape gradients on the parameters."""
+    model = HaKanModel(config)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2.0, 2.0, size=(n_windows, config.lookback))
+    y = rng.uniform(-2.0, 2.0, size=(n_windows, config.horizon))
+    tt.backward(mse_loss(model.forward_batch(x), y))
+
+    def loss_value() -> float:
+        with tt.no_grad():
+            return mse_loss(model.forward_batch(x), y).item()
+
+    return model, loss_value
 
 
 # seed protocol ---------------------------------------------------------------

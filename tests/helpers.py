@@ -9,7 +9,7 @@ import pytest
 
 from hakan.basis import row_blocks
 from hakan.errors import BasisParameterError
-from hakan.layers import _contract, _rows
+from hakan.layers import _contract, _rows, _weight_grad
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DATA_DIR = Path(os.environ.get("HAKAN_DATA", REPO_ROOT / "data"))
@@ -89,6 +89,20 @@ def whole_input_grad(layer, g, x) -> np.ndarray:
         terms *= ders[blk]
         np.sum(terms, axis=1, out=gx[blk])
     return gx.reshape(x.shape)
+
+
+def whole_gamma_grad(layer, g, x) -> np.ndarray:
+    """A KAN layer's coefficient gradient for the output gradient g, with
+    degrees 1..R as one product over every row of the values of all of x."""
+    axis, degree = layer.axis, layer.basis.degree
+    vals = layer.basis.eval_terms(x, axis=axis - 1)
+    stacked = vals.reshape(x.shape[:axis] + (-1,) + x.shape[axis:][1:])
+    grad = np.empty(layer.gamma.shape)
+    g_sum = g.sum(axis=tuple(i for i in range(g.ndim) if i != g.ndim + axis))
+    grad[:, :, 0] = (layer.basis.p0 * g_sum)[:, None]
+    grad[:, :, 1:] = _weight_grad(g, stacked, axis).reshape(
+        layer.out_dim, degree, layer.in_dim).transpose(0, 2, 1)
+    return grad
 
 
 def _with_degree_zero(terms: np.ndarray, value: float) -> np.ndarray:

@@ -2,8 +2,10 @@ import contextlib
 import csv
 import io
 import json
+import os
 import shlex
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +150,20 @@ class TestTrainCommand:
         reparsed = parse_config(manifest.read_text())
         assert reparsed == load_config(cfg_path)
         assert "result.mse" in manifest.read_text()
+
+    def test_manifest_records_the_machine(self, tiny_run):
+        # numpy, the BLAS and the CPU count ride along as comments, so the
+        # manifest still parses as the config of the run
+        cfg_path, _, out_dir = tiny_run
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+        text = (out_dir / "synthetic_T4_seed11.manifest").read_text()
+        notes = dict(line[2:].split(" = ", 1) for line in text.splitlines()
+                     if line.startswith("# run."))
+        assert notes["run.numpy"] == np.__version__
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        assert notes["run.blas"] == f"{blas['name']} {blas['version']}"
+        assert int(notes["run.cpus"]) == len(os.sched_getaffinity(0)) >= 1
+        assert parse_config(text) == load_config(cfg_path)
 
     def test_multi_seed_appends_summary(self, tiny_run):
         cfg_path, _, out_dir = tiny_run
@@ -490,10 +506,12 @@ class TestEvalCommand:
         ("config_field_type", "revin_eps must be float"),
         ("config_huge_size", "key w_down: shape (6, 32) != (1000000000000000, 32)"),
         ("config_huge_blocks",
-         "n_blocks 1000000000 with components 'both' needs 2000000000 block keys, 2 stored"),
+         "n_blocks 1000000000 with components 'both' needs 240,000,000,000 block parameters, "
+         "240 stored"),
         ("config_huge_float", "int too large to convert to float"),
         ("config_unknown_components", "components must be one of"),
-        ("config_old_switches", "n_blocks 1 with components 'both' needs 2 block keys, 1 stored"),
+        ("config_old_switches",
+         "n_blocks 1 with components 'both' needs 240 block parameters, 192 stored"),
         ("str_dtype", "checkpoint key w_up holds <U"),
         ("complex_dtype", "checkpoint key w_up holds complex128"),
         ("nan_value", "checkpoint key w_up holds float64"),
@@ -727,6 +745,25 @@ class TestParamsCommand:
         assert cli.main([command, "--config", str(cfg_path)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "do not fit in memory" in err and len(err.splitlines()) == 1
+        assert not (out_dir / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("command, code", [("params", 0), ("train", 2)])
+    def test_a_trillion_blocks_answer_at_once(self, tiny_run, capsys, command, code):
+        # 6.6e16 parameters pass validation (< 2**63 bytes); params prints
+        # one block's row with the count, and train refuses them against
+        # the machine's memory before it loads data or builds anything
+        cfg_path, _, out_dir = tiny_run
+        cfg_path.write_text(cfg_path.read_text() + "model.blocks = 1000000000000\n")
+        started = time.perf_counter()
+        assert cli.main([command, "--config", str(cfg_path)]) == code
+        assert time.perf_counter() - started < 1.0
+        captured = capsys.readouterr()
+        if command == "params":
+            assert not captured.err
+            assert "1,000,000,000,000 x block" in captured.out
+        else:
+            assert len(captured.err.splitlines()) == 1
+            assert "do not fit in memory" in captured.err
         assert not (out_dir / "metrics.csv").exists()
 
     def test_counts_a_model_too_large_to_allocate(self, capsys):

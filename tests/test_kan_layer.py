@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 import hakan.tensor as tt
-from hakan.basis import BLOCK_ELEMENTS, make_basis, row_blocks
+from hakan.basis import BLOCK_ELEMENTS, RUN_BLOCKS, block_rows, make_basis, row_blocks
 from hakan.errors import ContractError, DimensionError
 from hakan.layers import KanLayer
 from hakan.tensor import Tensor
 from hakan.training import mse_loss
 
-from helpers import eval_all, whole_input_grad
+from helpers import eval_all, whole_gamma_grad, whole_input_grad
 from test_tensor import fd_check
 
 
@@ -238,8 +238,9 @@ class TestPatchAxis:
 @pytest.mark.parametrize("grad", [True, False])
 def test_one_basis_call_per_forward(case, grad):
     # the tracing contract: a tracer wraps the basis methods on the instance.
-    # The forward makes one `eval_terms` call, on the whole raw input; the
-    # backward makes `eval_terms_with_deriv` calls whose blocks tile it once
+    # The forward's `eval_terms` calls take runs of raw input rows that tile
+    # the input once, in order; the backward's `eval_terms_with_deriv`
+    # calls tile it once more
     layer, x = oracle_layer("hahn", 3, case)
     calls = []
     for name in ("eval_terms", "eval_terms_with_deriv"):
@@ -249,25 +250,42 @@ def test_one_basis_call_per_forward(case, grad):
 
         setattr(layer.basis, name, traced)
     xt = Tensor(x, requires_grad=grad)
+    rows = x.reshape((-1,) + x.shape[layer.axis:])
     before = layer.basis.eval_count
     with nullcontext() if grad else tt.no_grad():
         out = layer.forward(xt)
-    assert [(name, data.shape) for name, data in calls] == [("eval_terms", x.shape)]
+    assert calls and {name for name, _ in calls} == {"eval_terms"}
+    np.testing.assert_array_equal(np.concatenate([data for _, data in calls]), rows)
     assert layer.basis.eval_count - before == x.size
     if grad:
+        forward_calls = len(calls)
         tt.backward(out.sum())
-        blocks = calls[1:]
+        blocks = calls[forward_calls:]
         assert blocks and {name for name, _ in blocks} == {"eval_terms_with_deriv"}
-        rows = x.reshape((-1,) + x.shape[layer.axis:])
         np.testing.assert_array_equal(np.concatenate([data for _, data in blocks]), rows)
         assert layer.basis.eval_count - before == 2 * x.size
+
+
+def test_forward_runs_tile_the_input_in_whole_cache_blocks():
+    # 2 runs of RUN_BLOCKS cache blocks and a short third, in input order
+    layer = KanLayer(64, 5, basis=make_basis("hahn", 3), rng=np.random.default_rng(14))
+    step = RUN_BLOCKS * block_rows(64)
+    x = np.random.default_rng(15).normal(size=(2 * step + 7, 64))
+    calls = []
+    true_fn = layer.basis.eval_terms
+    layer.basis.eval_terms = lambda data, *a, **k: calls.append(data) or true_fn(data, *a, **k)
+    with tt.no_grad():
+        layer.forward(Tensor(x))
+    assert [len(c) for c in calls] == [step, step, 7]
+    np.testing.assert_array_equal(np.concatenate(calls), x)
 
 
 @pytest.mark.parametrize("kind", ["hahn", "chebyshev", "lucas"])
 @pytest.mark.parametrize("axis, shape", [(-1, (1100, 64)), (-2, (37, 16, 128))],
                          ids=["last", "patch"])
 def test_blocked_input_grad_is_the_whole_array_formula(kind, axis, shape):
-    # both shapes span three cache blocks, the last one short
+    # both shapes span three cache blocks, the last one short.  The layer's
+    # backward is handed g directly: `tt.backward` frees activation gradients
     in_dim = shape[axis]
     layer = KanLayer(in_dim, in_dim + 3, basis=make_basis(kind, 3), axis=axis,
                      rng=np.random.default_rng(11))
@@ -276,15 +294,25 @@ def test_blocked_input_grad_is_the_whole_array_formula(kind, axis, shape):
     assert len(list(row_blocks(prod(shape[:axis]), prod(shape[axis:])))) == 3
     xt = Tensor(x, requires_grad=True)
     out = layer.forward(xt)
-    tt.backward(mse_loss(out, rng.normal(size=out.shape)))
-    np.testing.assert_array_equal(xt.grad, whole_input_grad(layer, out.grad, x))
+    node = tt._tape().pop()
+    assert node.out is out and not tt._tape()
+    g = rng.normal(size=out.shape)
+    node.backward(g)
+    np.testing.assert_array_equal(xt.grad, whole_input_grad(layer, g, x))
+    # the coefficient gradient sums the blocks' partial products, so it
+    # matches the one-product formula to rounding
+    np.testing.assert_allclose(layer.gamma.grad, whole_gamma_grad(layer, g, x),
+                               rtol=1e-13, atol=1e-13)
 
 
 @pytest.mark.parametrize("axis, shape", [(-1, (4096, 128)), (-2, (64, 42, 128))],
                          ids=["last", "patch"])
 def test_grad_forward_stores_no_derivatives(axis, shape):
-    # a grad-recording forward keeps the values (degree x the input) and
-    # the output; the basis adds one block of scratch, and no derivatives
+    # a grad-recording forward allocates its output (and a byte per element
+    # to check it is finite), gamma laid out as one weight matrix and one
+    # run of values (RUN_BLOCKS cache blocks of degree values each); the
+    # basis adds one block of scratch.  No values or derivatives of the
+    # whole input exist: they alone would be degree x the input
     degree = 3
     layer = KanLayer(shape[axis], shape[axis], basis=make_basis("hahn", degree), axis=axis)
     x = Tensor(np.random.default_rng(13).normal(size=shape), requires_grad=True)
@@ -295,5 +323,21 @@ def test_grad_forward_stores_no_derivatives(axis, shape):
     finally:
         tracemalloc.stop()
     tt.backward(out.sum())
+    run = RUN_BLOCKS * BLOCK_ELEMENTS * degree * 8
     scratch = BLOCK_ELEMENTS * (2 * degree + 4) * 8
-    assert peak < (degree + 2) * x.data.nbytes + scratch
+    assert peak < out.data.nbytes * 9 // 8 + layer.gamma.data.nbytes + run + scratch
+
+
+@pytest.mark.parametrize("kind", ["hahn", "chebyshev", "lucas"])
+@pytest.mark.parametrize("case", list(CASES))
+def test_degree_zero_evaluates_no_basis(kind, case):
+    # degree 0 is the bias alone: no basis call, no product, and an input
+    # gradient of zeros
+    layer, x = oracle_layer(kind, 0, case)
+    xt = Tensor(x, requires_grad=True)
+    before = layer.basis.eval_count
+    out = layer.forward(xt)
+    tt.backward(out.sum())
+    assert layer.basis.eval_count == before
+    np.testing.assert_allclose(out.data, naive_output(layer, x), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(xt.grad, np.zeros(x.shape))

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -391,8 +392,12 @@ class TestForward:
 
 class TestParamCount:
     def test_matches_live_model(self, tiny_config):
-        model = HaKanModel(tiny_config)
-        assert model.param_count() == sum(n for _, n in count_breakdown(tiny_config))
+        model = HaKanModel(replace(tiny_config, n_blocks=3))
+        live = sum(t.size for t in model.parameters())
+        assert model.param_count() == live
+        breakdown = count_breakdown(model.config)
+        assert sum(n * copies for _, n, copies in breakdown) == live
+        assert [copies for _, _, copies in breakdown] == [1, 1, 3, 1, 1]
 
     def test_per_block_slope_at_reference_config(self):
         counts = {}
@@ -404,7 +409,7 @@ class TestParamCount:
 
     def test_no_blocks_means_no_gamma(self):
         cfg = ModelConfig(lookback=96, horizon=96, n_blocks=0)
-        names = [name for name, _ in count_breakdown(cfg)]
+        names = [name for name, _, _ in count_breakdown(cfg)]
         assert names == ["w_p", "w_pos", "w_down", "w_up"]
 
     def test_bottleneck_slope(self):
@@ -414,10 +419,11 @@ class TestParamCount:
         assert bumped - base == 12 * 128 + 96
 
     def test_linear_mode_shrinks_blocks(self):
-        kan = dict(count_breakdown(ModelConfig(lookback=96, horizon=96)))
-        lin = dict(count_breakdown(ModelConfig(lookback=96, horizon=96, mode="linear")))
-        assert kan["block.0"] == 4 * lin["block.0"]
-        assert kan["block.0"] == 66_112
+        kan = {name: n for name, n, _ in count_breakdown(ModelConfig(lookback=96, horizon=96))}
+        lin = {name: n for name, n, _ in count_breakdown(
+            ModelConfig(lookback=96, horizon=96, mode="linear"))}
+        assert kan["block"] == 4 * lin["block"]
+        assert kan["block"] == 66_112
 
 
 # ---------------------------------------------------------------- checkpoint

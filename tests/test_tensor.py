@@ -4,6 +4,7 @@ import pytest
 import hakan.tensor as tt
 from hakan.errors import ContractError, DimensionError
 from hakan.layers import linear
+from hakan.model import HaKanModel, ModelConfig
 from hakan.tensor import Tensor
 from hakan.training import mse_loss
 
@@ -88,6 +89,50 @@ class TestBackward:
         tt.backward(mse_loss(w2, np.zeros((3, 3))))
         tt.backward(mse_loss(w2, target))
         np.testing.assert_allclose(w2.grad, combined, atol=1e-12)
+
+
+def _model_loss(seed: int = 4):
+    """A 2-block model's loss on fixed windows, recorded on the tape."""
+    model = HaKanModel(ModelConfig(lookback=16, horizon=4, patch_len=4, stride=2,
+                                   embed_dim=4, n_blocks=2, bottleneck_dim=6, seed=seed))
+    rng = np.random.default_rng(seed)
+    loss = mse_loss(model.forward_batch(rng.normal(size=(5, 16))), rng.normal(size=(5, 4)))
+    return model, loss
+
+
+class TestGradientLifetime:
+    def test_backward_frees_every_activation_gradient(self):
+        model, loss = _model_loss()
+        nodes = list(tt._tape())
+        tt.backward(loss)
+        assert not tt._tape()
+        assert all(node.out.grad is None for node in nodes)
+        assert all(p.grad is not None for p in model.parameters())
+
+    def test_freeing_leaves_leaf_gradients_bitwise(self):
+        # the same sweep with every activation gradient kept until the end
+        model, loss = _model_loss()
+        tt.backward(loss)
+        kept, kept_loss = _model_loss()
+        kept_loss.grad = np.ones(())
+        nodes = list(tt._tape())
+        tt._tape().clear()
+        for node in reversed(nodes):
+            if node.out.grad is not None:
+                node.backward(node.out.grad)
+        assert all(node.out.grad is not None for node in nodes)
+        for p, q in zip(model.parameters(), kept.parameters()):
+            np.testing.assert_array_equal(p.grad, q.grad)
+
+    def test_zero_grad_keeps_the_buffer(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        tt.backward(w.sum())
+        buffer = w.grad
+        w.zero_grad()
+        assert w.grad is None
+        tt.backward(mse_loss(w, np.zeros(3)))
+        assert w.grad is buffer
+        np.testing.assert_array_equal(w.grad, 2 * np.ones(3) / 3)
 
 
 class TestHygiene:

@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 
 import hakan.tensor as tt
+from hakan.basis import BASIS_KINDS, row_blocks
 from hakan.data import RawDataset, SplitSpec, prepare, window_count
 from hakan.errors import ConfigError, ContractError, DimensionError
-from hakan.model import HaKanModel, ModelConfig
+from hakan.model import COMPONENTS, HaKanModel, ModelConfig
 from hakan.tensor import Tensor
 from hakan.training import (
     Adam,
     EarlyStopper,
     MetricRecord,
     TrainSpec,
+    block_crossing,
+    directional_check,
     evaluate,
     grad_check,
     mse_loss,
@@ -54,6 +57,29 @@ class TestLosses:
 
 
 class TestAdam:
+    def test_zero_grad_keeps_buffers_and_bits(self):
+        # three steps whose zero_grad keeps each gradient buffer, against
+        # three whose gradients are dropped and allocated afresh
+        models = [HaKanModel(tiny_train_config(n_blocks=2)) for _ in range(2)]
+        opts = [Adam(m.parameters(), lr=1e-2) for m in models]
+        rng = np.random.default_rng(21)
+        buffers = None
+        for _ in range(3):
+            x, y = rng.normal(size=(6, 16)), rng.normal(size=(6, 4))
+            for model, opt in zip(models, opts):
+                tt.backward(mse_loss(model.forward_batch(x), y))
+                opt.step()
+            kept = [p.grad for p in models[0].parameters()]
+            if buffers is not None:
+                assert all(g is b for g, b in zip(kept, buffers))
+            buffers = kept
+            opts[0].zero_grad()
+            for p in models[1].parameters():
+                p.grad = None
+            assert all(p.grad is None for p in models[0].parameters())
+        for p, q in zip(models[0].parameters(), models[1].parameters()):
+            np.testing.assert_array_equal(p.data, q.data)
+
     def test_zero_gradient_leaves_parameters(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         p.grad = np.zeros(2)
@@ -253,17 +279,35 @@ class TestTrainLoop:
         tt.backward(loss)
 
 
+# <grad L, v> against the central difference along v, relative
+DIRECTIONAL_TOLERANCE = 1e-6
+
+
 class TestGradCheck:
     def test_kan_mode_within_tolerance(self, tiny_config):
         report = grad_check(tiny_config)
         assert max(report.values()) < 1e-4
         assert set(report) == {"w_p", "w_pos", "block.0.intra.gamma",
-                               "block.0.inter.gamma", "w_down", "w_up"}
+                               "block.0.inter.gamma", "w_down", "w_up", "directional"}
 
     def test_linear_mode_within_tolerance(self, tiny_config):
         from dataclasses import replace
         report = grad_check(replace(tiny_config, mode="linear"))
         assert max(report.values()) < 1e-6
+
+    @pytest.mark.parametrize("components", list(COMPONENTS))
+    @pytest.mark.parametrize("mode", ["kan", "linear"])
+    @pytest.mark.parametrize("basis", BASIS_KINDS)
+    def test_directional_check_across_cache_blocks(self, basis, mode, components):
+        # it read 1e-11..5e-9 here; skipping the derivative product in the
+        # interior blocks of the input gradient read 0.08..1.7
+        config, batch = block_crossing(ModelConfig(lookback=8, horizon=4, basis=basis,
+                                                   mode=mode, components=components))
+        n, d = config.n_patches, config.embed_dim
+        for rows, width in ((batch * n, d), (batch, n * d)):  # embedding axis, patch axis
+            blocks = [range(rows)[blk] for blk in row_blocks(rows, width)]
+            assert len(blocks) >= 3 and len(blocks[-1]) == 1
+        assert directional_check(config, batch) < DIRECTIONAL_TOLERANCE
 
     def test_zero_coefficient_gamma_gradient_is_analytic(self):
         # all gammas zero: the inter layer sees the squashed-zero basis row
