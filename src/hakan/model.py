@@ -371,18 +371,17 @@ def _read_checkpoint(archive, path) -> tuple:
     except (ValueError, TypeError, AttributeError, ConfigError) as err:
         raise DataError(f"{path}: {CHECKPOINT_CONFIG_KEY} builds no model: {err}")
     # parameter_shapes loops over the blocks, so the block parameters the
-    # config counts are checked against the stored ones first
-    blocks = {key: _read_key(archive, path, key) for key in archive.files
-              if key.startswith("block.")}
+    # config counts are checked first, against the stored arrays' headers
     needed = config.parameter_count() - replace(config, n_blocks=0).parameter_count()
-    stored_count = sum(a.size for a in blocks.values())
+    stored_count = sum(_stored_size(archive, path, key) for key in archive.files
+                       if key.startswith("block."))
     if needed != stored_count:
         raise DataError(f"{path}: {CHECKPOINT_CONFIG_KEY} n_blocks {config.n_blocks} "
                         f"with components {config.components!r} needs {needed:,} "
                         f"block parameters, {stored_count:,} stored")
     params = {}
     for name, shape in config.parameter_shapes().items():
-        stored = blocks[name] if name in blocks else _read_key(archive, path, name)
+        stored = _read_key(archive, path, name)
         if stored.dtype.kind not in "fiu" or not np.isfinite(stored).all():
             raise DataError(f"{path}: checkpoint key {name} holds {stored.dtype} "
                             f"values that are not all finite real numbers")
@@ -391,6 +390,21 @@ def _read_checkpoint(archive, path) -> tuple:
                             f"!= {shape}")
         params[name] = stored.astype(np.float64)
     return config, params
+
+
+def _stored_size(archive, path, key: str) -> int:
+    """Elements of the array stored under `key`, read from its .npy header
+    alone, so nothing the header describes is read or decompressed."""
+    member = key if key in archive.zip.namelist() else key + ".npy"
+    try:
+        with archive.zip.open(member) as fh:
+            version = np.lib.format.read_magic(fh)
+            read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                           else np.lib.format.read_array_header_2_0)
+            shape = read_header(fh)[0]
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as err:
+        raise DataError(f"{path}: checkpoint key {key} is unreadable: {err}")
+    return prod(shape)
 
 
 def _read_key(archive, path, key: str) -> np.ndarray:

@@ -292,9 +292,13 @@ def grad_check(config: ModelConfig, step: float = 1e-5, n_windows: int = 3,
     return report
 
 
-def directional_check(config: ModelConfig, n_windows: int, directions: int = 3,
-                      step: float = 1e-4, seed: int = 0) -> float:
-    """Worst relative gap between <grad L, v> and (L(p + hv) - L(p - hv)) / 2h.
+DIRECTIONS = 3
+DIRECTIONAL_STEP = 1e-4
+
+
+def directional_check(config: ModelConfig, n_windows: int, seed: int = 0) -> float:
+    """Worst relative gap between <grad L, v> and (L(p + hv) - L(p - hv)) / 2h,
+    over DIRECTIONS directions v with h = DIRECTIONAL_STEP.
 
     Each v is a random unit direction over all parameters at once, so the
     check reads every gradient the backward forms without knowing how it
@@ -305,18 +309,18 @@ def directional_check(config: ModelConfig, n_windows: int, directions: int = 3,
     saved = [p.data for p in params]
     rng = np.random.default_rng(seed + 1)
     worst = 0.0
-    for _ in range(directions):
+    for _ in range(DIRECTIONS):
         v = [rng.normal(size=p.shape) for p in params]
         norm = np.sqrt(sum(float(np.vdot(d, d)) for d in v))
         analytic = sum(float(np.vdot(p.grad, d)) for p, d in zip(params, v)) / norm
         values = []
         for sign in (1.0, -1.0):
             for p, start, d in zip(params, saved, v):
-                p.data = start + (sign * step / norm) * d
+                p.data = start + (sign * DIRECTIONAL_STEP / norm) * d
             values.append(loss_value())
         for p, start in zip(params, saved):
             p.data = start
-        fd = (values[0] - values[1]) / (2.0 * step)
+        fd = (values[0] - values[1]) / (2.0 * DIRECTIONAL_STEP)
         worst = max(worst, abs(analytic - fd) / (max(abs(analytic), abs(fd)) or 1.0))
     return worst
 
