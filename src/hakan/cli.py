@@ -191,7 +191,6 @@ def _load_splits(cfg: RunConfig, lookback: int):
 def _require_memory(config: ModelConfig) -> None:
     """Refuse, before anything is built, a model whose parameters, gradients
     and two Adam moments (4x its parameter bytes) exceed physical memory."""
-    config.validate()
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no sysconf here: nothing to compare
@@ -291,9 +290,7 @@ def cmd_sweep(args) -> int:
     variants = [(label, with_values(base, changes))
                 for label, changes in _axis_variants(args.axis, args.values)]
     for _, cfg in variants:  # a bad later value fails before anything trains
-        count_breakdown(cfg.model)
         _require_memory(cfg.model)
-        cfg.train.validate()
         train_pool(_load_splits(cfg, cfg.model.lookback), cfg.model.lookback,
                    cfg.model.horizon)
     out = _out_dir(base)
@@ -332,7 +329,7 @@ def cmd_params(args) -> int:
 
 def tiny_check_config(base: ModelConfig | None = None) -> ModelConfig:
     """`base` (by default a Hahn model) shrunk to gradient-check scale (< 5000 parameters)."""
-    base = base or ModelConfig(lookback=8, horizon=4, degree=2)
+    base = base or ModelConfig(lookback=8, horizon=4, patch_len=4, degree=2)
     return replace(base, lookback=8, horizon=4, patch_len=4, stride=2, embed_dim=3,
                    n_blocks=1, bottleneck_dim=5, seed=7,
                    degree=min(base.degree, base.hahn_n))

@@ -68,23 +68,21 @@ def load_csv(path, name: str | None = None, frequency: str = "") -> RawDataset:
     """Read a dataset file, checking its shape, stamp order and finiteness.
 
     A file whose every line is plain (see `_plain_lines`) is parsed in one
-    `np.loadtxt` pass.  Any other file, and any file that fails a check, is
-    read again row by row, which names the file line of the first defect.
+    `np.loadtxt` pass, row i coming from file line i + 2.  Any other file is
+    read row by row.  Either way a defect is reported with its file line.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
     try:
         timestamps, values = _read_plain(path)
-        plain = _first_defect(timestamps, values) is None
+        linenos = range(2, len(timestamps) + 2)
     except (_NotPlain, ValueError, OSError):  # UnicodeDecodeError is a ValueError
-        plain = False
-    if not plain:
         timestamps, values, linenos = _read_rows(path)
-        defect = _first_defect(timestamps, values)
-        if defect is not None:
-            row, what = defect
-            raise DataError(f"{path}:{linenos[row]}: {what}")
+    defect = _first_defect(timestamps, values)
+    if defect is not None:
+        row, what = defect
+        raise DataError(f"{path}:{linenos[row]}: {what}")
     return RawDataset(name=name or path.stem, timestamps=timestamps,
                       values=values, frequency=frequency)
 

@@ -148,7 +148,7 @@ class KanLayer:
         out_rows += bias.reshape((self.out_dim,) + (1,) * (-axis - 1))
 
         def back(g):
-            dw, gx = self._grads(g, weight, x.data, gamma.requires_grad, x.requires_grad)
+            dw, gx = self._grads(g, weight, x.data)
             if gamma.requires_grad:
                 grad = np.empty(gamma.shape)
                 out_axis = g.ndim + axis
@@ -162,37 +162,32 @@ class KanLayer:
         shape = x.shape[:axis] + (self.out_dim,) + x.shape[axis:][1:]
         return tt._make(out_rows.reshape(shape), (x, gamma), back)
 
-    def _grads(self, g, weight, x, want_weight: bool, want_input: bool) -> tuple:
+    def _grads(self, g, weight, x) -> tuple:
         """(d/d weight, d/dx) for the output gradient g, in cache blocks of leading rows.
 
-        Each block's values, and its derivatives when the input gradient is
-        wanted, come from one basis call on that block of x.  The weight
-        gradient sums the blocks' partial products in block order; the
-        input gradient of a block is sum_r (W_r^T g) * dP_r(s(x))/dx.  A
-        block's values, derivatives and product land in scratch allocated
-        once per call.
+        Each block's values and derivatives come from one basis call on that
+        block of x.  The weight gradient sums the blocks' partial products
+        in block order; the input gradient of a block is
+        sum_r (W_r^T g) * dP_r(s(x))/dx.  A block's values, derivatives and
+        product land in scratch allocated once per call.
         """
         axis, degree = self.axis, self.basis.degree
         x_rows, g_rows = _rows(x, -axis), _rows(g, -axis)
         lead, width = len(x_rows), prod(x.shape[axis:])
-        dw = np.zeros(weight.shape) if want_weight else None
+        dw = np.zeros(weight.shape)
         if not degree:  # the bias alone: no block to evaluate
-            return dw, np.zeros(x.shape) if want_input else None
+            return dw, np.zeros(x.shape)
         height = min(lead, block_rows(width))
         vals, ders = np.empty((2, height, degree) + x_rows.shape[1:])
         product = np.empty((height, weight.shape[1]) + g_rows.shape[2:])
-        gx = np.empty(x_rows.shape) if want_input else None
+        gx = np.empty(x_rows.shape)
         for blk in row_blocks(lead, width):
             m = len(x_rows[blk])
-            if want_input:
-                v, dp = self.basis.eval_terms_with_deriv(x_rows[blk], axis=axis - 1,
-                                                         out=(vals[:m], ders[:m]))
-            else:
-                v = self.basis.eval_terms(x_rows[blk], axis=axis - 1, out=vals[:m])
-            if want_weight:
-                dw += _weight_grad(g_rows[blk], v.reshape(product[:m].shape), axis)
-            if want_input:  # the block's W_r^T g, times the derivatives
-                terms = _contract(g_rows[blk], weight.T, axis, out=product[:m]).reshape(dp.shape)
-                terms *= dp
-                np.sum(terms, axis=1, out=gx[blk])
-        return dw, gx.reshape(x.shape) if want_input else None
+            v, dp = self.basis.eval_terms_with_deriv(x_rows[blk], axis=axis - 1,
+                                                     out=(vals[:m], ders[:m]))
+            dw += _weight_grad(g_rows[blk], v.reshape(product[:m].shape), axis)
+            # the block's W_r^T g, times the derivatives
+            terms = _contract(g_rows[blk], weight.T, axis, out=product[:m]).reshape(dp.shape)
+            terms *= dp
+            np.sum(terms, axis=1, out=gx[blk])
+        return dw, gx.reshape(x.shape)

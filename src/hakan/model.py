@@ -19,7 +19,7 @@ import json
 import numbers
 import zipfile
 import zlib
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from math import prod
 
 import numpy as np
@@ -43,8 +43,10 @@ COMPONENTS = {"both": ("intra", "inter"), "intra-only": ("intra",),
               "inter-only": ("inter",)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
+    """A model's settings, checked when built: a ModelConfig that exists is valid."""
+
     lookback: int
     horizon: int
     n_channels: int = 1
@@ -63,11 +65,7 @@ class ModelConfig:
     seed: int = 2021
     revin_eps: float = 1e-5
 
-    @property
-    def n_patches(self) -> int:
-        return patch_count(self.lookback, self.patch_len, self.stride)
-
-    def validate(self) -> "ModelConfig":
+    def __post_init__(self):
         for f in fields(self):  # a checkpoint's config is JSON, not a parsed file
             if not isinstance(getattr(self, f.name), FIELD_TYPES[f.type]):
                 raise ConfigError(f"{f.name} must be {f.type}, got {getattr(self, f.name)!r}")
@@ -90,36 +88,39 @@ class ModelConfig:
                               f"got {self.components!r}")
         if self.mode not in ("kan", "linear"):
             raise ConfigError(f"mode must be kan or linear, got {self.mode!r}")
-        if self.n_patches < 2:
-            raise ConfigError("derived patch count fell below 2")
         if 8 * self.parameter_count() > INT64_MAX:  # more bytes than numpy addresses
             raise _no_room(self)
-        return self
+        if self.n_blocks:  # only blocks build the basis, so only they can fail on it
+            self.make_basis()
+
+    @property
+    def n_patches(self) -> int:
+        return patch_count(self.lookback, self.patch_len, self.stride)
 
     def make_basis(self):
         return make_basis(self.basis, self.degree, self.hahn_a, self.hahn_b, self.hahn_n)
 
     def parameter_shapes(self) -> dict:
         """{name: shape} of the parameters HaKanModel builds, in its order."""
+        return self._shapes(self.n_blocks)
+
+    def parameter_count(self) -> int:
+        """The parameters of `parameter_shapes`, counted from at most one block's shapes."""
+        head, one = (sum(prod(shape) for shape in self._shapes(k).values()) for k in (0, 1))
+        return head + self.n_blocks * (one - head)
+
+    def _shapes(self, n_blocks: int) -> dict:
+        """{name: shape} of this model's parameters had it `n_blocks` blocks."""
         n, p, d = self.n_patches, self.patch_len, self.embed_dim
         coeffs = (self.degree + 1,) if self.mode == "kan" else ()
         shapes = {"w_p": (p, d), "w_pos": (n, d)}
         gamma = {"intra": (d, d) + coeffs, "inter": (n, n) + coeffs}
-        for i in range(self.n_blocks):
+        for i in range(n_blocks):
             for layer in COMPONENTS[self.components]:
                 shapes[f"block.{i}.{layer}.gamma"] = gamma[layer]
         shapes["w_down"] = (self.bottleneck_dim, n * d)
         shapes["w_up"] = (self.horizon, self.bottleneck_dim)
         return shapes
-
-    def parameter_count(self) -> int:
-        """The parameters of `parameter_shapes`, counted from at most one block's shapes."""
-        def total(blocks: int) -> int:
-            shapes = replace(self, n_blocks=blocks).parameter_shapes()
-            return sum(prod(shape) for shape in shapes.values())
-
-        head = total(0)
-        return head + self.n_blocks * (total(1) - head)
 
 
 def _no_room(config: ModelConfig) -> ConfigError:
@@ -233,7 +234,7 @@ class HaKanModel:
     """Shared-backbone forecaster for univariate windows."""
 
     def __init__(self, config: ModelConfig):
-        self.config = config.validate()
+        self.config = config
         rng = np.random.default_rng(config.seed)
         n, p = config.n_patches, config.patch_len
         d, h, t = config.embed_dim, config.bottleneck_dim, config.horizon
@@ -351,9 +352,9 @@ class HaKanModel:
                 raise DataError(f"{path} is not a model checkpoint")
             with archive:
                 config, params = _read_checkpoint(archive, path)
-        try:  # OverflowError: a float field stored as an int past float range
+        try:
             model = cls(config)
-        except (ValueError, TypeError, OverflowError, ConfigError) as err:
+        except ConfigError as err:
             raise DataError(f"{path}: {CHECKPOINT_CONFIG_KEY} builds no model: {err}")
         for name, t in model.named_parameters():
             t.data = params[name]
@@ -367,12 +368,14 @@ def _read_checkpoint(archive, path) -> tuple:
     known = {f.name for f in fields(ModelConfig)}
     try:
         raw = json.loads(str(_read_key(archive, path, CHECKPOINT_CONFIG_KEY)))
-        config = ModelConfig(**{k: v for k, v in raw.items() if k in known}).validate()
-    except (ValueError, TypeError, AttributeError, ConfigError) as err:
+        # OverflowError: a float field stored as an int past float range
+        config = ModelConfig(**{k: v for k, v in raw.items() if k in known})
+    except (ValueError, TypeError, AttributeError, OverflowError, ConfigError) as err:
         raise DataError(f"{path}: {CHECKPOINT_CONFIG_KEY} builds no model: {err}")
     # parameter_shapes loops over the blocks, so the block parameters the
     # config counts are checked first, against the stored arrays' headers
-    needed = config.parameter_count() - replace(config, n_blocks=0).parameter_count()
+    needed = sum(count * copies for group, count, copies in count_breakdown(config)
+                 if group == "block")
     stored_count = sum(_stored_size(archive, path, key) for key in archive.files
                        if key.startswith("block."))
     if needed != stored_count:
@@ -434,16 +437,11 @@ def count_breakdown(config: ModelConfig) -> list:
 
     Every block has the same parameters, so the blocks are one row, "block",
     counting one block with `config.n_blocks` copies; a model without blocks
-    has no such row.  Fails where validation or the basis fails, but walks
-    no block and allocates none of the model, so it counts models too large
-    for `HaKanModel` to allocate.
+    has no such row.  It walks no block and allocates none of the model, so
+    it counts models too large for `HaKanModel` to allocate.
     """
-    config.validate()
-    if config.n_blocks:  # only blocks build the basis, so only they can fail on it
-        config.make_basis()
     counts = {}
-    one_block = replace(config, n_blocks=min(1, config.n_blocks))
-    for name, shape in one_block.parameter_shapes().items():
+    for name, shape in config._shapes(min(1, config.n_blocks)).items():
         group = name.split(".")[0]  # block.0.* -> block
         counts[group] = counts.get(group, 0) + prod(shape)
     return [(group, count, config.n_blocks if group == "block" else 1)

@@ -44,16 +44,18 @@ def mse_loss(pred: Tensor, truth) -> Tensor:
     return tt._make((diff * diff).mean(), (pred,), back)
 
 
+# Adam's moment decay rates and denominator guard, Kingma and Ba's defaults
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 class Adam:
     """Adaptive-moment optimizer over a list of parameter tensors."""
 
-    def __init__(self, params, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -66,19 +68,19 @@ class Adam:
         v = b2 v + (1 - b2) g^2 and p -= lr (m / bc1) / (sqrt(v / bc2) + eps).
         """
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 raise ContractError("adam step with a missing gradient")
             g = p.grad
             num, den = np.empty((2,) + g.shape)
-            np.multiply(g, 1.0 - self.beta1, out=num)
-            m *= self.beta1
+            np.multiply(g, 1.0 - BETA1, out=num)
+            m *= BETA1
             m += num
             np.multiply(g, g, out=den)
-            den *= 1.0 - self.beta2
-            v *= self.beta2
+            den *= 1.0 - BETA2
+            v *= BETA2
             v += den
             if not np.isfinite(v.max()):
                 raise ContractError("adam second moment is not finite")
@@ -86,7 +88,7 @@ class Adam:
             num *= self.lr
             np.divide(v, bc2, out=den)
             np.sqrt(den, out=den)
-            den += self.eps
+            den += EPS
             num /= den
             p.data -= num
 
@@ -95,7 +97,7 @@ class Adam:
             p.zero_grad()
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainSpec:
     max_epochs: int = 100
     patience: int = 10
@@ -103,7 +105,7 @@ class TrainSpec:
     batch_size: int = 64
     seed: int = 2021
 
-    def validate(self) -> "TrainSpec":
+    def __post_init__(self):
         if self.max_epochs < 1:
             raise ConfigError(f"train.max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 1:
@@ -112,7 +114,6 @@ class TrainSpec:
             raise ConfigError("learning rate must be positive")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        return self
 
 
 @dataclass
@@ -207,7 +208,6 @@ def evaluate(model: HaKanModel, splits: DatasetSplits, bounds,
 
 def train(model: HaKanModel, splits: DatasetSplits, spec: TrainSpec) -> tuple:
     """Fit the model and return (model, MetricRecord on the test split)."""
-    spec.validate()
     cfg = model.config
     started = time.perf_counter()
     origins, chans = train_pool(splits, cfg.lookback, cfg.horizon)
@@ -262,8 +262,13 @@ def train(model: HaKanModel, splits: DatasetSplits, spec: TrainSpec) -> tuple:
 # gradient checking -----------------------------------------------------------
 
 
-def grad_check(config: ModelConfig, step: float = 1e-5, n_windows: int = 3,
-               seed: int = 0) -> dict:
+# grad_check's central-difference step and windows, and the seed of both checks
+CHECK_STEP = 1e-5
+CHECK_WINDOWS = 3
+CHECK_SEED = 0
+
+
+def grad_check(config: ModelConfig) -> dict:
     """Compare tape gradients against central differences, per parameter group.
 
     Returns {group name: worst relative error}, with relative error
@@ -271,7 +276,7 @@ def grad_check(config: ModelConfig, step: float = 1e-5, n_windows: int = 3,
     worst error of `directional_check` on `block_crossing(config)`.
     Meant for configurations with fewer than a few thousand parameters.
     """
-    model, loss_value = _check_problem(config, n_windows, seed)
+    model, loss_value = _check_problem(config, CHECK_WINDOWS)
     report = {}
     for name, t in model.named_parameters():
         flat = t.data.reshape(-1)
@@ -279,16 +284,16 @@ def grad_check(config: ModelConfig, step: float = 1e-5, n_windows: int = 3,
         worst = 0.0
         for i in range(flat.size):
             saved = flat[i]
-            flat[i] = saved + step
+            flat[i] = saved + CHECK_STEP
             up = loss_value()
-            flat[i] = saved - step
+            flat[i] = saved - CHECK_STEP
             down = loss_value()
             flat[i] = saved
-            fd = (up - down) / (2.0 * step)
+            fd = (up - down) / (2.0 * CHECK_STEP)
             rel = abs(grads[i] - fd) / max(1.0, abs(grads[i]))
             worst = max(worst, rel)
         report[name] = worst
-    report["directional"] = directional_check(*block_crossing(config), seed=seed)
+    report["directional"] = directional_check(*block_crossing(config))
     return report
 
 
@@ -296,7 +301,7 @@ DIRECTIONS = 3
 DIRECTIONAL_STEP = 1e-4
 
 
-def directional_check(config: ModelConfig, n_windows: int, seed: int = 0) -> float:
+def directional_check(config: ModelConfig, n_windows: int) -> float:
     """Worst relative gap between <grad L, v> and (L(p + hv) - L(p - hv)) / 2h,
     over DIRECTIONS directions v with h = DIRECTIONAL_STEP.
 
@@ -304,10 +309,10 @@ def directional_check(config: ModelConfig, n_windows: int, seed: int = 0) -> flo
     check reads every gradient the backward forms without knowing how it
     forms them; the gap is relative to the larger of the two derivatives.
     """
-    model, loss_value = _check_problem(config, n_windows, seed)
+    model, loss_value = _check_problem(config, n_windows)
     params = model.parameters()
     saved = [p.data for p in params]
-    rng = np.random.default_rng(seed + 1)
+    rng = np.random.default_rng(CHECK_SEED + 1)
     worst = 0.0
     for _ in range(DIRECTIONS):
         v = [rng.normal(size=p.shape) for p in params]
@@ -340,14 +345,14 @@ def block_crossing(config: ModelConfig) -> tuple:
     embed = next(d for d in range(min(128, total // 4), 0, -1) if (total // d) % 3 == 1)
     shaped = replace(config, lookback=12, horizon=4, patch_len=8, stride=4,
                      embed_dim=embed, n_blocks=2, bottleneck_dim=5)
-    return shaped.validate(), 2 * (total // (3 * embed)) + 1
+    return shaped, 2 * (total // (3 * embed)) + 1
 
 
-def _check_problem(config: ModelConfig, n_windows: int, seed: int) -> tuple:
+def _check_problem(config: ModelConfig, n_windows: int) -> tuple:
     """(model, loss at the current parameters) for seeded random windows,
     after one backward has left the tape gradients on the parameters."""
     model = HaKanModel(config)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(CHECK_SEED)
     x = rng.uniform(-2.0, 2.0, size=(n_windows, config.lookback))
     y = rng.uniform(-2.0, 2.0, size=(n_windows, config.horizon))
     tt.backward(mse_loss(model.forward_batch(x), y))

@@ -123,6 +123,17 @@ class TestConfigFormat:
         with pytest.raises(ConfigError, match="model.lookback"):
             parse_config("model.lookback = twelve\n")
 
+    def test_line_without_equals_is_named(self):
+        with pytest.raises(ConfigError, match="config line 2: expected 'key = value'"):
+            parse_config("model.lookback = 48\nmodel.horizon 96\n")
+
+    def test_missing_config_file_exits_config_code(self, tmp_path, capsys):
+        gone = tmp_path / "gone.cfg"
+        with pytest.raises(ConfigError, match="config file not found"):
+            load_config(gone)
+        assert cli.main(["params", "--config", str(gone)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: config file not found: {gone}\n"
+
     def test_comments_and_blanks(self):
         cfg = parse_config("# header\n\nmodel.lookback = 48  # inline\n")
         assert cfg.model.lookback == 48
@@ -228,6 +239,13 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: the model's ") and "do not fit in memory" in err
         assert len(err.splitlines()) == 1
+        assert not (out_dir / "metrics.csv").exists()
+
+    def test_no_dataset_path_exits_config_code(self, tiny_run, capsys):
+        cfg_path, _, out_dir = tiny_run
+        cfg_path.write_text(cfg_path.read_text() + "data.path = \n")
+        assert cli.main(["train", "--config", str(cfg_path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: no dataset path configured (data.path)\n"
         assert not (out_dir / "metrics.csv").exists()
 
     def test_missing_dataset_exits_data_code(self, tiny_run, tmp_path):
@@ -773,16 +791,16 @@ class TestParamsCommand:
 def _walk_at_most_one_block(monkeypatch) -> None:
     """Fail at once if the model's shapes are walked past one block, or
     if a block is built."""
-    shapes = ModelConfig.parameter_shapes
+    shapes = ModelConfig._shapes
 
-    def bounded(config):
-        assert config.n_blocks <= 1, "parameter_shapes walked every block"
-        return shapes(config)
+    def bounded(config, n_blocks):
+        assert n_blocks <= 1, "the shapes of every block were walked"
+        return shapes(config, n_blocks)
 
     def no_block(*args):
         raise AssertionError("a block was built")
 
-    monkeypatch.setattr(ModelConfig, "parameter_shapes", bounded)
+    monkeypatch.setattr(ModelConfig, "_shapes", bounded)
     monkeypatch.setattr(model_mod, "HahnKanBlock", no_block)
 
 

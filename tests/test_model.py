@@ -153,7 +153,7 @@ class TestPatching:
         )
 
     def test_stride_past_the_window_repeats_the_last_value(self):
-        # up to the largest stride numpy can hold, past which validate refuses
+        # up to the largest stride numpy can hold, past which ModelConfig refuses
         x = np.arange(1.0, 11.0)
         for stride in (10, 11, 2**63 - 1):
             np.testing.assert_array_equal(make_patches(x, 4, stride),
@@ -382,9 +382,9 @@ class TestForward:
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
-            ModelConfig(lookback=8, horizon=4, patch_len=16, stride=8).validate()
+            ModelConfig(lookback=8, horizon=4, patch_len=16, stride=8)
         with pytest.raises(ConfigError):
-            ModelConfig(lookback=8, horizon=4, patch_len=4, stride=0).validate()
+            ModelConfig(lookback=8, horizon=4, patch_len=4, stride=0)
 
 
 # ---------------------------------------------------------------- counting

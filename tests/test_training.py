@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import hakan.tensor as tt
+from hakan import training
 from hakan.basis import BASIS_KINDS, row_blocks
 from hakan.data import RawDataset, SplitSpec, prepare, window_count
 from hakan.errors import ConfigError, ContractError, DimensionError
@@ -245,6 +246,28 @@ class TestTrainLoop:
         for key in a[1]:
             np.testing.assert_array_equal(a[1][key], b[1][key])
 
+    def test_early_stopping_restores_the_best_epoch(self, monkeypatch):
+        # validation improves for two epochs and then stops: with patience 3
+        # training ends after epoch 5 and keeps the weights of epoch 2
+        val_mse = iter([3.0, 2.0, 2.5, 2.0, 2.5, 1.0])
+        seen = []
+        real_evaluate = training.evaluate
+
+        def scripted(model, splits, bounds, batch_size=512):
+            if bounds is not splits.val:
+                return real_evaluate(model, splits, bounds, batch_size)
+            seen.append({k: t.data.copy() for k, t in model.named_parameters()})
+            return next(val_mse), 0.0
+
+        monkeypatch.setattr(training, "evaluate", scripted)
+        model = HaKanModel(tiny_train_config(seed=13))
+        spec = TrainSpec(max_epochs=20, patience=3, lr=1e-3, batch_size=16, seed=13)
+        _, record = train(model, synthetic_splits(), spec)
+        assert record.epoch_stopped == len(seen) == 5
+        for name, t in model.named_parameters():
+            np.testing.assert_array_equal(t.data, seen[1][name])
+        assert not np.array_equal(model.w_up.data, seen[-1]["w_up"])
+
     def test_empty_split_rejected(self):
         splits = synthetic_splits()
         model = HaKanModel(tiny_train_config(lookback=16, horizon=40))
@@ -254,7 +277,7 @@ class TestTrainLoop:
 
     def test_spec_validation(self):
         with pytest.raises(ConfigError):
-            TrainSpec(lr=0.0).validate()
+            TrainSpec(lr=0.0)
 
     def test_patience_beyond_max_epochs_runs_every_epoch(self):
         # epoch 1 always improves on inf, so no patience >= max_epochs stops early
@@ -265,7 +288,7 @@ class TestTrainLoop:
 
     def test_max_epochs_below_one_rejected(self):
         with pytest.raises(ConfigError, match="max_epochs"):
-            TrainSpec(max_epochs=0, patience=0).validate()
+            TrainSpec(max_epochs=0, patience=0)
 
     @pytest.mark.parametrize("blocks", [0, 1, 3])
     def test_step_tape_node_count(self, blocks):
@@ -301,8 +324,9 @@ class TestGradCheck:
     def test_directional_check_across_cache_blocks(self, basis, mode, components):
         # it read 1e-11..5e-9 here; skipping the derivative product in the
         # interior blocks of the input gradient read 0.08..1.7
-        config, batch = block_crossing(ModelConfig(lookback=8, horizon=4, basis=basis,
-                                                   mode=mode, components=components))
+        config, batch = block_crossing(ModelConfig(lookback=8, horizon=4, patch_len=4,
+                                                   basis=basis, mode=mode,
+                                                   components=components))
         n, d = config.n_patches, config.embed_dim
         for rows, width in ((batch * n, d), (batch, n * d)):  # embedding axis, patch axis
             blocks = [range(rows)[blk] for blk in row_blocks(rows, width)]
