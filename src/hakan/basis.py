@@ -9,14 +9,21 @@ tests, never in the forward pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 from math import prod
 
 import numpy as np
 
+from . import pool
 from .errors import BasisParameterError, ConfigError, ContractError
 
 BASIS_KINDS = ("hahn", "chebyshev", "lucas")
+# The highest degree a basis is built with.  `make_basis` builds one
+# recurrence step per degree and a worker's block scratch holds two cache
+# blocks per degree (34 MB at 64), so an unbounded degree is a memory or
+# time bomb rather than a model.
+MAX_DEGREE = 64
 
 
 # Elements per cache block.  A block of the input, its squash and slope,
@@ -26,12 +33,18 @@ BASIS_KINDS = ("hahn", "chebyshev", "lucas")
 # recomputes its values and derivatives one block at a time, so neither
 # outlives its block.
 BLOCK_ELEMENTS = 32_768
-# Cache blocks per run of a KAN layer's forward: one basis call writes a
-# run's values into scratch, one product turns them into the run's output
-# rows, and the next run reuses the scratch.  Two blocks make products
-# large enough at small batches (a batch-8 `predict` chunk is one run);
-# see README, Performance.
+# Cache blocks per run of a KAN layer's forward, one pool task: one basis
+# call writes a run's values into its worker's scratch, one product turns
+# them into the run's output rows.  Two blocks make products large enough
+# at small batches; an input of one run (a batch-8 `predict` chunk) is
+# split into two halves instead.  See README, Performance.
 RUN_BLOCKS = 2
+# Cache blocks per task of a KAN layer's backward.  Each task sums its
+# blocks' coefficient-gradient partials, and the layer sums the tasks'
+# sums in block order, so the bits do not depend on which worker ran what.
+# Three split a batch-32 intra layer (6 blocks) into two equal tasks.
+GRAD_BLOCKS = 3
+_COUNT_LOCK = threading.Lock()  # eval_count is read-modify-write from pool tasks
 
 
 def block_rows(row_size: int) -> int:
@@ -62,8 +75,9 @@ class Basis:
     array along a new axis placed at `axis` of the result (as in
     `np.stack`).  They run block by block over the leading axes, squash
     each block in cache and write its terms straight into that array.
-    The block scratch is kept between calls, sized for a full block, so
-    a caller that walks its input block by block allocates nothing here.
+    The block scratch belongs to the calling thread (`pool.scratch`), so
+    a caller that walks its input block by block allocates nothing here,
+    and calls from several pool workers at once never share it.
 
     `eval_count` tracks how many scalar basis evaluations have been
     performed; layers rely on one evaluation per input element regardless
@@ -76,7 +90,6 @@ class Basis:
     steps: list
     p0: float = 1.0
     eval_count: int = 0
-    _scratch: np.ndarray = field(default_factory=lambda: np.empty(0), init=False, repr=False)
 
     def squash(self, x, slope: bool = False, out: tuple | None = None) -> tuple:
         """(s, ds/dx or None): the reals mapped monotonically onto `domain` by tanh.
@@ -118,7 +131,8 @@ class Basis:
 
     def _stacked(self, x, axis: int, out: tuple) -> tuple:
         x = np.asarray(x, dtype=np.float64)
-        self.eval_count += x.size
+        with _COUNT_LOCK:
+            self.eval_count += x.size
         k = axis % (x.ndim + 1)  # the degree axis's position in the result
         lead, trail = prod(x.shape[:k]), prod(x.shape[k:])
         rows = np.ascontiguousarray(x).reshape(lead, trail)
@@ -146,13 +160,11 @@ class Basis:
     def _block_scratch(self, trail: int) -> tuple:
         """(slabs [2, degree, rows, trail], w, tmp, s, ds) for a full block of `trail`-wide rows.
 
-        One buffer, kept between calls and grown only when a block needs more.
+        One buffer of the calling thread's scratch.
         """
         rows = block_rows(trail)
-        size = (2 * self.degree + 4) * rows * trail
-        if self._scratch.size < size:
-            self._scratch = np.empty(size)
-        parts = self._scratch[:size].reshape(2 * self.degree + 4, rows, trail)
+        parts = pool.scratch("basis", (2 * self.degree + 4) * rows * trail)
+        parts = parts.reshape(2 * self.degree + 4, rows, trail)
         slabs = parts[:2 * self.degree].reshape(2, self.degree, rows, trail)
         return (slabs, *parts[2 * self.degree:])
 
@@ -247,8 +259,8 @@ def make_basis(kind: str, degree: int, a: float = 1.0, b: float = 1.0, n: int = 
     kind = kind.lower()
     if kind not in BASIS_KINDS:
         raise ConfigError(f"unknown basis {kind!r}; choose from {BASIS_KINDS}")
-    if degree < 0:
-        raise BasisParameterError(f"degree must be >= 0, got {degree}")
+    if not 0 <= degree <= MAX_DEGREE:
+        raise BasisParameterError(f"degree must be in [0, {MAX_DEGREE}], got {degree}")
     if kind == "hahn":
         steps = hahn_steps(a, b, n, degree)  # checks (a, b, n) before p1 divides by them
         a, b, n = float(a), float(b), int(n)

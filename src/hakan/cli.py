@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import pool
 from .config import (
     RunConfig,
     find_key,
@@ -157,13 +158,18 @@ def _write_manifest(path: Path, cfg: RunConfig, extras: dict) -> None:
 
 
 def _machine() -> dict:
-    """The numpy, BLAS and CPU count a run computed with: float64 bits of
-    BLAS reductions depend on the BLAS and its thread count."""
+    """The numpy, BLAS, CPU count, pool size and BLAS thread count a run
+    computed with.  The float64 bits depend on numpy and the BLAS, not on
+    the CPU count, the pool size or the BLAS threads, where the pool pins
+    BLAS to one thread (`run.blas_threads` 1); see README, Performance."""
     blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    threads = pool.blas_threads()
     return {
         "run.numpy": np.__version__,
         "run.blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
         "run.cpus": len(os.sched_getaffinity(0)),
+        "run.pool": pool.size(),
+        "run.blas_threads": "unknown" if threads is None else threads,
     }
 
 

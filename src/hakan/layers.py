@@ -22,10 +22,17 @@ from math import prod
 
 import numpy as np
 
+from . import pool
 from . import tensor as tt
-from .basis import RUN_BLOCKS, Basis, block_rows, row_blocks
+from .basis import GRAD_BLOCKS, RUN_BLOCKS, Basis, block_rows, row_blocks
 from .errors import ContractError, DimensionError
 from .tensor import Tensor
+
+# Pool tasks per product of `linear` on the last axis: equal tiles of the
+# result's columns.  A fixed count, never the CPU count, so each column's
+# bits are the same for any pool size; 4 splits evenly over 1, 2 or 4
+# workers.
+TILES = 4
 
 
 def _contract(v: np.ndarray, w: np.ndarray, axis: int, out=None) -> np.ndarray:
@@ -52,20 +59,44 @@ def _rows(a: np.ndarray, keep: int) -> np.ndarray:
     return a.reshape((prod(a.shape[:cut]),) + a.shape[cut:])
 
 
+def _tiled(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b of matrices, one pool task per tile of TILES equal column tiles."""
+    out = np.empty((a.shape[0], b.shape[1]))
+    width = -(-b.shape[1] // TILES)
+
+    def tile(cols):
+        np.matmul(a, b[:, cols], out=out[:, cols])
+
+    pool.map(tile, [slice(lo, lo + width) for lo in range(0, b.shape[1], width)])
+    return out
+
+
 def linear(x: Tensor, w: Tensor, axis: int = -1) -> Tensor:
     """x times a weight matrix w [out, in] with no bias, recorded as one node.
 
-    Contracts `axis` of x: x @ w^T on axis -1, w @ x per [in, d] slab on axis -2.
+    Contracts `axis` of x: x @ w^T on axis -1, w @ x per [in, d] slab on
+    axis -2.  On axis -1 the product and both of its gradients run on the
+    pool in column tiles (`_tiled`).
     """
     _check_extent(x, w.shape[1], axis)
+    if axis == -1:
+        x_rows = _rows(x.data, 1)
+        out = _tiled(x_rows, w.data.T)
+        weight_grad = lambda g: _tiled(_rows(g, 1).T, x_rows)
+        input_grad = lambda g: _tiled(_rows(g, 1), w.data)
+    else:
+        out = _contract(x.data, w.data, axis)
+        weight_grad = lambda g: _weight_grad(g, x.data, axis)
+        input_grad = lambda g: _contract(g, w.data.T, axis)
 
     def back(g):
         if w.requires_grad:
-            w.accumulate_grad(_weight_grad(g, x.data, axis))
+            w.accumulate_grad(weight_grad(g))
         if x.requires_grad:
-            x.accumulate_grad(_contract(g, w.data.T, axis))
+            x.accumulate_grad(input_grad(g).reshape(x.shape))
 
-    return tt._make(_contract(x.data, w.data, axis), (x, w), back)
+    shape = x.shape[:axis] + (w.shape[0],) + x.shape[axis:][1:]
+    return tt._make(out.reshape(shape), (x, w), back)
 
 
 def _check_extent(x: Tensor, extent: int, axis: int) -> None:
@@ -113,18 +144,19 @@ class KanLayer:
     def forward(self, x: Tensor) -> Tensor:
         """The layer applied along its axis.
 
-        In kan mode the input is walked in runs of leading rows, RUN_BLOCKS
-        cache blocks each.  Degree 0 is a bias, P_0 times the coefficient
-        sum over inputs.  For each run the basis writes degrees 1..R of its
-        elements into one scratch array whose degree axis sits just before
-        the contracted axis, and one product with K = R * in_dim against
-        gamma[:, :, 1:] laid out as [out_dim, R * in_dim] writes that run's
-        rows of the output; the scratch is then reused, so no values
-        buffer of the whole input exists.  The backward walks the saved
-        input in cache blocks and recomputes each block's values and
-        derivatives (which carry the squash slope) just before use: the
-        values give that block's coefficient gradient, the derivatives its
-        input gradient.
+        In kan mode the input is split into runs of leading rows, RUN_BLOCKS
+        cache blocks each (an input of one run into two halves), one pool
+        task per run.  Degree 0 is a bias, P_0
+        times the coefficient sum over inputs.  For each run the basis
+        writes degrees 1..R of its elements into its worker's scratch, with
+        the degree axis just before the contracted axis, and one product
+        with K = R * in_dim against gamma[:, :, 1:] laid out as
+        [out_dim, R * in_dim] writes that run's rows of the output, so no
+        values buffer of the whole input exists.  The backward splits the
+        saved input into tasks of GRAD_BLOCKS cache blocks and recomputes
+        each block's values and derivatives (which carry the squash slope)
+        just before use: the values give that block's coefficient
+        gradient, the derivatives its input gradient.
         """
         if self.mode == "linear":
             return linear(x, self.gamma, self.axis)
@@ -136,13 +168,18 @@ class KanLayer:
         lead, width = len(x_rows), prod(x.shape[axis:])
         out_rows = np.empty((lead, self.out_dim) + x_rows.shape[2:])
         if degree:
-            values = np.empty((min(lead, RUN_BLOCKS * block_rows(width)), degree)
-                              + x_rows.shape[1:])
-            for run in row_blocks(lead, width, RUN_BLOCKS):
-                terms = self.basis.eval_terms(x_rows[run], axis=axis - 1,
-                                              out=values[:len(out_rows[run])])
+            def run_task(run):
+                src = x_rows[run]
+                values = pool.scratch("layer", degree * src.size)
+                terms = self.basis.eval_terms(
+                    src, axis=axis - 1, out=values.reshape((len(src), degree) + src.shape[1:]))
                 stacked = terms.reshape((len(terms), -1) + x_rows.shape[2:])
                 _contract(stacked, weight, axis, out=out_rows[run])
+
+            step = RUN_BLOCKS * block_rows(width)
+            if lead <= step:  # one run: halves, so a small batch is still two tasks
+                step = -(-lead // 2)
+            pool.map(run_task, [slice(lo, lo + step) for lo in range(0, lead, step)])
         else:  # the bias alone
             out_rows.fill(0.0)
         out_rows += bias.reshape((self.out_dim,) + (1,) * (-axis - 1))
@@ -166,28 +203,41 @@ class KanLayer:
         """(d/d weight, d/dx) for the output gradient g, in cache blocks of leading rows.
 
         Each block's values and derivatives come from one basis call on that
-        block of x.  The weight gradient sums the blocks' partial products
-        in block order; the input gradient of a block is
-        sum_r (W_r^T g) * dP_r(s(x))/dx.  A block's values, derivatives and
-        product land in scratch allocated once per call.
+        block of x.  A pool task takes GRAD_BLOCKS blocks and sums their
+        weight-gradient partial products in block order; the weight gradient
+        sums the tasks' sums in task order.  The input gradient of a block
+        is sum_r (W_r^T g) * dP_r(s(x))/dx.  A block's values, derivatives
+        and product land in its worker's scratch.
         """
         axis, degree = self.axis, self.basis.degree
         x_rows, g_rows = _rows(x, -axis), _rows(g, -axis)
         lead, width = len(x_rows), prod(x.shape[axis:])
-        dw = np.zeros(weight.shape)
         if not degree:  # the bias alone: no block to evaluate
-            return dw, np.zeros(x.shape)
-        height = min(lead, block_rows(width))
-        vals, ders = np.empty((2, height, degree) + x_rows.shape[1:])
-        product = np.empty((height, weight.shape[1]) + g_rows.shape[2:])
+            return np.zeros(weight.shape), np.zeros(x.shape)
         gx = np.empty(x_rows.shape)
-        for blk in row_blocks(lead, width):
-            m = len(x_rows[blk])
-            v, dp = self.basis.eval_terms_with_deriv(x_rows[blk], axis=axis - 1,
-                                                     out=(vals[:m], ders[:m]))
-            dw += _weight_grad(g_rows[blk], v.reshape(product[:m].shape), axis)
-            # the block's W_r^T g, times the derivatives
-            terms = _contract(g_rows[blk], weight.T, axis, out=product[:m]).reshape(dp.shape)
-            terms *= dp
-            np.sum(terms, axis=1, out=gx[blk])
+
+        def group_task(group):
+            xs, gs, gxs = x_rows[group], g_rows[group], gx[group]
+            height = min(len(xs), block_rows(width))
+            values = 2 * degree * height * width
+            work = pool.scratch("layer", values + height * weight.shape[1]
+                                * prod(g_rows.shape[2:]))
+            vals, ders = work[:values].reshape((2, height, degree) + x_rows.shape[1:])
+            product = work[values:].reshape((height, weight.shape[1]) + g_rows.shape[2:])
+            dw = np.zeros(weight.shape)
+            for blk in row_blocks(len(xs), width):
+                m = len(xs[blk])
+                v, dp = self.basis.eval_terms_with_deriv(xs[blk], axis=axis - 1,
+                                                         out=(vals[:m], ders[:m]))
+                dw += _weight_grad(gs[blk], v.reshape(product[:m].shape), axis)
+                # the block's W_r^T g, times the derivatives
+                terms = _contract(gs[blk], weight.T, axis, out=product[:m]).reshape(dp.shape)
+                terms *= dp
+                np.sum(terms, axis=1, out=gxs[blk])
+            return dw
+
+        partials = pool.map(group_task, row_blocks(lead, width, GRAD_BLOCKS))
+        dw = partials[0]
+        for part in partials[1:]:
+            dw += part
         return dw, gx.reshape(x.shape)

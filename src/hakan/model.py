@@ -24,6 +24,7 @@ from math import prod
 
 import numpy as np
 
+from . import pool
 from . import tensor as tt
 from .basis import make_basis
 from .errors import ConfigError, ContractError, DataError, DimensionError
@@ -298,10 +299,11 @@ class HaKanModel:
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Forecast every channel of an [L, M] series, returning [T, M].
 
-        Channels run through the backbone PREDICT_CHUNK at a time.  A short
-        last chunk is padded with copies of its first window, so every
-        forward has the same batch size and a channel's forecast is
-        bit-identical whether or not other channels are present.
+        Channels run through the backbone PREDICT_CHUNK at a time, one
+        pool task per chunk.  A short last chunk is padded with copies of
+        its first window, so every forward has the same batch size and a
+        channel's forecast is bit-identical whether or not other channels
+        are present.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
@@ -312,14 +314,17 @@ class HaKanModel:
             )
         channels = x.shape[1]
         preds = np.empty((channels, self.config.horizon))
-        chunk = np.empty((PREDICT_CHUNK, self.config.lookback))
+
+        def chunk_task(lo):
+            windows = x[:, lo:lo + PREDICT_CHUNK].T
+            n = windows.shape[0]
+            chunk = np.empty((PREDICT_CHUNK, self.config.lookback))
+            chunk[:n] = windows
+            chunk[n:] = windows[0]  # a zero row would divide 0/0 when revin_eps = 0
+            preds[lo:lo + n] = self.forward_batch(chunk).data[:n]
+
         with tt.no_grad():
-            for lo in range(0, channels, PREDICT_CHUNK):
-                windows = x[:, lo:lo + PREDICT_CHUNK].T
-                n = windows.shape[0]
-                chunk[:n] = windows
-                chunk[n:] = windows[0]  # a zero row would divide 0/0 when revin_eps = 0
-                preds[lo:lo + n] = self.forward_batch(chunk).data[:n]
+            pool.map(chunk_task, range(0, channels, PREDICT_CHUNK))
         return preds.T
 
     # checkpointing ---------------------------------------------------------
@@ -391,7 +396,7 @@ def _read_checkpoint(archive, path) -> tuple:
         if stored.shape != shape:
             raise DataError(f"{path}: checkpoint key {name}: shape {stored.shape} "
                             f"!= {shape}")
-        params[name] = stored.astype(np.float64)
+        params[name] = stored.astype(np.float64, copy=False)
     return config, params
 
 

@@ -1,0 +1,196 @@
+"""One pool of worker threads for the KAN layers, `predict` and the head.
+
+The pool has one worker per CPU this process may run on, and the thread
+that calls `map` is one of them: it takes items like the others, so a
+pool of n threads starts only n - 1 of its own, and only at its first
+parallel `map`.  `map` runs its items inline, in order, when there is one
+item, when the pool has one worker, and when the caller is itself running
+a task, so a task that calls `map` again never waits on the pool.
+
+Tasks are numpy calls that release the interpreter lock; BLAS runs one
+thread per call, so two tasks never compete for the BLAS threads.  The
+route is numpy's bundled OpenBLAS (`scipy_openblas_set_num_threads64_`
+through ctypes).  Where that library is missing the pool has one worker
+and BLAS keeps its own threads, the serial behaviour.
+
+Callers split work into pieces whose shapes never depend on the pool size,
+and each piece computes the same bits on any thread, so results are
+bitwise the same for any CPU count.
+
+Each thread owns its scratch arrays (`scratch`), reused by every layer and
+basis that runs a task on it.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import glob
+import os
+import queue
+import threading
+from contextlib import contextmanager
+
+import numpy as np
+
+_local = threading.local()  # .working: inside a task; .scratch: {name: array}
+
+
+def _openblas():
+    """numpy's bundled OpenBLAS, or None where numpy was built against another BLAS."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for suffix in ("64_", ""):
+            setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
+    return None
+
+
+class Pool:
+    """`size` workers: the calling thread and size - 1 threads started on demand."""
+
+    def __init__(self, size: int):
+        self.size = max(1, int(size))
+        self._jobs = queue.SimpleQueue()
+        self._threads = []
+
+    def map(self, fn, items) -> list:
+        """[fn(item) for item in items], the items spread over the workers.
+
+        The first exception in item order is raised once every item has run.
+        """
+        items = list(items)
+        if len(items) < 2 or self.size < 2 or getattr(_local, "working", False):
+            return [fn(item) for item in items]
+        if not self._threads:
+            for _ in range(self.size - 1):
+                thread = threading.Thread(target=_serve, args=(self._jobs,), daemon=True)
+                thread.start()
+                self._threads.append(thread)
+        batch = _Batch(fn, items)
+        for _ in range(min(self.size, len(items)) - 1):
+            self._jobs.put(batch)
+        _local.working = True
+        try:
+            batch.work()
+        finally:
+            _local.working = False
+        return batch.results()
+
+    def close(self) -> None:
+        """Stop the pool's threads once they finish the jobs they hold."""
+        for thread in self._threads:
+            self._jobs.put(None)
+        for thread in self._threads:
+            thread.join()
+        self._threads = []
+
+
+class _Batch:
+    """The items of one `map` call, taken in order by whichever worker is free."""
+
+    def __init__(self, fn, items: list):
+        self.fn = fn
+        self.items = items
+        self.out = [None] * len(items)
+        self.errors = {}
+        self.taken = 0
+        self.left = len(items)
+        self.lock = threading.Lock()
+        self.done = threading.Event()
+
+    def work(self) -> None:
+        while True:
+            with self.lock:
+                i = self.taken
+                if i == len(self.items):
+                    return
+                self.taken += 1
+            try:
+                self.out[i] = self.fn(self.items[i])
+            except BaseException as err:  # handed to the caller by `results`
+                self.errors[i] = err
+            with self.lock:
+                self.left -= 1
+                if not self.left:
+                    self.done.set()
+
+    def results(self) -> list:
+        self.done.wait()
+        if self.errors:
+            raise self.errors[min(self.errors)]
+        return self.out
+
+
+def _serve(jobs: queue.SimpleQueue) -> None:
+    _local.working = True
+    while True:
+        batch = jobs.get()
+        if batch is None:
+            return
+        batch.work()
+        del batch  # its task closure holds the caller's arrays until the next job
+
+
+_BLAS = None  # (set, get) of numpy's OpenBLAS thread count, once looked up
+_POOL = None
+
+
+def get() -> Pool:
+    """The process's pool, made at first use; making it pins BLAS to one thread."""
+    global _BLAS, _POOL
+    if _POOL is None:
+        _BLAS = _openblas() or ()
+        if _BLAS:
+            _BLAS[0](1)
+        _POOL = Pool(len(os.sched_getaffinity(0)) if _BLAS else 1)
+    return _POOL
+
+
+def map(fn, items) -> list:
+    """`Pool.map` on the process's pool."""
+    return get().map(fn, items)
+
+
+def size() -> int:
+    return get().size
+
+
+def blas_threads() -> int | None:
+    """The BLAS thread count, or None where the BLAS cannot be asked."""
+    get()
+    return _BLAS[1]() if _BLAS else None
+
+
+def scratch(name: str, n: int) -> np.ndarray:
+    """n float64 elements owned by the calling thread under `name`.
+
+    Valid until the thread's next `scratch(name, ...)`; callers that nest
+    use different names.  Grown, never shrunk, so a thread that walks
+    blocks of one size allocates once.
+    """
+    bufs = _local.__dict__.setdefault("scratch", {})
+    buf = bufs.get(name)
+    if buf is None or buf.size < n:
+        buf = bufs[name] = np.empty(n)
+    return buf[:n]
+
+
+@contextmanager
+def _sized(n: int):
+    """Run the block on a pool of n workers (a test hook); BLAS stays pinned."""
+    global _POOL
+    previous = get()
+    _POOL = Pool(n)
+    try:
+        yield _POOL
+    finally:
+        _POOL.close()
+        _POOL = previous

@@ -1,8 +1,9 @@
 """Dense float64 arrays with reverse-mode automatic differentiation.
 
 Operations record onto a module-level tape in execution order.  `backward`
-sweeps that tape once in reverse, accumulates gradients into every
-`requires_grad` tensor reachable from the root, and then frees the tape.
+sweeps that tape once in reverse, popping each node as it runs, and
+accumulates gradients into every `requires_grad` tensor reachable from the
+root.
 An op result's gradient is dropped as soon as its node has run; leaf
 (parameter) gradients persist across backward calls until `zero_grad`,
 which keeps their buffers for the next accumulation.
@@ -123,10 +124,11 @@ class Tensor:
 def backward(root: Tensor) -> None:
     """Accumulate d(root)/d(leaf) into every reachable requires_grad leaf.
 
-    The root must be a scalar.  Each op result's gradient is freed once its
-    node has run, and the tape afterwards, so each recorded forward pass
-    supports one backward sweep; repeated forward/backward rounds keep
-    accumulating into parameter grads.
+    The root must be a scalar.  Each node leaves the tape as it runs, and
+    its op result's gradient is freed once it has run, so the activations
+    a node saved go with it and the tape is empty afterwards; each recorded
+    forward pass supports one backward sweep, and repeated forward/backward
+    rounds keep accumulating into parameter grads.
     """
     if root.size != 1:
         raise ContractError(
@@ -136,7 +138,8 @@ def backward(root: Tensor) -> None:
         root.grad = np.zeros_like(root.data)
     root.grad += 1.0
     try:
-        for node in reversed(_TAPE):
+        while _TAPE:
+            node = _TAPE.pop()  # dropped after it runs, with the activations it saved
             g = node.out.grad
             if g is not None:
                 node.backward(g)

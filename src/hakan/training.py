@@ -12,11 +12,13 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, replace
+from math import prod
 
 import numpy as np
 
+from . import pool
 from . import tensor as tt
-from .basis import BLOCK_ELEMENTS
+from .basis import BLOCK_ELEMENTS, row_blocks
 from .data import DatasetSplits, window_count
 from .errors import ConfigError, ContractError, DimensionError
 from .model import HaKanModel, ModelConfig
@@ -66,15 +68,19 @@ class Adam:
         Each parameter's arithmetic runs through one scratch array of two
         halves, in the order of m = b1 m + (1 - b1) g,
         v = b2 v + (1 - b2) g^2 and p -= lr (m / bc1) / (sqrt(v / bc2) + eps).
+        The parameter is split into slices of leading rows, a cache block
+        each, one pool task per slice; the update is elementwise, so the
+        slicing changes no bit.
         """
+        if any(p.grad is None for p in self.params):
+            raise ContractError("adam step with a missing gradient")
         self.t += 1
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            if p.grad is None:
-                raise ContractError("adam step with a missing gradient")
-            g = p.grad
-            num, den = np.empty((2,) + g.shape)
+
+        def update(item):
+            arrays, rows = item
+            p, g, m, v, num, den = (a[rows] for a in arrays)
             np.multiply(g, 1.0 - BETA1, out=num)
             m *= BETA1
             m += num
@@ -90,7 +96,18 @@ class Adam:
             np.sqrt(den, out=den)
             den += EPS
             num /= den
-            p.data -= num
+            p -= num
+
+        slices = []
+        for p, m, v in zip(self.params, self.m, self.v):
+            arrays = [np.atleast_1d(a) for a in (p.data, p.grad, m, v)]  # views
+            # one scratch array per parameter, freed after the step: slices
+            # of worker scratch instead left glibc's mmap threshold low, and
+            # every later set-up page-faulted (README, Performance)
+            arrays += list(np.empty((2,) + arrays[0].shape))
+            slices += [(arrays, rows)
+                       for rows in row_blocks(len(arrays[0]), prod(arrays[0].shape[1:]))]
+        pool.map(update, slices)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -4,7 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from hakan.basis import hahn_coeffs, make_basis
+from hakan.basis import MAX_DEGREE, hahn_coeffs, make_basis
 from hakan.errors import BasisParameterError, ConfigError
 
 from helpers import closed_form, eval_all, eval_all_with_deriv, orthogonality_weight
@@ -171,6 +171,11 @@ class TestAlternateBases:
         assert (lucas.domain, lucas.p0, lucas.steps) == ((-1.0, 1.0), 2.0, [(0.0, 1.0, 1.0)] * 2)
         with pytest.raises(BasisParameterError):
             make_basis("lucas", -1)
+        assert make_basis("chebyshev", MAX_DEGREE).degree == MAX_DEGREE
+        with pytest.raises(BasisParameterError, match=r"degree must be in \[0, "):
+            make_basis("chebyshev", MAX_DEGREE + 1)
+        with pytest.raises(BasisParameterError, match=r"degree must be in \[0, "):
+            make_basis("hahn", MAX_DEGREE + 1, n=MAX_DEGREE + 1)
         with pytest.raises(ConfigError):
             make_basis("bspline", 3)
         with pytest.raises(ConfigError):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hakan.tensor as tt
-from hakan import cli
+from hakan import cli, pool
 from hakan import model as model_mod
 from hakan.config import (RunConfig, load_config, parse_config, serialize_config,
                           with_values)
@@ -162,8 +162,9 @@ class TestTrainCommand:
         assert "result.mse" in manifest.read_text()
 
     def test_manifest_records_the_machine(self, tiny_run):
-        # numpy, the BLAS and the CPU count ride along as comments, so the
-        # manifest still parses as the config of the run
+        # numpy, the BLAS, the CPU count, the pool size and the BLAS thread
+        # count ride along as comments, so the manifest still parses as the
+        # config of the run
         cfg_path, _, out_dir = tiny_run
         assert cli.main(["train", "--config", str(cfg_path)]) == 0
         text = (out_dir / "synthetic_T4_seed11.manifest").read_text()
@@ -173,6 +174,11 @@ class TestTrainCommand:
         blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
         assert notes["run.blas"] == f"{blas['name']} {blas['version']}"
         assert int(notes["run.cpus"]) == len(os.sched_getaffinity(0)) >= 1
+        assert int(notes["run.pool"]) == pool.size() >= 1
+        threads = pool.blas_threads()
+        assert notes["run.blas_threads"] == ("unknown" if threads is None else str(threads))
+        if pool.size() > 1:  # the pool runs only where BLAS is pinned to one thread
+            assert threads == 1
         assert parse_config(text) == load_config(cfg_path)
 
     def test_multi_seed_appends_summary(self, tiny_run):

@@ -7,10 +7,12 @@ never 1 with a traceback, and a failing run prints exactly one stderr line.
 
 import contextlib
 import io
+import time
 
 import pytest
 
 from hakan import cli
+from hakan.basis import MAX_DEGREE
 from hakan.config import KEYS, parse_config
 from hakan.model import HaKanModel
 
@@ -82,3 +84,22 @@ def test_eval_checks_the_train_section(tmp_path, capsys, value):
     err = capsys.readouterr().err
     assert err == "config error: batch_size must be >= 1\n"
     assert not (tmp_path / "runs" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["params", "train"])
+@pytest.mark.parametrize("keys", [
+    "model.basis = chebyshev\nmodel.degree = 1000000000000\n",
+    "model.hahn_n = 1000000000000\nmodel.degree = 1000000000000\n",
+], ids=["chebyshev", "hahn"])
+def test_a_huge_degree_exits_config_code_at_once(tmp_path, capsys, command, keys):
+    # two keys together: the basis builds one recurrence step per degree, so
+    # an unbounded degree once ran out of memory (chebyshev) or looped in
+    # the Hahn coefficients until a timeout
+    base, _ = _tiny_run(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(base + keys)
+    started = time.perf_counter()
+    assert cli.main([*COMMANDS[command], "--config", str(cfg)]) == cli.EXIT_CONFIG
+    assert time.perf_counter() - started < 1.0
+    assert capsys.readouterr().err == (
+        f"config error: degree must be in [0, {MAX_DEGREE}], got 1000000000000\n")

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import hakan.tensor as tt
-from hakan.basis import BLOCK_ELEMENTS, RUN_BLOCKS, block_rows, make_basis, row_blocks
+from hakan import pool
+from hakan.basis import (BLOCK_ELEMENTS, GRAD_BLOCKS, RUN_BLOCKS, block_rows, make_basis,
+                         row_blocks)
 from hakan.errors import ContractError, DimensionError
 from hakan.layers import KanLayer
 from hakan.tensor import Tensor
@@ -234,18 +236,31 @@ class TestPatchAxis:
             KanLayer(3, 3, mode="linear", axis=0)
 
 
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
+def in_input_order(calls: list) -> list:
+    """Recorded (name, copy, address) calls sorted by where their rows start.
+
+    Pool workers call the basis in any order; each call takes a view of
+    the layer's input, so its address places it.
+    """
+    return [call[:2] for call in sorted(calls, key=lambda call: call[2])]
+
+
 @pytest.mark.parametrize("case", list(CASES))
 @pytest.mark.parametrize("grad", [True, False])
 def test_one_basis_call_per_forward(case, grad):
     # the tracing contract: a tracer wraps the basis methods on the instance.
-    # The forward's `eval_terms` calls take runs of raw input rows that tile
-    # the input once, in order; the backward's `eval_terms_with_deriv`
-    # calls tile it once more
+    # The forward's `eval_terms` calls take runs of raw input rows that,
+    # ordered by their first row, tile the input once; the backward's
+    # `eval_terms_with_deriv` calls tile it once more
     layer, x = oracle_layer("hahn", 3, case)
     calls = []
     for name in ("eval_terms", "eval_terms_with_deriv"):
         def traced(data, *args, _fn=getattr(layer.basis, name), _name=name, **kwargs):
-            calls.append((_name, np.array(data)))
+            calls.append((_name, np.array(data), _address(data)))
             return _fn(data, *args, **kwargs)
 
         setattr(layer.basis, name, traced)
@@ -254,30 +269,54 @@ def test_one_basis_call_per_forward(case, grad):
     before = layer.basis.eval_count
     with nullcontext() if grad else tt.no_grad():
         out = layer.forward(xt)
-    assert calls and {name for name, _ in calls} == {"eval_terms"}
-    np.testing.assert_array_equal(np.concatenate([data for _, data in calls]), rows)
+    assert calls and {name for name, *_ in calls} == {"eval_terms"}
+    np.testing.assert_array_equal(
+        np.concatenate([data for _, data in in_input_order(calls)]), rows)
     assert layer.basis.eval_count - before == x.size
     if grad:
         forward_calls = len(calls)
         tt.backward(out.sum())
-        blocks = calls[forward_calls:]
+        blocks = in_input_order(calls[forward_calls:])
         assert blocks and {name for name, _ in blocks} == {"eval_terms_with_deriv"}
         np.testing.assert_array_equal(np.concatenate([data for _, data in blocks]), rows)
         assert layer.basis.eval_count - before == 2 * x.size
 
 
 def test_forward_runs_tile_the_input_in_whole_cache_blocks():
-    # 2 runs of RUN_BLOCKS cache blocks and a short third, in input order
+    # 2 runs of RUN_BLOCKS cache blocks and a short third, ordered by their
+    # first row
     layer = KanLayer(64, 5, basis=make_basis("hahn", 3), rng=np.random.default_rng(14))
     step = RUN_BLOCKS * block_rows(64)
     x = np.random.default_rng(15).normal(size=(2 * step + 7, 64))
     calls = []
     true_fn = layer.basis.eval_terms
-    layer.basis.eval_terms = lambda data, *a, **k: calls.append(data) or true_fn(data, *a, **k)
+
+    def traced(data, *a, **k):
+        calls.append(("eval_terms", np.array(data), _address(data)))
+        return true_fn(data, *a, **k)
+
+    layer.basis.eval_terms = traced
     with tt.no_grad():
         layer.forward(Tensor(x))
-    assert [len(c) for c in calls] == [step, step, 7]
-    np.testing.assert_array_equal(np.concatenate(calls), x)
+    runs = [data for _, data in in_input_order(calls)]
+    assert [len(r) for r in runs] == [step, step, 7]
+    np.testing.assert_array_equal(np.concatenate(runs), x)
+
+
+def test_basis_count_is_exact_on_a_pool_of_two():
+    # GRAD_BLOCKS + 1 cache blocks, the last one short: two forward runs and
+    # two backward groups, each pair spread over two workers
+    layer = KanLayer(64, 5, basis=make_basis("hahn", 3), rng=np.random.default_rng(16))
+    blocks = GRAD_BLOCKS + 1
+    x = Tensor(np.random.default_rng(17).normal(size=(blocks * block_rows(64) - 5, 64)),
+               requires_grad=True)
+    assert len(list(row_blocks(len(x.data), 64, RUN_BLOCKS))) == 2
+    assert len(list(row_blocks(len(x.data), 64, GRAD_BLOCKS))) == 2
+    with pool._sized(2):
+        out = layer.forward(x)
+        assert layer.basis.eval_count == x.size
+        tt.backward(out.sum())
+    assert layer.basis.eval_count == 2 * x.size
 
 
 @pytest.mark.parametrize("kind", ["hahn", "chebyshev", "lucas"])
@@ -309,23 +348,26 @@ def test_blocked_input_grad_is_the_whole_array_formula(kind, axis, shape):
                          ids=["last", "patch"])
 def test_grad_forward_stores_no_derivatives(axis, shape):
     # a grad-recording forward allocates its output (and a byte per element
-    # to check it is finite), gamma laid out as one weight matrix and one
-    # run of values (RUN_BLOCKS cache blocks of degree values each); the
-    # basis adds one block of scratch.  No values or derivatives of the
-    # whole input exist: they alone would be degree x the input
+    # to check it is finite) and gamma laid out as one weight matrix; each
+    # pool worker adds at most one run of values (RUN_BLOCKS cache blocks of
+    # degree values each) and the basis's block of scratch.  No values or
+    # derivatives of the whole input exist: they alone would be degree x
+    # the input
     degree = 3
     layer = KanLayer(shape[axis], shape[axis], basis=make_basis("hahn", degree), axis=axis)
     x = Tensor(np.random.default_rng(13).normal(size=shape), requires_grad=True)
-    tracemalloc.start()
-    try:
-        out = layer.forward(x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with pool._sized(2) as workers:
+        tracemalloc.start()
+        try:
+            out = layer.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     tt.backward(out.sum())
     run = RUN_BLOCKS * BLOCK_ELEMENTS * degree * 8
     scratch = BLOCK_ELEMENTS * (2 * degree + 4) * 8
-    assert peak < out.data.nbytes * 9 // 8 + layer.gamma.data.nbytes + run + scratch
+    assert peak < (out.data.nbytes * 9 // 8 + layer.gamma.data.nbytes
+                   + workers.size * (run + scratch))
 
 
 @pytest.mark.parametrize("kind", ["hahn", "chebyshev", "lucas"])

@@ -1,0 +1,164 @@
+"""The worker pool: an ordered map, inline nesting, exact counters, and bits
+that do not depend on the pool size or on the CPU count."""
+
+import csv
+import os
+import subprocess
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+import hakan.tensor as tt
+from hakan import pool
+from hakan.basis import make_basis
+from hakan.data import SegmentBounds, SplitSpec, load_csv, prepare
+from hakan.model import HaKanModel, ModelConfig
+from hakan.tensor import Tensor
+from hakan.training import Adam, evaluate, mse_loss
+
+from helpers import REPO_ROOT, write_synthetic_csv
+
+
+def test_map_returns_results_in_item_order():
+    with pool._sized(3) as p:
+        assert p.map(lambda i: i * i, range(50)) == [i * i for i in range(50)]
+
+
+def test_map_raises_the_first_failure_in_item_order_after_every_item_ran():
+    ran = []
+
+    def task(i):
+        ran.append(i)
+        if i in (3, 7):
+            raise ValueError(str(i))
+        return i
+
+    with pool._sized(2) as p:
+        with pytest.raises(ValueError, match="^3$"):
+            p.map(task, range(10))
+    assert sorted(ran) == list(range(10))
+
+
+def test_a_task_that_maps_runs_its_items_on_its_own_thread():
+    def outer(_):
+        return set(p.map(lambda _: threading.get_ident(), range(4))) == {threading.get_ident()}
+
+    with pool._sized(2) as p:
+        assert all(p.map(outer, range(6)))
+
+
+def test_each_worker_has_its_own_scratch():
+    both = threading.Barrier(2, timeout=10)  # the two items run on two threads at once
+
+    def task(_):
+        both.wait()
+        first = pool.scratch("test", 8)
+        assert pool.scratch("test", 4).base is first.base  # reused, not reallocated
+        return first.__array_interface__["data"][0]
+
+    with pool._sized(2) as p:
+        a, b = p.map(task, range(2))
+    assert a != b
+
+
+def test_basis_count_is_exact_under_contention():
+    # more workers than CPUs and a short switch interval: a lost update of
+    # eval_count would show as a short count
+    basis = make_basis("hahn", 3)
+    x = np.zeros((1, 2))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pool._sized(2 * len(os.sched_getaffinity(0)) + 2) as p:
+            p.map(lambda _: basis.eval_terms(x), range(5_000))
+    finally:
+        sys.setswitchinterval(interval)
+    assert basis.eval_count == 10_000
+
+
+# A model whose KAN layers span several runs and gradient groups, and whose
+# head spans several column tiles: lookback 96 gives 12 patches, so a batch
+# of 128 is 6 cache blocks on the embedding axis and 7 on the patch axis.
+BIT_CONFIG = ModelConfig(lookback=96, horizon=8, n_channels=11, n_blocks=2,
+                         bottleneck_dim=96, seed=21)
+
+
+def _run(size, splits) -> list:
+    """Every float a short session computes on a pool of `size` workers."""
+    rng = np.random.default_rng(22)
+    with pool._sized(size):
+        model = HaKanModel(BIT_CONFIG)
+        optimizer = Adam(model.parameters(), lr=1e-3)
+        seen = []
+        for _ in range(3):
+            x = rng.normal(size=(128, 96)).cumsum(axis=1)
+            loss = mse_loss(model.forward_batch(x), Tensor(rng.normal(size=(128, 8))))
+            tt.backward(loss)
+            seen += [loss.data] + [p.grad.copy() for p in model.parameters()]
+            optimizer.step()
+            optimizer.zero_grad()
+        seen += [p.data for p in model.parameters()]
+        seen.append(np.array(evaluate(model, splits, SegmentBounds(
+            splits.test.start, splits.test.start + 96 + 8 - 1 + 40), batch_size=512)))
+        seen.append(model.predict(splits.values[splits.test.start:splits.test.start + 96]))
+    return seen
+
+
+def test_pool_size_changes_no_bit(tmp_path):
+    path = write_synthetic_csv(tmp_path / "series.csv", rows=900, channels=11)
+    splits = prepare(load_csv(path), SplitSpec("ratio"), lookback=96)
+    one, two = _run(1, splits), _run(2, splits)
+    assert len(one) == len(two)
+    for a, b in zip(one, two):
+        assert a.tobytes() == b.tobytes()
+
+
+TRAIN_CONFIG = """\
+data.split = ratio
+run.seeds = 3
+model.lookback = 96
+model.horizon = 8
+model.patch_len = 16
+model.stride = 8
+model.embed_dim = 128
+model.blocks = 2
+model.bottleneck = 96
+model.degree = 3
+train.max_epochs = 1
+train.batch_size = 128
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
+def test_train_bits_do_not_depend_on_the_cpu_count(tmp_path):
+    data = write_synthetic_csv(tmp_path / "series.csv", rows=400, channels=2)
+    cpus = os.sched_getaffinity(0)
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    outs = {}
+    for name, allowed in (("one", {min(cpus)}), ("all", cpus)):
+        out = tmp_path / name
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(f"data.path = {data}\ndata.name = s\nrun.out = {out}\n{TRAIN_CONFIG}")
+        proc = subprocess.run(
+            [sys.executable, "-m", "hakan.cli", "train", "--config", str(cfg)], env=env,
+            preexec_fn=lambda allowed=allowed: os.sched_setaffinity(0, allowed),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs[name] = out
+    one, all_ = (np.load(outs[k] / "s_T8_seed3.npz") for k in ("one", "all"))
+    with one, all_:
+        assert sorted(one.files) == sorted(all_.files)
+        for key in one.files:
+            assert one[key].tobytes() == all_[key].tobytes(), key
+
+    def metrics(out):  # the wall-time column is a clock reading, not a result
+        with open(out / "metrics.csv", newline="") as fh:
+            return [{k: v for k, v in row.items() if k != "seconds"}
+                    for row in csv.DictReader(fh)]
+
+    assert metrics(outs["one"]) == metrics(outs["all"])
+    pools = [next(line for line in (outs[k] / "s_T8_seed3.manifest").read_text().splitlines()
+                  if line.startswith("# run.pool = ")) for k in ("one", "all")]
+    assert pools == ["# run.pool = 1", f"# run.pool = {len(cpus)}"]
