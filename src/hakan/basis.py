@@ -33,17 +33,16 @@ MAX_DEGREE = 64
 # recomputes its values and derivatives one block at a time, so neither
 # outlives its block.
 BLOCK_ELEMENTS = 32_768
-# Cache blocks per run of a KAN layer's forward, one pool task: one basis
-# call writes a run's values into its worker's scratch, one product turns
-# them into the run's output rows.  Two blocks make products large enough
-# at small batches; an input of one run (a batch-8 `predict` chunk) is
-# split into two halves instead.  See README, Performance.
-RUN_BLOCKS = 2
-# Cache blocks per task of a KAN layer's backward.  Each task sums its
-# blocks' coefficient-gradient partials, and the layer sums the tasks'
-# sums in block order, so the bits do not depend on which worker ran what.
-# Three split a batch-32 intra layer (6 blocks) into two equal tasks.
-GRAD_BLOCKS = 3
+# Cache blocks per pool task of a KAN layer: a forward run or a backward
+# group.  A forward run is one basis call into its worker's scratch and one
+# product into the run's output rows, so three blocks make products large
+# enough at small batches; an input of one run (a batch-8 `predict` chunk)
+# is split into two halves instead.  A backward group sums its blocks'
+# coefficient-gradient partials, and the layer sums the groups' sums in
+# block order, so the bits do not depend on which worker ran what.  Three
+# split a batch-32 intra layer (6 blocks) into two equal tasks.  See
+# README, Performance.
+RUN_BLOCKS = 3
 _COUNT_LOCK = threading.Lock()  # eval_count is read-modify-write from pool tasks
 
 

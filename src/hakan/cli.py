@@ -347,6 +347,8 @@ def cmd_gradcheck(args) -> int:
     tolerance = args.tolerance
     if tolerance is None:
         tolerance = 1e-6 if check_cfg.mode == "linear" else 1e-4
+    elif not 0.0 <= tolerance < float("inf"):
+        raise ConfigError(f"--tolerance must be finite and at least 0, got {tolerance}")
     report = grad_check(check_cfg)
     worst_name, worst = max(report.items(), key=lambda kv: kv[1])
     for name, err in report.items():

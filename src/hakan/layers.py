@@ -24,7 +24,7 @@ import numpy as np
 
 from . import pool
 from . import tensor as tt
-from .basis import GRAD_BLOCKS, RUN_BLOCKS, Basis, block_rows, row_blocks
+from .basis import RUN_BLOCKS, Basis, block_rows, row_blocks
 from .errors import ContractError, DimensionError
 from .tensor import Tensor
 
@@ -144,19 +144,16 @@ class KanLayer:
     def forward(self, x: Tensor) -> Tensor:
         """The layer applied along its axis.
 
-        In kan mode the input is split into runs of leading rows, RUN_BLOCKS
-        cache blocks each (an input of one run into two halves), one pool
-        task per run.  Degree 0 is a bias, P_0
-        times the coefficient sum over inputs.  For each run the basis
-        writes degrees 1..R of its elements into its worker's scratch, with
-        the degree axis just before the contracted axis, and one product
+        In kan mode the input is split into tasks of RUN_BLOCKS cache blocks
+        of leading rows, one pool task each.  Degree 0 is a bias, P_0 times
+        the coefficient sum over inputs.  The forward's task is a run: the
+        basis writes degrees 1..R of its elements into its worker's scratch,
+        with the degree axis just before the contracted axis, and one product
         with K = R * in_dim against gamma[:, :, 1:] laid out as
         [out_dim, R * in_dim] writes that run's rows of the output, so no
-        values buffer of the whole input exists.  The backward splits the
-        saved input into tasks of GRAD_BLOCKS cache blocks and recomputes
-        each block's values and derivatives (which carry the squash slope)
-        just before use: the values give that block's coefficient
-        gradient, the derivatives its input gradient.
+        values buffer of the whole input exists.  An input of one run is
+        split into two halves, so a small batch is still two tasks.  The
+        backward's task is a group of the saved input (`_grads`).
         """
         if self.mode == "linear":
             return linear(x, self.gamma, self.axis)
@@ -203,10 +200,11 @@ class KanLayer:
         """(d/d weight, d/dx) for the output gradient g, in cache blocks of leading rows.
 
         Each block's values and derivatives come from one basis call on that
-        block of x.  A pool task takes GRAD_BLOCKS blocks and sums their
-        weight-gradient partial products in block order; the weight gradient
-        sums the tasks' sums in task order.  The input gradient of a block
-        is sum_r (W_r^T g) * dP_r(s(x))/dx.  A block's values, derivatives
+        block of x, just before use.  A pool task takes a group of RUN_BLOCKS
+        blocks and sums their weight-gradient partial products in block
+        order; the weight gradient sums the groups' sums in group order.  The
+        input gradient of a block is sum_r (W_r^T g) * dP_r(s(x))/dx, the
+        derivatives carrying the squash slope.  A block's values, derivatives
         and product land in its worker's scratch.
         """
         axis, degree = self.axis, self.basis.degree
@@ -236,7 +234,7 @@ class KanLayer:
                 np.sum(terms, axis=1, out=gxs[blk])
             return dw
 
-        partials = pool.map(group_task, row_blocks(lead, width, GRAD_BLOCKS))
+        partials = pool.map(group_task, row_blocks(lead, width, RUN_BLOCKS))
         dw = partials[0]
         for part in partials[1:]:
             dw += part

@@ -1,11 +1,16 @@
 """One pool of worker threads for the KAN layers, `predict` and the head.
 
 The pool has one worker per CPU this process may run on, and the thread
-that calls `map` is one of them: it takes items like the others, so a
-pool of n threads starts only n - 1 of its own, and only at its first
-parallel `map`.  `map` runs its items inline, in order, when there is one
-item, when the pool has one worker, and when the caller is itself running
-a task, so a task that calls `map` again never waits on the pool.
+that calls `map` is one of them.  The others are the threads of a
+`concurrent.futures.ThreadPoolExecutor`, made at the first parallel `map`.
+A `map` of n items submits min(size, n) - 1 helpers; each helper and the
+caller run one loop that takes the next unclaimed item until none is left,
+so a helper the executor has not started by then is cancelled.  Helpers
+run in a copy of the caller's context, so a task sees the caller's numpy
+error state (`np.errstate`).  `map` runs its items inline, in order, when
+there is one item, when the pool has one worker, and when the caller is
+itself a task thread, so a task that calls `map` again never waits on the
+pool.
 
 Tasks are numpy calls that release the interpreter lock; BLAS runs one
 thread per call, so two tasks never compete for the BLAS threads.  The
@@ -23,16 +28,17 @@ basis that runs a task on it.
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import glob
 import os
-import queue
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
 
-_local = threading.local()  # .working: inside a task; .scratch: {name: array}
+_local = threading.local()  # .working: a task thread; .scratch: {name: array}
 
 
 def _openblas():
@@ -54,12 +60,11 @@ def _openblas():
 
 
 class Pool:
-    """`size` workers: the calling thread and size - 1 threads started on demand."""
+    """`size` workers: the calling thread and an executor of size - 1 threads."""
 
     def __init__(self, size: int):
         self.size = max(1, int(size))
-        self._jobs = queue.SimpleQueue()
-        self._threads = []
+        self._executor = None  # made at the first parallel `map`
 
     def map(self, fn, items) -> list:
         """[fn(item) for item in items], the items spread over the workers.
@@ -69,74 +74,49 @@ class Pool:
         items = list(items)
         if len(items) < 2 or self.size < 2 or getattr(_local, "working", False):
             return [fn(item) for item in items]
-        if not self._threads:
-            for _ in range(self.size - 1):
-                thread = threading.Thread(target=_serve, args=(self._jobs,), daemon=True)
-                thread.start()
-                self._threads.append(thread)
-        batch = _Batch(fn, items)
-        for _ in range(min(self.size, len(items)) - 1):
-            self._jobs.put(batch)
+        if self._executor is None:
+            self._executor = ThreadPoolExecutor(self.size - 1, initializer=_mark_working)
+        out = [None] * len(items)
+        errors = {}
+        claims = iter(range(len(items)))
+        lock = threading.Lock()
+
+        def work():  # each worker takes the next unclaimed item until none is left
+            while True:
+                with lock:
+                    i = next(claims, None)
+                if i is None:
+                    return
+                try:
+                    out[i] = fn(items[i])
+                except BaseException as err:  # handed to the caller below
+                    errors[i] = err
+
+        # each helper runs in a copy of the caller's context, which holds
+        # numpy's error state (`np.errstate`)
+        helpers = [self._executor.submit(contextvars.copy_context().run, work)
+                   for _ in range(min(self.size, len(items)) - 1)]
         _local.working = True
         try:
-            batch.work()
+            work()
         finally:
             _local.working = False
-        return batch.results()
+            for helper in helpers:  # a helper still queued has nothing left to take
+                if not helper.cancel():
+                    helper.result()
+        if errors:
+            raise errors[min(errors)]
+        return out
 
-    def close(self) -> None:
-        """Stop the pool's threads once they finish the jobs they hold."""
-        for thread in self._threads:
-            self._jobs.put(None)
-        for thread in self._threads:
-            thread.join()
-        self._threads = []
-
-
-class _Batch:
-    """The items of one `map` call, taken in order by whichever worker is free."""
-
-    def __init__(self, fn, items: list):
-        self.fn = fn
-        self.items = items
-        self.out = [None] * len(items)
-        self.errors = {}
-        self.taken = 0
-        self.left = len(items)
-        self.lock = threading.Lock()
-        self.done = threading.Event()
-
-    def work(self) -> None:
-        while True:
-            with self.lock:
-                i = self.taken
-                if i == len(self.items):
-                    return
-                self.taken += 1
-            try:
-                self.out[i] = self.fn(self.items[i])
-            except BaseException as err:  # handed to the caller by `results`
-                self.errors[i] = err
-            with self.lock:
-                self.left -= 1
-                if not self.left:
-                    self.done.set()
-
-    def results(self) -> list:
-        self.done.wait()
-        if self.errors:
-            raise self.errors[min(self.errors)]
-        return self.out
+    def shutdown(self) -> None:
+        """Stop the pool's threads once they finish the work they hold."""
+        if self._executor is not None:
+            self._executor.shutdown()
+            self._executor = None
 
 
-def _serve(jobs: queue.SimpleQueue) -> None:
+def _mark_working() -> None:
     _local.working = True
-    while True:
-        batch = jobs.get()
-        if batch is None:
-            return
-        batch.work()
-        del batch  # its task closure holds the caller's arrays until the next job
 
 
 _BLAS = None  # (set, get) of numpy's OpenBLAS thread count, once looked up
@@ -192,5 +172,5 @@ def _sized(n: int):
     try:
         yield _POOL
     finally:
-        _POOL.close()
+        _POOL.shutdown()
         _POOL = previous

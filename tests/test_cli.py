@@ -869,6 +869,15 @@ class TestGradcheckCommand:
         assert cli.main(["gradcheck", "--tolerance", "1e-13"]) == cli.EXIT_NUMERIC
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_nonsense_tolerance_exits_config_code(self, value, capsys):
+        # nan and -1 would fail every model and inf pass every one
+        assert cli.main(["gradcheck", "--tolerance", value]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: --tolerance must be finite and at least 0, "
+                                f"got {float(value)}\n")
+
     def test_corrupted_backward_detected(self, monkeypatch, capsys):
         from hakan.basis import Basis
         true_fn = Basis.eval_terms_with_deriv

@@ -7,7 +7,7 @@ import pytest
 
 import hakan.tensor as tt
 from hakan import pool
-from hakan.basis import (BLOCK_ELEMENTS, GRAD_BLOCKS, RUN_BLOCKS, block_rows, make_basis,
+from hakan.basis import (BLOCK_ELEMENTS, RUN_BLOCKS, block_rows, make_basis,
                          row_blocks)
 from hakan.errors import ContractError, DimensionError
 from hakan.layers import KanLayer
@@ -304,14 +304,13 @@ def test_forward_runs_tile_the_input_in_whole_cache_blocks():
 
 
 def test_basis_count_is_exact_on_a_pool_of_two():
-    # GRAD_BLOCKS + 1 cache blocks, the last one short: two forward runs and
+    # RUN_BLOCKS + 1 cache blocks, the last one short: two forward runs and
     # two backward groups, each pair spread over two workers
     layer = KanLayer(64, 5, basis=make_basis("hahn", 3), rng=np.random.default_rng(16))
-    blocks = GRAD_BLOCKS + 1
+    blocks = RUN_BLOCKS + 1
     x = Tensor(np.random.default_rng(17).normal(size=(blocks * block_rows(64) - 5, 64)),
                requires_grad=True)
     assert len(list(row_blocks(len(x.data), 64, RUN_BLOCKS))) == 2
-    assert len(list(row_blocks(len(x.data), 64, GRAD_BLOCKS))) == 2
     with pool._sized(2):
         out = layer.forward(x)
         assert layer.basis.eval_count == x.size

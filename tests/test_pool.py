@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import hakan.tensor as tt
-from hakan import pool
+from hakan import cli, pool
 from hakan.basis import make_basis
 from hakan.data import SegmentBounds, SplitSpec, load_csv, prepare
 from hakan.model import HaKanModel, ModelConfig
@@ -61,6 +61,54 @@ def test_each_worker_has_its_own_scratch():
     with pool._sized(2) as p:
         a, b = p.map(task, range(2))
     assert a != b
+
+
+def test_tasks_run_in_the_callers_numpy_error_state():
+    both = threading.Barrier(2, timeout=10)  # the two items run on two threads at once
+
+    def task(_):
+        both.wait()
+        return threading.get_ident(), np.geterr()
+
+    with pool._sized(2) as p, np.errstate(all="ignore"):
+        seen = p.map(task, range(2))
+        caller = np.geterr()
+    assert caller != np.geterr()
+    assert len({ident for ident, _ in seen}) == 2
+    assert [err for _, err in seen] == [caller, caller]
+
+
+def test_threads_start_at_the_first_parallel_map_and_stop_on_leaving():
+    before = threading.active_count()
+    all_three = threading.Barrier(3, timeout=10)  # each map's three items run at once
+
+    def task(_):
+        all_three.wait()
+        return threading.get_ident(), threading.active_count()
+
+    with pool._sized(3) as p:
+        assert p.map(lambda i: i, [0]) == [0]  # one item runs inline
+        assert threading.active_count() == before
+        seen = set()
+        for _ in range(10):
+            seen |= set(p.map(task, range(3)))
+        helpers = {ident for ident, _ in seen} - {threading.get_ident()}
+        assert len(helpers) == p.size - 1
+        assert max(count for _, count in seen) == before + p.size - 1
+    assert threading.active_count() == before
+
+
+def test_without_openblas_the_pool_has_one_worker(monkeypatch):
+    # numpy built against another BLAS: nothing pins its threads, so the
+    # pool stays serial and the manifest says the thread count is unknown
+    monkeypatch.setattr(pool, "_openblas", lambda: None)
+    monkeypatch.setattr(pool, "_POOL", None)
+    monkeypatch.setattr(pool, "_BLAS", None)
+    assert pool.size() == 1
+    assert pool.blas_threads() is None
+    machine = cli._machine()
+    assert machine["run.pool"] == 1
+    assert machine["run.blas_threads"] == "unknown"
 
 
 def test_basis_count_is_exact_under_contention():
@@ -129,6 +177,20 @@ model.degree = 3
 train.max_epochs = 1
 train.batch_size = 128
 """
+
+
+def test_pool_tasks_keep_the_clis_numpy_error_state(tmp_path, capsys):
+    # the second step's forward overflows in the head's column tiles on a
+    # pool thread; the CLI silences numpy's warnings and reports the op guard
+    data = write_synthetic_csv(tmp_path / "series.csv", rows=400, channels=2)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"data.path = {data}\ndata.name = s\nrun.out = {tmp_path / 'out'}\n"
+                   + TRAIN_CONFIG)
+    with pool._sized(2):
+        code = cli.main(["train", "--config", str(cfg), "--lr", "1e300"])
+    assert code == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err == ("numeric error: epoch 1 step 2: "
+                                       "operation produced non-finite values\n")
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
