@@ -29,20 +29,9 @@ MAX_DEGREE = 64
 # Elements per cache block.  A block of the input, its squash and slope,
 # two scratch arrays and the terms it writes (256 KiB each at this size)
 # stay in a 4 MiB L2 while the recurrence runs, so each element crosses
-# main memory once in and once per term out.  A KAN layer's backward
-# recomputes its values and derivatives one block at a time, so neither
-# outlives its block.
+# main memory once in and once per term out.  A KAN layer's task is a run
+# of such blocks (`layers.RUN_BLOCKS`).
 BLOCK_ELEMENTS = 32_768
-# Cache blocks per pool task of a KAN layer: a forward run or a backward
-# group.  A forward run is one basis call into its worker's scratch and one
-# product into the run's output rows, so three blocks make products large
-# enough at small batches; an input of one run (a batch-8 `predict` chunk)
-# is split into two halves instead.  A backward group sums its blocks'
-# coefficient-gradient partials, and the layer sums the groups' sums in
-# block order, so the bits do not depend on which worker ran what.  Three
-# split a batch-32 intra layer (6 blocks) into two equal tasks.  See
-# README, Performance.
-RUN_BLOCKS = 3
 _COUNT_LOCK = threading.Lock()  # eval_count is read-modify-write from pool tasks
 
 
@@ -51,9 +40,9 @@ def block_rows(row_size: int) -> int:
     return max(1, BLOCK_ELEMENTS // max(1, row_size))
 
 
-def row_blocks(rows: int, row_size: int, blocks: int = 1):
-    """Slices over `rows` rows of `row_size` elements, `blocks` cache blocks each."""
-    step = blocks * block_rows(row_size)
+def row_blocks(rows: int, row_size: int):
+    """Slices over `rows` rows of `row_size` elements, one cache block each."""
+    step = block_rows(row_size)
     for lo in range(0, rows, step):
         yield slice(lo, lo + step)
 

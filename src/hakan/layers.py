@@ -24,10 +24,16 @@ import numpy as np
 
 from . import pool
 from . import tensor as tt
-from .basis import RUN_BLOCKS, Basis, block_rows, row_blocks
+from .basis import Basis, block_rows
 from .errors import ContractError, DimensionError
 from .tensor import Tensor
 
+# Cache blocks (`basis.BLOCK_ELEMENTS`) per pool task of a KAN layer, forward
+# and backward (`_runs`).  A task makes one basis call into its worker's
+# scratch, so a worker's layer scratch is a run's values and derivatives.
+# Three raised perfbench's `peak_rss_mb` on both workloads against two, and
+# sped up serve-electricity's steps; see README, Performance.
+RUN_BLOCKS = 2
 # Pool tasks per product of `linear` on the last axis: equal tiles of the
 # result's columns.  A fixed count, never the CPU count, so each column's
 # bits are the same for any pool size; 4 splits evenly over 1, 2 or 4
@@ -144,16 +150,14 @@ class KanLayer:
     def forward(self, x: Tensor) -> Tensor:
         """The layer applied along its axis.
 
-        In kan mode the input is split into tasks of RUN_BLOCKS cache blocks
-        of leading rows, one pool task each.  Degree 0 is a bias, P_0 times
-        the coefficient sum over inputs.  The forward's task is a run: the
-        basis writes degrees 1..R of its elements into its worker's scratch,
-        with the degree axis just before the contracted axis, and one product
-        with K = R * in_dim against gamma[:, :, 1:] laid out as
-        [out_dim, R * in_dim] writes that run's rows of the output, so no
-        values buffer of the whole input exists.  An input of one run is
-        split into two halves, so a small batch is still two tasks.  The
-        backward's task is a group of the saved input (`_grads`).
+        In kan mode the input is split into runs of leading rows (`_runs`),
+        one pool task each.  Degree 0 is a bias, P_0 times the coefficient
+        sum over inputs.  For each run the basis writes degrees 1..R of its
+        elements into its worker's scratch, with the degree axis just before
+        the contracted axis, and one product with K = R * in_dim against
+        gamma[:, :, 1:] laid out as [out_dim, R * in_dim] writes that run's
+        rows of the output, so no values buffer of the whole input exists.
+        The backward walks the same runs of the saved input (`_grads`).
         """
         if self.mode == "linear":
             return linear(x, self.gamma, self.axis)
@@ -162,8 +166,7 @@ class KanLayer:
         weight = gamma.data[:, :, 1:].transpose(0, 2, 1).reshape(self.out_dim, -1)
         bias = self.basis.p0 * gamma.data[:, :, 0].sum(axis=1)
         x_rows = _rows(x.data, -axis)
-        lead, width = len(x_rows), prod(x.shape[axis:])
-        out_rows = np.empty((lead, self.out_dim) + x_rows.shape[2:])
+        out_rows = np.empty((len(x_rows), self.out_dim) + x_rows.shape[2:])
         if degree:
             def run_task(run):
                 src = x_rows[run]
@@ -173,10 +176,7 @@ class KanLayer:
                 stacked = terms.reshape((len(terms), -1) + x_rows.shape[2:])
                 _contract(stacked, weight, axis, out=out_rows[run])
 
-            step = RUN_BLOCKS * block_rows(width)
-            if lead <= step:  # one run: halves, so a small batch is still two tasks
-                step = -(-lead // 2)
-            pool.map(run_task, [slice(lo, lo + step) for lo in range(0, lead, step)])
+            pool.map(run_task, _runs(len(x_rows), prod(x.shape[axis:])))
         else:  # the bias alone
             out_rows.fill(0.0)
         out_rows += bias.reshape((self.out_dim,) + (1,) * (-axis - 1))
@@ -197,45 +197,42 @@ class KanLayer:
         return tt._make(out_rows.reshape(shape), (x, gamma), back)
 
     def _grads(self, g, weight, x) -> tuple:
-        """(d/d weight, d/dx) for the output gradient g, in cache blocks of leading rows.
+        """(d/d weight, d/dx) for the output gradient g, over the forward's runs of x.
 
-        Each block's values and derivatives come from one basis call on that
-        block of x, just before use.  A pool task takes a group of RUN_BLOCKS
-        blocks and sums their weight-gradient partial products in block
-        order; the weight gradient sums the groups' sums in group order.  The
-        input gradient of a block is sum_r (W_r^T g) * dP_r(s(x))/dx, the
-        derivatives carrying the squash slope.  A block's values, derivatives
-        and product land in its worker's scratch.
+        A pool task makes one basis call for its run's values and derivatives
+        into its worker's scratch.  The values give the run's weight-gradient
+        partial, summed over runs in run order whichever worker ran each.
+        W_r^T g then overwrites the values, and the run's input gradient is
+        sum_r (W_r^T g) * dP_r(s(x))/dx, the derivatives carrying the slope.
         """
         axis, degree = self.axis, self.basis.degree
         x_rows, g_rows = _rows(x, -axis), _rows(g, -axis)
-        lead, width = len(x_rows), prod(x.shape[axis:])
-        if not degree:  # the bias alone: no block to evaluate
+        if not degree:  # the bias alone: no run to evaluate
             return np.zeros(weight.shape), np.zeros(x.shape)
         gx = np.empty(x_rows.shape)
 
-        def group_task(group):
-            xs, gs, gxs = x_rows[group], g_rows[group], gx[group]
-            height = min(len(xs), block_rows(width))
-            values = 2 * degree * height * width
-            work = pool.scratch("layer", values + height * weight.shape[1]
-                                * prod(g_rows.shape[2:]))
-            vals, ders = work[:values].reshape((2, height, degree) + x_rows.shape[1:])
-            product = work[values:].reshape((height, weight.shape[1]) + g_rows.shape[2:])
-            dw = np.zeros(weight.shape)
-            for blk in row_blocks(len(xs), width):
-                m = len(xs[blk])
-                v, dp = self.basis.eval_terms_with_deriv(xs[blk], axis=axis - 1,
-                                                         out=(vals[:m], ders[:m]))
-                dw += _weight_grad(gs[blk], v.reshape(product[:m].shape), axis)
-                # the block's W_r^T g, times the derivatives
-                terms = _contract(gs[blk], weight.T, axis, out=product[:m]).reshape(dp.shape)
-                terms *= dp
-                np.sum(terms, axis=1, out=gxs[blk])
+        def run_task(run):
+            xs, gs = x_rows[run], g_rows[run]
+            work = pool.scratch("layer", 2 * degree * xs.size)
+            vals, ders = work.reshape((2, len(xs), degree) + xs.shape[1:])
+            v, dp = self.basis.eval_terms_with_deriv(xs, axis=axis - 1, out=(vals, ders))
+            stacked = v.reshape((len(xs), -1) + xs.shape[2:])
+            dw = _weight_grad(gs, stacked, axis)
+            terms = _contract(gs, weight.T, axis, out=stacked).reshape(dp.shape)
+            terms *= dp
+            np.sum(terms, axis=1, out=gx[run])
             return dw
 
-        partials = pool.map(group_task, row_blocks(lead, width, RUN_BLOCKS))
+        partials = pool.map(run_task, _runs(len(x_rows), prod(x.shape[axis:])))
         dw = partials[0]
         for part in partials[1:]:
             dw += part
         return dw, gx.reshape(x.shape)
+
+
+def _runs(lead: int, width: int) -> list:
+    """Slices over `lead` rows of `width` elements, RUN_BLOCKS cache blocks each."""
+    step = RUN_BLOCKS * block_rows(width)
+    if lead <= step:  # one run: halves, so a small batch is still two tasks
+        step = -(-lead // 2)
+    return [slice(lo, lo + step) for lo in range(0, lead, step)]

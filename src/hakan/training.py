@@ -170,25 +170,26 @@ class EarlyStopper:
         return self.bad_epochs >= self.patience
 
 
-def _sample_pool(splits: DatasetSplits, lookback: int, horizon: int,
-                 bounds) -> tuple:
+def _windows(splits: DatasetSplits, lookback: int, horizon: int, bounds) -> int:
     n_origins = window_count(len(bounds), lookback, horizon)
-    channels = splits.n_channels
     if n_origins < 1:
         raise ConfigError(
             f"{splits.name}: segment [{bounds.start}, {bounds.end}) has no "
             f"windows for lookback {lookback} and horizon {horizon}"
         )
-    origins = np.repeat(np.arange(n_origins), channels)
-    chans = np.tile(np.arange(channels), n_origins)
-    return origins, chans
+    return n_origins
+
+
+def _sample_pool(splits: DatasetSplits, lookback: int, horizon: int, bounds) -> tuple:
+    n_origins, channels = _windows(splits, lookback, horizon, bounds), splits.n_channels
+    return np.repeat(np.arange(n_origins), channels), np.tile(np.arange(channels), n_origins)
 
 
 def train_pool(splits: DatasetSplits, lookback: int, horizon: int) -> tuple:
     """The train segment's (origins, channels); ConfigError if any segment has no window."""
-    pools = [_sample_pool(splits, lookback, horizon, bounds)
-             for bounds in (splits.train, splits.val, splits.test)]
-    return pools[0]
+    for bounds in (splits.train, splits.val, splits.test):
+        _windows(splits, lookback, horizon, bounds)
+    return _sample_pool(splits, lookback, horizon, splits.train)
 
 
 def _gather(values: np.ndarray, start: int, origins: np.ndarray,

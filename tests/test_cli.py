@@ -711,6 +711,30 @@ def test_out_naming_a_file_exits_config_code(tiny_run, capsys, argv):
     assert len(err.splitlines()) == 1 and "run.out" in err and str(blocker) in err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["train"], "metrics.csv"),
+    (["train"], "synthetic_T4_seed11.npz"),
+    (["eval", "--checkpoint", "CKPT"], "metrics.csv"),
+    (["sweep", "--axis", "blocks", "--values", "1", "--max-epochs", "1"], "sweep_blocks.csv"),
+], ids=["train-metrics", "train-checkpoint", "eval-metrics", "sweep"])
+def test_failed_write_under_out_exits_config_code(tiny_run, capsys, argv, name):
+    # a directory where a file under run.out goes: one config error line
+    # naming run.out and the file, not a traceback
+    cfg_path, _, out_dir = tiny_run
+    ckpt = out_dir / "synthetic_T4_seed11.npz"
+    if "CKPT" in argv:
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+    argv = [str(ckpt) if arg == "CKPT" else arg for arg in argv]
+    blocker = out_dir / name
+    blocker.unlink(missing_ok=True)
+    blocker.mkdir(parents=True)
+    assert cli.main([*argv, "--config", str(cfg_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error: run.out")
+    assert str(blocker) in err
+
+
 class TestParamsCommand:
     def test_default_breakdown_shows_block_increment(self, capsys, tmp_path):
         cfg = tmp_path / "p.cfg"
@@ -877,6 +901,21 @@ class TestGradcheckCommand:
         assert captured.out == ""
         assert captured.err == ("config error: --tolerance must be finite and at least 0, "
                                 f"got {float(value)}\n")
+
+    @pytest.mark.parametrize("lines, degree", [
+        ("model.basis = chebyshev\nmodel.degree = 9\n", 9),
+        ("model.basis = Lucas\nmodel.degree = 9\n", 9),
+        ("model.basis = HAHN\nmodel.degree = 9\nmodel.blocks = 0\n", 7),
+    ], ids=["chebyshev", "lucas", "hahn"])
+    def test_config_degree_is_checked(self, tmp_path, monkeypatch, capsys, lines, degree):
+        # only a Hahn degree is capped, at n = 7, whatever the basis name's case
+        path = tmp_path / "check.cfg"
+        path.write_text(lines)
+        checked = []
+        monkeypatch.setattr(cli, "grad_check", lambda cfg: checked.append(cfg) or {"w_p": 0.0})
+        assert cli.main(["gradcheck", "--config", str(path)]) == 0
+        assert [cfg.degree for cfg in checked] == [degree]
+        assert "PASS" in capsys.readouterr().out
 
     def test_corrupted_backward_detected(self, monkeypatch, capsys):
         from hakan.basis import Basis

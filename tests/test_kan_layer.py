@@ -7,10 +7,9 @@ import pytest
 
 import hakan.tensor as tt
 from hakan import pool
-from hakan.basis import (BLOCK_ELEMENTS, RUN_BLOCKS, block_rows, make_basis,
-                         row_blocks)
+from hakan.basis import BLOCK_ELEMENTS, block_rows, make_basis, row_blocks
 from hakan.errors import ContractError, DimensionError
-from hakan.layers import KanLayer
+from hakan.layers import RUN_BLOCKS, KanLayer, _runs
 from hakan.tensor import Tensor
 from hakan.training import mse_loss
 
@@ -303,14 +302,36 @@ def test_forward_runs_tile_the_input_in_whole_cache_blocks():
     np.testing.assert_array_equal(np.concatenate(runs), x)
 
 
+def test_backward_walks_the_forward_runs():
+    # one `eval_terms_with_deriv` call per forward run, on the run's rows
+    layer = KanLayer(64, 5, basis=make_basis("hahn", 3), rng=np.random.default_rng(20))
+    step = RUN_BLOCKS * block_rows(64)
+    x = Tensor(np.random.default_rng(21).normal(size=(2 * step + 7, 64)), requires_grad=True)
+    calls = []
+    for name in ("eval_terms", "eval_terms_with_deriv"):
+        def traced(data, *args, _fn=getattr(layer.basis, name), _name=name, **kwargs):
+            calls.append((_name, np.array(data), _address(data)))
+            return _fn(data, *args, **kwargs)
+
+        setattr(layer.basis, name, traced)
+    out = layer.forward(x)
+    runs = in_input_order(calls)
+    tt.backward(out.sum())
+    grad_runs = in_input_order(calls[len(runs):])
+    assert [len(data) for _, data in runs] == [step, step, 7]
+    assert {name for name, _ in grad_runs} == {"eval_terms_with_deriv"}
+    for (_, run), (_, grad_run) in zip(runs, grad_runs, strict=True):
+        np.testing.assert_array_equal(grad_run, run)
+
+
 def test_basis_count_is_exact_on_a_pool_of_two():
-    # RUN_BLOCKS + 1 cache blocks, the last one short: two forward runs and
-    # two backward groups, each pair spread over two workers
+    # RUN_BLOCKS + 1 cache blocks, the last one short: two runs, each pass
+    # spread over two workers
     layer = KanLayer(64, 5, basis=make_basis("hahn", 3), rng=np.random.default_rng(16))
     blocks = RUN_BLOCKS + 1
     x = Tensor(np.random.default_rng(17).normal(size=(blocks * block_rows(64) - 5, 64)),
                requires_grad=True)
-    assert len(list(row_blocks(len(x.data), 64, RUN_BLOCKS))) == 2
+    assert len(_runs(len(x.data), 64)) == 2
     with pool._sized(2):
         out = layer.forward(x)
         assert layer.basis.eval_count == x.size
@@ -337,7 +358,7 @@ def test_blocked_input_grad_is_the_whole_array_formula(kind, axis, shape):
     g = rng.normal(size=out.shape)
     node.backward(g)
     np.testing.assert_array_equal(xt.grad, whole_input_grad(layer, g, x))
-    # the coefficient gradient sums the blocks' partial products, so it
+    # the coefficient gradient sums the runs' partial products, so it
     # matches the one-product formula to rounding
     np.testing.assert_allclose(layer.gamma.grad, whole_gamma_grad(layer, g, x),
                                rtol=1e-13, atol=1e-13)
@@ -366,6 +387,35 @@ def test_grad_forward_stores_no_derivatives(axis, shape):
     run = RUN_BLOCKS * BLOCK_ELEMENTS * degree * 8
     scratch = BLOCK_ELEMENTS * (2 * degree + 4) * 8
     assert peak < (out.data.nbytes * 9 // 8 + layer.gamma.data.nbytes
+                   + workers.size * (run + scratch))
+
+
+@pytest.mark.parametrize("axis, shape", [(-1, (4096, 128)), (-2, (64, 42, 128))],
+                         ids=["last", "patch"])
+def test_backward_holds_one_run_per_worker(axis, shape):
+    # a backward allocates the input gradient, gamma's gradient and one
+    # coefficient-gradient partial per run; each pool worker adds at most one
+    # run of values and derivatives (RUN_BLOCKS cache blocks of 2 * degree
+    # values each) and the basis's block of scratch.  The gradients
+    # accumulate into existing buffers, so no copy of them is counted
+    degree = 3
+    layer = KanLayer(shape[axis], shape[axis], basis=make_basis("hahn", degree), axis=axis)
+    x = Tensor(np.random.default_rng(18).normal(size=shape), requires_grad=True)
+    g = np.random.default_rng(19).normal(size=shape)
+    runs = len(_runs(prod(shape[:axis]), prod(shape[axis:])))
+    with pool._sized(2) as workers:
+        layer.forward(x)
+        node = tt._tape().pop()
+        x.grad, layer.gamma.grad = np.zeros(shape), np.zeros(layer.gamma.shape)
+        tracemalloc.start()
+        try:
+            node.backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    run = 2 * degree * RUN_BLOCKS * BLOCK_ELEMENTS * 8
+    scratch = BLOCK_ELEMENTS * (2 * degree + 4) * 8
+    assert peak < (x.data.nbytes + (1 + runs) * layer.gamma.data.nbytes
                    + workers.size * (run + scratch))
 
 

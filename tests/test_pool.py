@@ -126,9 +126,9 @@ def test_basis_count_is_exact_under_contention():
     assert basis.eval_count == 10_000
 
 
-# A model whose KAN layers span several runs and gradient groups, and whose
-# head spans several column tiles: lookback 96 gives 12 patches, so a batch
-# of 128 is 6 cache blocks on the embedding axis and 7 on the patch axis.
+# A model whose KAN layers span several runs and whose head spans several
+# column tiles: lookback 96 gives 12 patches, so a batch of 128 is 6 cache
+# blocks on the embedding axis and 7 on the patch axis.
 BIT_CONFIG = ModelConfig(lookback=96, horizon=8, n_channels=11, n_blocks=2,
                          bottleneck_dim=96, seed=21)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import hakan.tensor as tt
-from hakan import training
+from hakan import layers, training
 from hakan.basis import BASIS_KINDS, row_blocks
 from hakan.data import RawDataset, SplitSpec, prepare, window_count
 from hakan.errors import ConfigError, ContractError, DimensionError
@@ -332,6 +332,25 @@ class TestGradCheck:
             blocks = [range(rows)[blk] for blk in row_blocks(rows, width)]
             assert len(blocks) >= 3 and len(blocks[-1]) == 1
         assert directional_check(config, batch) < DIRECTIONAL_TOLERANCE
+
+    def test_directional_check_catches_a_dropped_run_partial(self, monkeypatch):
+        # block_crossing gives each KAN layer two runs, the last one row.
+        # Dropping that run's coefficient-gradient partial read 0.03 here,
+        # against 7.6e-10 with it
+        config, batch = block_crossing(ModelConfig(lookback=8, horizon=4, patch_len=4))
+        n, d = config.n_patches, config.embed_dim
+        for rows, width in ((batch * n, d), (batch, n * d)):  # embedding axis, patch axis
+            runs = [range(rows)[run] for run in layers._runs(rows, width)]
+            assert len(runs) == 2 and len(runs[-1]) == 1
+        assert directional_check(config, batch) < DIRECTIONAL_TOLERANCE
+        true_fn = layers._weight_grad
+
+        def dropping(g, v, axis):  # only the KAN layers call it in kan mode
+            part = true_fn(g, v, axis)
+            return np.zeros_like(part) if len(g) == 1 else part
+
+        monkeypatch.setattr(layers, "_weight_grad", dropping)
+        assert directional_check(config, batch) > 1e-3
 
     def test_zero_coefficient_gamma_gradient_is_analytic(self):
         # all gammas zero: the inter layer sees the squashed-zero basis row
