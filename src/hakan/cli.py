@@ -13,7 +13,6 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,15 @@ from .config import (
 from .data import load_csv, prepare
 from .errors import ConfigError, ContractError, DataError, DimensionError
 from .model import HaKanModel, ModelConfig, count_breakdown
-from .training import evaluate, grad_check, seed_summary, train, train_pool
+from .training import (
+    CHECK_TOLERANCE,
+    evaluate,
+    grad_check,
+    seed_summary,
+    tiny_check_config,
+    train,
+    train_pool,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -198,11 +205,16 @@ def _train_one(cfg: RunConfig, splits, seed: int):
     return train(HaKanModel(model_cfg), splits, spec)
 
 
-def _load_splits(cfg: RunConfig, lookback: int):
+def _load_splits(cfg: RunConfig, lookback: int, loaded: dict | None = None):
+    """`cfg`'s dataset prepared for `lookback`; a file already in `loaded`,
+    keyed by what load_csv reads, is not read again."""
     if not cfg.data_path:
         raise ConfigError("no dataset path configured (data.path)")
-    ds = load_csv(cfg.data_path, cfg.data_name or None, cfg.data.frequency)
-    return prepare(ds, cfg.data, lookback)
+    loaded = {} if loaded is None else loaded
+    key = (cfg.data_path, cfg.data_name or None, cfg.data.frequency)
+    if key not in loaded:
+        loaded[key] = load_csv(*key)
+    return prepare(loaded[key], cfg.data, lookback)
 
 
 def _require_memory(config: ModelConfig) -> None:
@@ -307,14 +319,15 @@ def cmd_sweep(args) -> int:
     base = _resolve(args, OVERRIDES)
     variants = [(label, with_values(base, changes))
                 for label, changes in _axis_variants(args.axis, args.values)]
+    loaded = {}
     for _, cfg in variants:  # a bad later value fails before anything trains
         _require_memory(cfg.model)
-        train_pool(_load_splits(cfg, cfg.model.lookback), cfg.model.lookback,
+        train_pool(_load_splits(cfg, cfg.model.lookback, loaded), cfg.model.lookback,
                    cfg.model.horizon)
     out = _out_dir(base)
     rows = []
     for label, cfg in variants:
-        splits = _load_splits(cfg, cfg.model.lookback)
+        splits = _load_splits(cfg, cfg.model.lookback, loaded)
         records = []
         for seed in cfg.seeds:
             model, rec = _train_one(cfg, splits, seed)
@@ -345,30 +358,19 @@ def cmd_params(args) -> int:
     return EXIT_OK
 
 
-def tiny_check_config(base: ModelConfig | None = None) -> ModelConfig:
-    """`base` (by default a Hahn model) shrunk to gradient-check scale (< 5000 parameters)."""
-    base = base or ModelConfig(lookback=8, horizon=4, patch_len=4, degree=2)
-    hahn = base.basis.lower() == "hahn"  # the check's block builds the basis: degree <= n
-    return replace(base, lookback=8, horizon=4, patch_len=4, stride=2, embed_dim=3,
-                   n_blocks=1, bottleneck_dim=5, seed=7,
-                   degree=min(base.degree, base.hahn_n) if hahn else base.degree)
-
-
 def cmd_gradcheck(args) -> int:
     base = load_config(args.config).model if args.config else None
     check_cfg = tiny_check_config(base)
-    tolerance = args.tolerance
-    if tolerance is None:
-        tolerance = 1e-6 if check_cfg.mode == "linear" else 1e-4
-    elif not 0.0 <= tolerance < float("inf"):
+    tolerance = CHECK_TOLERANCE[check_cfg.mode] if args.tolerance is None else args.tolerance
+    if not 0.0 <= tolerance < float("inf"):
         raise ConfigError(f"--tolerance must be finite and at least 0, got {tolerance}")
+    print(f"checking {check_cfg.basis.lower()} degree {check_cfg.degree}, {check_cfg.mode} mode")
     report = grad_check(check_cfg)
     worst_name, worst = max(report.items(), key=lambda kv: kv[1])
     for name, err in report.items():
         print(f"{name:<24} {err:.3e}")
     ok = worst <= tolerance
-    verdict = "PASS" if ok else "FAIL"
-    print(f"gradcheck {verdict}: worst {worst:.3e} in {worst_name} "
+    print(f"gradcheck {'PASS' if ok else 'FAIL'}: worst {worst:.3e} in {worst_name} "
           f"(tolerance {tolerance:.1e})")
     return EXIT_OK if ok else EXIT_NUMERIC
 

@@ -280,9 +280,15 @@ def train(model: HaKanModel, splits: DatasetSplits, spec: TrainSpec) -> tuple:
 # gradient checking -----------------------------------------------------------
 
 
-# grad_check's central-difference step and windows, and the seed of both checks
-CHECK_STEP = 1e-5
+# Central-difference steps: each probe keeps its smallest gap over them.
+# Truncation grows as h^2 and with the degree (Hahn 7 needs 1e-6), round-off
+# as 1/h (low degrees want 1e-4); a wrong gradient's gap holds at every step.
+CHECK_STEPS = (1e-4, 1e-5, 1e-6)
+# the worst relative error `hakan gradcheck` allows by default, per model.mode
+CHECK_TOLERANCE = {"kan": 1e-4, "linear": 1e-6}
+# grad_check's windows, directional_check's directions, and the seed of both
 CHECK_WINDOWS = 3
+DIRECTIONS = 3
 CHECK_SEED = 0
 
 
@@ -298,30 +304,23 @@ def grad_check(config: ModelConfig) -> dict:
     report = {}
     for name, t in model.named_parameters():
         flat = t.data.reshape(-1)
-        grads = t.grad.reshape(-1)
         worst = 0.0
-        for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + CHECK_STEP
-            up = loss_value()
-            flat[i] = saved - CHECK_STEP
-            down = loss_value()
+        for i, (saved, analytic) in enumerate(zip(flat.copy(), t.grad.reshape(-1))):
+
+            def loss_at(h):
+                flat[i] = saved + h
+                return loss_value()
+
+            worst = max(worst, _probe(loss_at, analytic, lambda fd: max(1.0, abs(analytic))))
             flat[i] = saved
-            fd = (up - down) / (2.0 * CHECK_STEP)
-            rel = abs(grads[i] - fd) / max(1.0, abs(grads[i]))
-            worst = max(worst, rel)
         report[name] = worst
     report["directional"] = directional_check(*block_crossing(config))
     return report
 
 
-DIRECTIONS = 3
-DIRECTIONAL_STEP = 1e-4
-
-
 def directional_check(config: ModelConfig, n_windows: int) -> float:
-    """Worst relative gap between <grad L, v> and (L(p + hv) - L(p - hv)) / 2h,
-    over DIRECTIONS directions v with h = DIRECTIONAL_STEP.
+    """Worst relative gap between <grad L, v> and the central difference
+    along v, over DIRECTIONS directions v.
 
     Each v is a random unit direction over all parameters at once, so the
     check reads every gradient the backward forms without knowing how it
@@ -336,16 +335,33 @@ def directional_check(config: ModelConfig, n_windows: int) -> float:
         v = [rng.normal(size=p.shape) for p in params]
         norm = np.sqrt(sum(float(np.vdot(d, d)) for d in v))
         analytic = sum(float(np.vdot(p.grad, d)) for p, d in zip(params, v)) / norm
-        values = []
-        for sign in (1.0, -1.0):
+
+        def loss_at(h):
             for p, start, d in zip(params, saved, v):
-                p.data = start + (sign * DIRECTIONAL_STEP / norm) * d
-            values.append(loss_value())
-        for p, start in zip(params, saved):
-            p.data = start
-        fd = (values[0] - values[1]) / (2.0 * DIRECTIONAL_STEP)
-        worst = max(worst, abs(analytic - fd) / (max(abs(analytic), abs(fd)) or 1.0))
+                p.data = start + (h / norm) * d
+            return loss_value()
+
+        worst = max(worst, _probe(loss_at, analytic,
+                                  lambda fd: max(abs(analytic), abs(fd)) or 1.0))
+    for p, start in zip(params, saved):
+        p.data = start
     return worst
+
+
+def _probe(loss_at, analytic: float, scale) -> float:
+    """Smallest |analytic - fd| / scale(fd) over the steps h of CHECK_STEPS,
+    with fd = (loss_at(h) - loss_at(-h)) / 2h; loss_at moves the parameters."""
+    fds = [(loss_at(h) - loss_at(-h)) / (2.0 * h) for h in CHECK_STEPS]
+    return min(abs(analytic - fd) / scale(fd) for fd in fds)
+
+
+def tiny_check_config(base: ModelConfig | None = None) -> ModelConfig:
+    """`base` (by default a Hahn model) shrunk to grad_check's scale (< 5000 parameters)."""
+    base = base or ModelConfig(lookback=8, horizon=4, patch_len=4, degree=2)
+    hahn = base.basis.lower() == "hahn"  # the check's block builds the basis: degree <= n
+    return replace(base, lookback=8, horizon=4, patch_len=4, stride=2, embed_dim=3,
+                   n_blocks=1, bottleneck_dim=5, seed=7,
+                   degree=min(base.degree, base.hahn_n) if hahn else base.degree)
 
 
 def block_crossing(config: ModelConfig) -> tuple:

@@ -20,7 +20,6 @@ import pytest
 
 import hakan.tensor as tt
 from hakan.basis import make_basis
-from hakan.cli import tiny_check_config
 from hakan.config import load_config
 from hakan.data import load_csv, prepare
 from hakan.model import (
@@ -30,7 +29,7 @@ from hakan.model import (
     revin_denormalize,
     revin_normalize,
 )
-from hakan.training import grad_check, train
+from hakan.training import grad_check, tiny_check_config, train
 
 from helpers import (
     REPO_ROOT,

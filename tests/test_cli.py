@@ -671,14 +671,17 @@ class TestSweepCommand:
         assert f"[{axis}=" not in captured.out  # no variant trained
         assert not (out_dir / f"sweep_{axis}.csv").exists()
 
-    def test_any_key_is_an_axis(self, tiny_run):
+    def test_any_key_is_an_axis(self, tiny_run, monkeypatch):
         cfg_path, _, out_dir = tiny_run
+        reads = []
+        monkeypatch.setattr(cli, "load_csv", lambda *args: reads.append(args) or load_csv(*args))
         code = cli.main(["sweep", "--config", str(cfg_path), "--axis", "degree",
-                         "--values", "1,2", "--max-epochs", "1"])
+                         "--values", "1,2,3", "--max-epochs", "1"])
         assert code == 0
+        assert len(reads) == 1  # the variants share one file: checked and trained from one read
         with open(out_dir / "sweep_degree.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert [r["degree"] for r in rows] == ["1", "2"]
+        assert [r["degree"] for r in rows] == ["1", "2", "3"]
         delta = int(rows[1]["params"]) - int(rows[0]["params"])
         assert delta == 4 * 4 + 8 * 8  # one more basis term per block
 
@@ -915,6 +918,18 @@ class TestGradcheckCommand:
         monkeypatch.setattr(cli, "grad_check", lambda cfg: checked.append(cfg) or {"w_p": 0.0})
         assert cli.main(["gradcheck", "--config", str(path)]) == 0
         assert [cfg.degree for cfg in checked] == [degree]
+        out = capsys.readouterr().out
+        basis = lines.split("\n")[0].split("= ")[1].lower()
+        assert out.startswith(f"checking {basis} degree {degree}, kan mode\n")
+        assert "PASS" in out
+
+    @pytest.mark.parametrize("basis, degree", [("hahn", 7), ("lucas", 9), ("chebyshev", 9)])
+    def test_high_degree_models_pass(self, tmp_path, capsys, basis, degree):
+        # one central-difference step of 1e-4 read FAIL on the first two
+        # (directional 0.17 and 1.5e-3); the step ladder reads <= 1.8e-5
+        path = tmp_path / "check.cfg"
+        path.write_text(f"model.basis = {basis}\nmodel.degree = {degree}\n")
+        assert cli.main(["gradcheck", "--config", str(path)]) == 0
         assert "PASS" in capsys.readouterr().out
 
     def test_corrupted_backward_detected(self, monkeypatch, capsys):
