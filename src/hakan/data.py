@@ -1,11 +1,11 @@
 """CSV ingestion, chronological splits, global standardization, windowing.
 
 Input files are UTF-8 CSV with a header row; the first column is a
-timestamp (checked for strict increase, otherwise unused) and every other
-column is a numeric feature.  Splits are contiguous train/val/test ranges;
-val and test are extended on the left by the lookback so their first
-targets sit right at the segment boundary without leaking future rows
-into training.
+timestamp (an ISO date-time, a number or a string, checked for strict
+increase, otherwise unused) and every other column is a numeric feature.
+Splits are contiguous train/val/test ranges; val and test are extended on
+the left by the lookback so their first targets sit right at the segment
+boundary without leaking future rows into training.
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ def _first_defect(timestamps: list, values: np.ndarray) -> tuple | None:
     for i in range(1, len(keys)):
         try:
             increasing = keys[i - 1] < keys[i]
-        except TypeError:  # an ISO stamp next to a non-ISO one
+        except TypeError:  # stamps of two kinds, e.g. an ISO one next to a number
             return i, (f"mixed timestamp formats "
                        f"({timestamps[i - 1]!r} then {timestamps[i]!r})")
         if not increasing:
@@ -194,10 +194,13 @@ def _first_defect(timestamps: list, values: np.ndarray) -> tuple | None:
 
 
 def _time_key(stamp: str):
-    try:
-        return datetime.fromisoformat(stamp.strip())
-    except ValueError:
-        return stamp
+    """An ISO date-time, else a number (an integer index), else the string."""
+    for parse in (datetime.fromisoformat, float):
+        try:
+            return parse(stamp.strip())
+        except ValueError:
+            pass
+    return stamp
 
 
 def split(ds: RawDataset, spec: SplitSpec, lookback: int) -> tuple:

@@ -20,7 +20,7 @@ import numbers
 import zipfile
 import zlib
 from dataclasses import asdict, dataclass, fields
-from math import prod
+from math import isfinite, prod
 
 import numpy as np
 
@@ -68,8 +68,11 @@ class ModelConfig:
 
     def __post_init__(self):
         for f in fields(self):  # a checkpoint's config is JSON, not a parsed file
-            if not isinstance(getattr(self, f.name), FIELD_TYPES[f.type]):
-                raise ConfigError(f"{f.name} must be {f.type}, got {getattr(self, f.name)!r}")
+            value = getattr(self, f.name)
+            if not isinstance(value, FIELD_TYPES[f.type]):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+            if f.type == "float" and not isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.patch_len > self.lookback:
             raise ConfigError(
                 f"patch_len {self.patch_len} exceeds lookback {self.lookback}"
@@ -82,8 +85,9 @@ class ModelConfig:
                      "bottleneck_dim", "n_channels"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.n_blocks < 0:
-            raise ConfigError("n_blocks must be >= 0")
+        for name in ("n_blocks", "seed"):  # numpy seeds are non-negative
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.components not in COMPONENTS:
             raise ConfigError(f"components must be one of ({', '.join(COMPONENTS)}), "
                               f"got {self.components!r}")

@@ -5,8 +5,8 @@ sweeps that tape once in reverse, popping each node as it runs, and
 accumulates gradients into every `requires_grad` tensor reachable from the
 root.
 An op result's gradient is dropped as soon as its node has run; leaf
-(parameter) gradients persist across backward calls until `zero_grad`,
-which keeps their buffers for the next accumulation.
+(parameter) gradients persist across backward calls until `zero_grad`.
+Each gradient array has one owner, its tensor (`Tensor.accumulate_grad`).
 """
 
 from __future__ import annotations
@@ -50,21 +50,19 @@ class _Node:
 
 
 class Tensor:
-    """A dense real-valued array with an optional gradient buffer.
+    """A dense real-valued array with an optional gradient.
 
     Construction checks no values: NaN or Inf in the data fails at the
-    first op that reads it, whose result `_make` checks.  `_spare` holds
-    the gradient buffer `zero_grad` cleared, for the next first
-    accumulation to copy into.
+    first op that reads it, whose result `_make` checks.  `grad` is the
+    tensor's own array, written in place by accumulation and the optimizer.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_spare")
+    __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._spare = None
 
     @property
     def shape(self) -> tuple:
@@ -82,26 +80,20 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def zero_grad(self) -> None:
-        """Clear the gradient; its buffer is kept and reused by the next accumulation."""
-        if self.grad is not None:
-            self._spare = self.grad
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add `g` to the gradient; the first `g` becomes the gradient itself.
+
+        Callers hand over a writeable array that nothing else holds, since
+        later accumulations and the optimizer write into it in place.
+        """
         if g.shape != self.data.shape:
             raise ContractError(
                 f"gradient of shape {g.shape} for a tensor of shape {self.shape}"
             )
         if self.grad is None:
-            # a C-ordered copy, never `g` itself: one backward may hand the
-            # same array to several parents (add), and grads are updated in
-            # place (by later accumulations and by the optimizer)
-            spare, self._spare = self._spare, None
-            if spare is not None and spare.shape == g.shape:
-                np.copyto(spare, g)
-                self.grad = spare
-            else:
-                self.grad = np.array(g, dtype=np.float64, order="C")
+            self.grad = np.asarray(g, dtype=np.float64)
         else:
             self.grad += g
 
@@ -149,10 +141,9 @@ def backward(root: Tensor) -> None:
 
 
 # Every op result passes this guard, so NaN/Inf fails at the op that made it.
-def _check_finite(arr: np.ndarray) -> np.ndarray:
+def _check_finite(arr: np.ndarray) -> None:
     if not np.all(np.isfinite(arr)):
         raise ContractError("operation produced non-finite values")
-    return arr
 
 
 def _make(data, parents, backward_fn) -> Tensor:
@@ -163,11 +154,8 @@ def _make(data, parents, backward_fn) -> Tensor:
     `layers.linear`, the KAN layer, the embedding, RevIN's inverse and the
     loss.
     """
-    out = Tensor.__new__(Tensor)
-    out.data = _check_finite(np.asarray(data, dtype=np.float64))
-    out.grad = None
-    out.requires_grad = False
-    out._spare = None
+    out = Tensor(data)
+    _check_finite(out.data)
     if grad_enabled() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         _TAPE.append(_Node(out, backward_fn))
@@ -186,7 +174,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(g)
         if b.requires_grad:
-            b.accumulate_grad(g)
+            b.accumulate_grad(g.copy() if a.requires_grad else g)
 
     return _make(a.data + b.data, (a, b), back)
 
@@ -209,6 +197,6 @@ def reshape(a: Tensor, *shape) -> Tensor:
 def tensor_sum(a: Tensor) -> Tensor:
     def back(g):
         if a.requires_grad:
-            a.accumulate_grad(np.broadcast_to(g, a.shape))
+            a.accumulate_grad(np.full(a.shape, g))
 
     return _make(a.data.sum(), (a,), back)

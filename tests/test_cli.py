@@ -532,6 +532,9 @@ class TestEvalCommand:
          "n_blocks 1000000000 with components 'both' needs 240,000,000,000 block parameters, "
          "240 stored"),
         ("config_huge_float", "int too large to convert to float"),
+        ("config_negative_seed", "seed must be >= 0, got -1"),
+        ("config_nan_float", "hahn_a must be finite, got nan"),
+        ("config_inf_float", "revin_eps must be finite, got inf"),
         ("config_unknown_components", "components must be one of"),
         ("config_old_switches",
          "n_blocks 1 with components 'both' needs 240 block parameters, 192 stored"),
@@ -571,6 +574,10 @@ class TestEvalCommand:
                 "config_huge_size": json.dumps({**stored, "bottleneck_dim": 10**15}),
                 "config_huge_blocks": json.dumps({**stored, "n_blocks": 10**9}),
                 "config_huge_float": json.dumps({**stored, "hahn_a": 10**400}),
+                # values JSON holds that a model cannot seed or compute with
+                "config_negative_seed": json.dumps({**stored, "seed": -1}),
+                "config_nan_float": json.dumps({**stored, "hahn_a": float("nan")}),
+                "config_inf_float": json.dumps({**stored, "revin_eps": float("inf")}),
                 "config_unknown_components": json.dumps({**stored, "n_blocks": 10**6,
                                                          "components": "neither"}),
                 # the two switches `components` replaced, with the intra layer off

@@ -77,6 +77,20 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="increasing"):
             load_csv(path)
 
+    def test_integer_index_stamps(self, tmp_path):
+        # numeric stamps compare as numbers, so 9 comes before 10
+        path = tmp_path / "num.csv"
+        path.write_text("t,a\n" + "".join(f"{i},{i}.5\n" for i in range(31)))
+        assert_loaders_agree(path)
+        assert load_csv(path).values.shape == (31, 1)
+        path.write_text("t,a\n8,1.0\n10,2.0\n9,3.0\n")
+        with pytest.raises(DataError, match=r"num\.csv:4: timestamps not strictly "
+                                            r"increasing \('10' then '9'\)"):
+            load_csv(path)
+        path.write_text("t,a\n2020-01-01,1.0\n5,2.0\n")
+        with pytest.raises(DataError, match=r"num\.csv:3: mixed timestamp formats"):
+            load_csv(path)
+
     def test_load_is_order_stable(self, tmp_path):
         path = write_synthetic_csv(tmp_path / "s.csv", rows=40, channels=3)
         first = load_csv(path).values

@@ -58,22 +58,17 @@ class TestLosses:
 
 
 class TestAdam:
-    def test_zero_grad_keeps_buffers_and_bits(self):
-        # three steps whose zero_grad keeps each gradient buffer, against
-        # three whose gradients are dropped and allocated afresh
+    def test_zero_grad_matches_dropped_gradients(self):
+        # three steps cleared by zero_grad, against three whose gradients
+        # are dropped by hand
         models = [HaKanModel(tiny_train_config(n_blocks=2)) for _ in range(2)]
         opts = [Adam(m.parameters(), lr=1e-2) for m in models]
         rng = np.random.default_rng(21)
-        buffers = None
         for _ in range(3):
             x, y = rng.normal(size=(6, 16)), rng.normal(size=(6, 4))
             for model, opt in zip(models, opts):
                 tt.backward(mse_loss(model.forward_batch(x), y))
                 opt.step()
-            kept = [p.grad for p in models[0].parameters()]
-            if buffers is not None:
-                assert all(g is b for g, b in zip(kept, buffers))
-            buffers = kept
             opts[0].zero_grad()
             for p in models[1].parameters():
                 p.grad = None
