@@ -20,16 +20,18 @@ from .errors import BasisParameterError, ConfigError, ContractError
 
 BASIS_KINDS = ("hahn", "chebyshev", "lucas")
 # The highest degree a basis is built with.  `make_basis` builds one
-# recurrence step per degree and a worker's block scratch holds two cache
-# blocks per degree (34 MB at 64), so an unbounded degree is a memory or
+# recurrence step per degree and a worker's block scratch holds a cache
+# block per degree (17 MB at 64), so an unbounded degree is a memory or
 # time bomb rather than a model.
 MAX_DEGREE = 64
 
 
-# Elements per cache block (256 KiB of float64).  At degree 3 a values pass
-# over a block (input, squash, two scratch arrays, three terms) works in
-# 1.75 MiB, inside the 2 MiB L2 per core of the Xeon this was measured on; a
-# derivative pass adds the slope and three derivatives, 2.75 MiB, and spills.
+# Elements per cache block (256 KiB of float64).  At degree 3 a pass over a
+# block (input, squash, two scratch arrays, three terms) works in 1.75 MiB,
+# inside the 2 MiB L2 per core of the Xeon this was measured on.  The backward's
+# pass adds only the slope, written straight into the caller's array (2 MiB):
+# derivatives come from the values (`Basis.derivative_matrix`), where three
+# derivative arrays took it to 2.75 MiB and spilled.
 # A KAN layer's task is a run of such blocks (`layers.RUN_BLOCKS`).
 BLOCK_ELEMENTS = 32_768
 _COUNT_LOCK = threading.Lock()  # eval_count is read-modify-write from pool tasks
@@ -66,6 +68,10 @@ class Basis:
     The block scratch belongs to the calling thread (`pool.scratch`), so
     a caller that walks its input block by block allocates nothing here,
     and calls from several pool workers at once never share it.
+
+    Derivatives are never evaluated: each P_r' is a polynomial of degree
+    r - 1, a fixed combination of P_0..P_{r-1} (`derivative_matrix`), so
+    a caller that has the values and the slope s'(x) has them too.
 
     `eval_count` tracks how many scalar basis evaluations have been
     performed; layers rely on one evaluation per input element regardless
@@ -107,17 +113,44 @@ class Basis:
 
         `out` writes into a C-contiguous array of the result's shape.
         """
-        return self._stacked(x, axis, (out,))[0]
+        return self._stacked(x, axis, out)[0]
 
     def eval_terms_with_deriv(self, x, axis: int = -1, out: tuple | None = None) -> tuple:
-        """(values, d/dx) of degrees 1..degree at s(x), each stacked along `axis`.
+        """(values, slope): `eval_terms` of x and s'(x), the slope in x's shape.
 
-        The derivative is the chain rule's P_r'(s(x)) * s'(x).  `out` =
-        (values, derivatives) writes into C-contiguous arrays of the result's shape.
+        By the chain rule dP_r(s(x))/dx = P_r'(s(x)) s'(x), and P_r' is
+        sum_k D[r, k] P_k with D = `derivative_matrix()`.  `out` = (values,
+        slope) writes into C-contiguous arrays of the results' shapes.
         """
-        return self._stacked(x, axis, out or (None, None))
+        values, slope = out or (None, None)
+        x = np.asarray(x, dtype=np.float64)
+        return self._stacked(x, axis, values, np.empty(x.shape) if slope is None else slope)
 
-    def _stacked(self, x, axis: int, out: tuple) -> tuple:
+    def derivative_matrix(self) -> np.ndarray:
+        """D [degree + 1, degree + 1], strictly lower triangular: P_r' = sum_{k<r} D[r, k] P_k.
+
+        Built from the recurrence itself, with no monomials.  Differentiating
+        a step gives P_r' = b P_{r-1} + a P_{r-1}' + b x P_{r-1}' + c P_{r-2}',
+        and x P_k goes back into the basis through the step that makes
+        P_{k+1}: x P_k = (P_{k+1} - a P_k - c P_{k-1}) / b, with x P_0 from p1.
+        """
+        c0, c1 = self.p1
+        d = np.zeros((self.degree + 1, self.degree + 1))
+        # times_x[k] = x P_k as coefficients of P_0..P_degree, for k < degree
+        times_x = np.zeros(d.shape)
+        if self.degree:
+            d[1, 0] = c1 / self.p0
+            times_x[0, :2] = -c0 / c1, self.p0 / c1
+        for k, (a, b, c) in enumerate(self.steps, start=1):
+            times_x[k, k - 1:k + 2] = -c / b, -a / b, 1.0 / b
+        for r, (a, b, c) in enumerate(self.steps, start=2):
+            d[r] = a * d[r - 1] + b * (d[r - 1] @ times_x) + c * d[r - 2]
+            d[r, r - 1] += b
+        return d
+
+    def _stacked(self, x, axis: int, out: np.ndarray | None, slope: np.ndarray | None = None
+                 ) -> tuple:
+        """(values, slope) of x, the slope only when an array for it is given."""
         x = np.asarray(x, dtype=np.float64)
         with _COUNT_LOCK:
             self.eval_count += x.size
@@ -125,50 +158,47 @@ class Basis:
         lead, trail = prod(x.shape[:k]), prod(x.shape[k:])
         rows = np.ascontiguousarray(x).reshape(lead, trail)
         shape = x.shape[:k] + (self.degree,) + x.shape[k:]
-        out = tuple(np.empty(shape) if o is None else o for o in out)
-        if any(o.shape != shape or not o.flags.c_contiguous for o in out):
-            raise ContractError(f"basis out= needs C-contiguous arrays of shape {shape}")
-        stacked = [o.reshape(lead, self.degree, trail) for o in out]
-        deriv = len(out) == 2
+        out = np.empty(shape) if out is None else out
+        for o, want in ((out, shape), (slope, x.shape)):
+            if o is not None and (o.shape != want or not o.flags.c_contiguous):
+                raise ContractError(f"basis out= needs a C-contiguous array of shape {want}")
+        stacked = out.reshape(lead, self.degree, trail)
+        slopes = None if slope is None else slope.reshape(lead, trail)
         # a block is squashed, its terms computed in contiguous [rows, trail]
-        # slabs, then copied into their slots of the stacked outputs
-        slabs, w, tmp, s, ds = self._block_scratch(trail)
+        # slabs, then copied into their slots of the stacked output; the
+        # slope goes straight to its rows of `slope`
+        slabs, w, tmp, s = self._block_scratch(trail)
         for blk in row_blocks(lead, trail):
             src = rows[blk]
             m = len(src)
-            self.squash(src, slope=deriv, out=(s[:m], ds[:m]))
-            terms = slabs[:, :, :m]
-            self._fill(s[:m], terms[0], terms[1] if deriv else None, w[:m], tmp[:m])
-            if deriv:  # the slope scales every degree's derivative
-                terms[1] *= ds[:m]
-            for out_rows, slab in zip(stacked, terms):
-                out_rows[blk] = slab.swapaxes(0, 1)
-        return out
+            self.squash(src, slope=slope is not None,
+                        out=(s[:m], None if slope is None else slopes[blk]))
+            terms = slabs[:, :m]
+            self._fill(s[:m], terms, w[:m], tmp[:m])
+            stacked[blk] = terms.swapaxes(0, 1)
+        return out, slope
 
     def _block_scratch(self, trail: int) -> tuple:
-        """(slabs [2, degree, rows, trail], w, tmp, s, ds) for a full block of `trail`-wide rows.
+        """(slabs [degree, rows, trail], w, tmp, s) for a full block of `trail`-wide rows.
 
         One buffer of the calling thread's scratch.
         """
         rows = block_rows(trail)
-        parts = pool.scratch("basis", (2 * self.degree + 4) * rows * trail)
-        parts = parts.reshape(2 * self.degree + 4, rows, trail)
-        slabs = parts[:2 * self.degree].reshape(2, self.degree, rows, trail)
-        return (slabs, *parts[2 * self.degree:])
+        parts = pool.scratch("basis", (self.degree + 3) * rows * trail)
+        parts = parts.reshape(self.degree + 3, rows, trail)
+        return (parts[:self.degree], *parts[self.degree:])
 
-    def _fill(self, x, vals, ders, w, tmp) -> None:
-        """Write P_r(x) (and P_r'(x)) of a block x [rows, trail] into vals[r - 1].
+    def _fill(self, x, vals, w, tmp) -> None:
+        """Write P_r(x) of a block x [rows, trail] into vals[r - 1].
 
-        Each of vals[i], ders[i], `w` and `tmp` is a [rows, trail] array;
-        every product lands in one of them, so the block allocates nothing.
+        Each of vals[i], `w` and `tmp` is a [rows, trail] array; every
+        product lands in one of them, so the block allocates nothing.
         """
         if self.degree < 1:
             return
         c0, c1 = self.p1
         np.multiply(x, c1, out=vals[0])
         vals[0] += c0
-        if ders is not None:
-            ders[0].fill(c1)
         for i, (a, b, c) in enumerate(self.steps, start=1):  # P_r sits in slot i = r - 1
             np.multiply(x, b, out=w)
             w += a
@@ -178,13 +208,6 @@ class Basis:
                 vals[i] += tmp
             else:
                 vals[i] += c * self.p0
-            if ders is not None:
-                np.multiply(w, ders[i - 1], out=ders[i])
-                np.multiply(vals[i - 1], b, out=tmp)
-                ders[i] += tmp
-                if i > 1:  # P_0' = 0
-                    np.multiply(ders[i - 2], c, out=tmp)
-                    ders[i] += tmp
 
 
 def hahn_coeffs(a: float, b: float, n: int, r: int) -> tuple:

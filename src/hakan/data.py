@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import itertools
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -35,9 +36,17 @@ class RawDataset:
     timestamps: list
     values: np.ndarray  # [total_len, n_channels]
     frequency: str = ""
+    path: str = ""  # the file it was read from; empty if built in memory
+    lines: Sequence[int] = ()  # the file line of each row, for a dataset read from a file
 
     def __len__(self) -> int:
         return self.values.shape[0]
+
+    def where(self, row: int | None = None) -> str:
+        """A message prefix: the file and a row's file line, or the name and row index."""
+        if not self.path:
+            return self.name if row is None else f"{self.name}: row {row}"
+        return self.path if row is None else f"{self.path}:{self.lines[row]}"
 
 
 @dataclass(frozen=True)
@@ -83,8 +92,8 @@ def load_csv(path, name: str | None = None, frequency: str = "") -> RawDataset:
     if defect is not None:
         row, what = defect
         raise DataError(f"{path}:{linenos[row]}: {what}")
-    return RawDataset(name=name or path.stem, timestamps=timestamps,
-                      values=values, frequency=frequency)
+    return RawDataset(name=name or path.stem, timestamps=timestamps, values=values,
+                      frequency=frequency, path=str(path), lines=linenos)
 
 
 class _NotPlain(Exception):
@@ -236,13 +245,22 @@ def standardize(ds: RawDataset, train_range: SegmentBounds) -> tuple:
     """Z-score every column with train-range statistics.
 
     Returns (standardized values, per-column mean, per-column std).  Metrics
-    downstream are computed in this standardized space.
+    downstream are computed in this standardized space.  A value too large
+    for float64 arithmetic to standardize, in a column's statistics or in
+    the result, is a DataError naming its file, CSV column and, for a
+    value, file line: an infinite std would zero the whole column.
     """
     if len(train_range) < 1:
         raise ConfigError("empty train range for standardization")
     train = ds.values[train_range.start:train_range.end]
-    mean = train.mean(axis=0)
-    std = train.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = train.mean(axis=0)
+        std = train.std(axis=0)
+    for what, stat in (("mean", mean), ("std", std)):
+        finite = np.isfinite(stat)
+        if not finite.all():
+            raise DataError(f"{ds.where()}: CSV column {int(np.argmin(finite)) + 2}: the train "
+                            f"range's {what} is not finite (values too large to standardize)")
     flat = std == 0.0
     if flat.any():
         warnings.warn(
@@ -250,7 +268,15 @@ def standardize(ds: RawDataset, train_range: SegmentBounds) -> tuple:
             stacklevel=2,
         )
         std = np.where(flat, 1.0, std)
-    return (ds.values - mean) / std, mean, std
+    with np.errstate(over="ignore"):
+        values = (ds.values - mean) / std
+    finite = np.isfinite(values)
+    if not finite.all():
+        row, col = np.unravel_index(np.argmin(finite), finite.shape)
+        raise DataError(f"{ds.where(row)}: CSV column {col + 2}: {float(ds.values[row, col])!r} "
+                        f"does not standardize to a finite value (train mean "
+                        f"{float(mean[col]):g}, std {float(std[col]):g})")
+    return values, mean, std
 
 
 def window_count(segment_len: int, lookback: int, horizon: int) -> int:

@@ -30,9 +30,10 @@ from .tensor import Tensor
 
 # Cache blocks (`basis.BLOCK_ELEMENTS`) per pool task of a KAN layer, forward
 # and backward (`_runs`).  A task makes one basis call into its worker's
-# scratch, so a worker's layer scratch is a run's values and derivatives.
-# Three raised perfbench's `peak_rss_mb` on both workloads against two, and
-# sped up serve-electricity's steps; see README, Performance.
+# scratch, so a worker's layer scratch is a run's values and, in the
+# backward, as many products with the derivative weights.  Three raised
+# perfbench's `peak_rss_mb` on both workloads against two, and sped up
+# serve-electricity's steps; see README, Performance.
 RUN_BLOCKS = 2
 # Pool tasks per product of `linear` on the last axis: equal tiles of the
 # result's columns.  A fixed count, never the CPU count, so each column's
@@ -199,28 +200,38 @@ class KanLayer:
     def _grads(self, g, weight, x) -> tuple:
         """(d/d weight, d/dx) for the output gradient g, over the forward's runs of x.
 
-        A pool task makes one basis call for its run's values and derivatives
-        into its worker's scratch.  The values give the run's weight-gradient
-        partial, summed over runs in run order whichever worker ran each.
-        W_r^T g then overwrites the values, and the run's input gradient is
-        sum_r (W_r^T g) * dP_r(s(x))/dx, the derivatives carrying the slope.
+        With P_r' = sum_k D[r, k] P_k (`Basis.derivative_matrix`), the input
+        gradient is s'(x) sum_{k<R} (W'_k^T g) P_k(s(x)), where W'_k =
+        sum_r D[r, k] W_r is formed once, laid out as `weight`, with P_0's
+        constant folded into W'_0.  A pool task makes one basis call for its
+        run's values and slope, the slope written straight into the run's
+        rows of d/dx.  The values give the run's weight-gradient partial,
+        summed over runs in run order whichever worker ran each.  W'^T g
+        fills the second half of the run's scratch; slot 0 gathers the sum
+        of its terms times the values and then scales the slope.
         """
-        axis, degree = self.axis, self.basis.degree
+        axis, basis = self.axis, self.basis
+        degree = basis.degree
         x_rows, g_rows = _rows(x, -axis), _rows(g, -axis)
         if not degree:  # the bias alone: no run to evaluate
             return np.zeros(weight.shape), np.zeros(x.shape)
+        deriv = basis.derivative_matrix()[1:, :-1]  # D[r, k], r = 1..R, k = 0..R-1
+        deriv[:, 0] *= basis.p0
+        deriv_weight = np.matmul(deriv.T, weight.reshape(self.out_dim, degree, self.in_dim))
+        deriv_weight = deriv_weight.reshape(self.out_dim, -1)
         gx = np.empty(x_rows.shape)
 
         def run_task(run):
-            xs, gs = x_rows[run], g_rows[run]
+            xs, gs, slope = x_rows[run], g_rows[run], gx[run]
             work = pool.scratch("layer", 2 * degree * xs.size)
-            vals, ders = work.reshape((2, len(xs), degree) + xs.shape[1:])
-            v, dp = self.basis.eval_terms_with_deriv(xs, axis=axis - 1, out=(vals, ders))
-            stacked = v.reshape((len(xs), -1) + xs.shape[2:])
-            dw = _weight_grad(gs, stacked, axis)
-            terms = _contract(gs, weight.T, axis, out=stacked).reshape(dp.shape)
-            terms *= dp
-            np.sum(terms, axis=1, out=gx[run])
+            vals, terms = work.reshape((2, len(xs), degree) + xs.shape[1:])
+            basis.eval_terms_with_deriv(xs, axis=axis - 1, out=(vals, slope))
+            flat = (len(xs), -1) + xs.shape[2:]
+            dw = _weight_grad(gs, vals.reshape(flat), axis)
+            _contract(gs, deriv_weight.T, axis, out=terms.reshape(flat))
+            total = terms[:, 0]
+            total += np.einsum("rk...,rk...->r...", terms[:, 1:], vals[:, :-1])
+            slope *= total
             return dw
 
         partials = pool.map(run_task, _runs(len(x_rows), prod(x.shape[axis:])))

@@ -1,15 +1,14 @@
 """Plain test helpers: repository paths, dataset lookup, synthetic CSVs, basis oracles."""
 
 import os
-from math import comb, prod
+from math import comb
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hakan.basis import row_blocks
 from hakan.errors import BasisParameterError
-from hakan.layers import _contract, _rows, _weight_grad
+from hakan.layers import _weight_grad
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DATA_DIR = Path(os.environ.get("HAKAN_DATA", REPO_ROOT / "data"))
@@ -48,47 +47,45 @@ def write_synthetic_csv(path: Path, rows: int, channels: int, seed: int = 0) -> 
 def eval_all(basis, x) -> np.ndarray:
     """Recurrence values of every degree at x, P_0 included, stacked along a trailing axis.
 
-    x is taken as is, with no squash, so domain points give the textbook values.
+    `Basis._fill` runs on x as one row, with no squash, so domain points
+    give the textbook values.
     """
-    return _raw_terms(basis, x, deriv=False)[0]
+    x = np.asarray(x, dtype=np.float64)
+    row = x.reshape(1, -1)
+    vals = np.empty((basis.degree,) + row.shape)
+    w, tmp = np.empty((2,) + row.shape)
+    basis._fill(row, vals, w, tmp)
+    return _with_degree_zero(np.moveaxis(vals, 0, -1).reshape(x.shape + (basis.degree,)),
+                             basis.p0)
 
 
 def eval_all_with_deriv(basis, x) -> tuple:
-    """Recurrence values and x-derivatives of every degree at x, as `eval_all` stacks them."""
-    return _raw_terms(basis, x, deriv=True)
+    """Values and x-derivatives of every degree at x, as `eval_all` stacks them.
 
-
-def _raw_terms(basis, x, deriv: bool) -> tuple:
-    """`Basis._fill` run on x as one row, so the recurrence sees x unsquashed."""
+    The derivatives come from differentiating the recurrence step by step,
+    P_r' = (a + b x) P_{r-1}' + b P_{r-1} + c P_{r-2}' with P_1' = p1[1],
+    independent of `Basis.derivative_matrix`.
+    """
     x = np.asarray(x, dtype=np.float64)
-    row = x.reshape(1, -1)
-    terms = np.empty((1 + deriv, basis.degree) + row.shape)
-    w, tmp = np.empty((2,) + row.shape)
-    basis._fill(row, terms[0], terms[1] if deriv else None, w, tmp)
-    shape = x.shape + (basis.degree,)
-    return tuple(_with_degree_zero(np.moveaxis(a, 0, -1).reshape(shape), p0)
-                 for a, p0 in zip(terms, (basis.p0, 0.0)))
+    vals = eval_all(basis, x)
+    ders = np.zeros(vals.shape)
+    if basis.degree:
+        ders[..., 1] = basis.p1[1]
+    for r, (a, b, c) in enumerate(basis.steps, start=2):
+        ders[..., r] = (a + b * x) * ders[..., r - 1] + b * vals[..., r - 1] + c * ders[..., r - 2]
+    return vals, ders
 
 
 def whole_input_grad(layer, g, x) -> np.ndarray:
-    """A KAN layer's input gradient for the output gradient g, from one
-    `eval_terms_with_deriv` over all of x and the products taken per block.
-
-    This is the layer's backward from when its forward stored the
-    derivatives; the blocked recompute must match it bit for bit.
-    """
-    axis, degree = layer.axis, layer.basis.degree
-    _, ders = layer.basis.eval_terms_with_deriv(x, axis=axis - 1)
-    weight = layer.gamma.data[:, :, 1:].transpose(0, 2, 1).reshape(layer.out_dim, -1)
-    lead, trail = prod(x.shape[:axis]), prod(x.shape[axis:][1:])
-    rows = _rows(g, -axis)
-    ders = ders.reshape(lead, degree, layer.in_dim, trail)
-    gx = np.empty((lead, layer.in_dim, trail))
-    for blk in row_blocks(lead, layer.in_dim * trail):
-        terms = _contract(rows[blk], weight.T, axis).reshape(ders[blk].shape)
-        terms *= ders[blk]
-        np.sum(terms, axis=1, out=gx[blk])
-    return gx.reshape(x.shape)
+    """A KAN layer's input gradient for the output gradient g, by einsum over all of x:
+    sum_q g[q] sum_r gamma[q, p, r] P_r'(s(x[p])) s'(x[p]), with the derivatives
+    from the recurrence (`eval_all_with_deriv`)."""
+    s, slope = layer.basis.squash(x, slope=True)
+    ders = eval_all_with_deriv(layer.basis, s)[1][..., 1:] * slope[..., None]
+    gamma = layer.gamma.data[:, :, 1:]
+    if layer.axis == -1:
+        return np.einsum("...q,qpr,...pr->...p", g, gamma, ders)
+    return np.einsum("...qj,qpr,...pjr->...pj", g, gamma, ders)
 
 
 def whole_gamma_grad(layer, g, x) -> np.ndarray:

@@ -183,25 +183,49 @@ class TestAlternateBases:
 
 
 def test_eval_counter_tracks_elements():
+    # the backward's call counts its elements once, for values and slope
+    # alike, and the derivative matrix counts none
     basis = make_basis("hahn", 3, 1, 1, 7)
     basis.eval_terms(np.zeros((4, 5)))
     assert basis.eval_count == 20
-    basis.eval_terms_with_deriv(np.zeros(3))
+    values, slope = basis.eval_terms_with_deriv(np.zeros(3))
+    basis.derivative_matrix()
     assert basis.eval_count == 23
+    assert values.shape == (3, 3) and slope.shape == (3,)
 
 
 @pytest.mark.parametrize("kind", ["hahn", "chebyshev", "lucas"])
 def test_terms_of_reals_are_the_recurrence_at_the_squash(kind):
-    # eval_terms squashes reals itself, out to where tanh saturates
+    # eval_terms squashes reals itself, out to where tanh saturates, and
+    # eval_terms_with_deriv adds the slope; D times the values times the
+    # slope is the derivative of the terms
     basis = make_basis(kind, 3)
     x = np.concatenate([[-30.0, -3.0, 0.0, 0.4, 2.5, 30.0],
                         np.random.default_rng(0).normal(0.0, 2.0, 40)]).reshape(2, 23)
     s, ds = basis.squash(x, slope=True)
     raw, raw_ders = eval_all_with_deriv(basis, s)
-    vals, ders = basis.eval_terms_with_deriv(x)
+    vals, slope = basis.eval_terms_with_deriv(x)
     np.testing.assert_array_equal(basis.eval_terms(x), raw[..., 1:])
     np.testing.assert_array_equal(vals, raw[..., 1:])
-    np.testing.assert_array_equal(ders, raw_ders[..., 1:] * ds[..., None])
+    np.testing.assert_array_equal(slope, ds)
+    ders = (raw @ basis.derivative_matrix().T)[..., 1:] * slope[..., None]
+    np.testing.assert_allclose(ders, raw_ders[..., 1:] * ds[..., None], rtol=1e-14, atol=1e-14)
     step = 1e-6
     fd = (basis.eval_terms(x + step) - basis.eval_terms(x - step)) / (2 * step)
     np.testing.assert_allclose(ders, fd, rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 3, 7, 9, MAX_DEGREE])
+@pytest.mark.parametrize("kind", ["hahn", "chebyshev", "lucas"])
+def test_derivative_matrix_is_the_derivative_recurrence(kind, degree):
+    # D times the values is the derivative the recurrence gives, at every
+    # degree the CLI accepts, where central differences cannot vouch for
+    # degree 64.  Hahn runs on n = 64, where |D| reaches ~1e34
+    basis = make_basis(kind, degree, n=MAX_DEGREE) if kind == "hahn" else make_basis(kind, degree)
+    deriv = basis.derivative_matrix()
+    assert deriv.shape == (degree + 1, degree + 1)
+    np.testing.assert_array_equal(np.triu(deriv), 0.0)  # P_r' has degree r - 1
+    lo, hi = basis.domain
+    vals, ders = eval_all_with_deriv(basis, np.linspace(lo, hi, 2001))
+    scale = np.abs(ders).max(axis=0)
+    assert np.all(np.abs(vals @ deriv.T - ders) <= 1e-13 * scale)

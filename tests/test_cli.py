@@ -226,6 +226,25 @@ class TestTrainCommand:
         assert len(err.splitlines()) == 1
         assert not (out_dir / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("line, cell, message", [
+        (6, "1e308", ": CSV column 2: the train range's std is not finite"),
+        (241, "1.7e308", ":241: CSV column 2: 1.7e+308 does not standardize to a finite value"),
+    ], ids=["train-std", "test-value"])
+    def test_value_too_large_to_standardize_exits_data_code(self, tiny_run, capsys,
+                                                            line, cell, message):
+        # finite cells whose standardization overflows: an infinite train std
+        # zeroed the channel and trained on it; an infinite standardized test
+        # value failed only after training, as a non-finite metric
+        cfg_path, data, out_dir = tiny_run
+        lines = data.read_text().splitlines()
+        stamp, _, *rest = lines[line - 1].split(",")
+        lines[line - 1] = ",".join([stamp, cell, *rest])
+        data.write_text("\n".join(lines) + "\n")
+        assert cli.main(["train", "--config", str(cfg_path)]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {data}{message}") and len(err.splitlines()) == 1
+        assert not (out_dir / "metrics.csv").exists()
+
     @pytest.mark.parametrize("flags, key", [
         (["--horizon", "1000000000000"], None),
         ([], "model.embed_dim = 1000000000000"),
@@ -940,13 +959,9 @@ class TestGradcheckCommand:
         assert "PASS" in capsys.readouterr().out
 
     def test_corrupted_backward_detected(self, monkeypatch, capsys):
+        # every derivative the backward takes comes through D
         from hakan.basis import Basis
-        true_fn = Basis.eval_terms_with_deriv
-
-        def corrupted(self, x, axis=-1, **kwargs):
-            vals, ders = true_fn(self, x, axis, **kwargs)
-            return vals, ders * 1.01
-
-        monkeypatch.setattr(Basis, "eval_terms_with_deriv", corrupted)
+        true_fn = Basis.derivative_matrix
+        monkeypatch.setattr(Basis, "derivative_matrix", lambda self: true_fn(self) * 1.01)
         assert cli.main(["gradcheck"]) == cli.EXIT_NUMERIC
         assert "FAIL" in capsys.readouterr().out

@@ -285,6 +285,19 @@ class TestStandardize:
         np.testing.assert_allclose(out * std + mean, ds.values,
                                    atol=1e-9)
 
+    @pytest.mark.parametrize("rows, cell, message", [
+        (slice(0, 2), 1e308, "fake: CSV column 3: the train range's mean is not finite"),
+        (slice(5, 6), 1e308, "fake: CSV column 3: the train range's std is not finite"),
+        (slice(150, 151), 1.7e308, r"fake: row 150: CSV column 3: 1\.7e\+308 does not standardize"),
+    ], ids=["mean", "std", "value"])
+    def test_overflow_is_a_data_error(self, rows, cell, message):
+        # finite cells whose train statistics or standardized value overflow
+        ds = fake_dataset(200)
+        ds.values[:, 1] *= 0.1  # a train std of ~0.2
+        ds.values[rows, 1] = cell
+        with pytest.raises(DataError, match=message):
+            standardize(ds, SegmentBounds(0, 140))
+
     def test_statistics_ignore_test_rows(self):
         ds_a = fake_dataset(200, seed=5)
         ds_b = fake_dataset(200, seed=5)

@@ -303,7 +303,8 @@ def test_forward_runs_tile_the_input_in_whole_cache_blocks():
 
 
 def test_backward_walks_the_forward_runs():
-    # one `eval_terms_with_deriv` call per forward run, on the run's rows
+    # one `eval_terms_with_deriv` call (values and slope) per forward run, on
+    # the run's rows, and one derivative matrix for the whole backward
     layer = KanLayer(64, 5, basis=make_basis("hahn", 3), rng=np.random.default_rng(20))
     step = RUN_BLOCKS * block_rows(64)
     x = Tensor(np.random.default_rng(21).normal(size=(2 * step + 7, 64)), requires_grad=True)
@@ -314,10 +315,15 @@ def test_backward_walks_the_forward_runs():
             return _fn(data, *args, **kwargs)
 
         setattr(layer.basis, name, traced)
+    matrices = []
+    true_matrix = layer.basis.derivative_matrix
+    layer.basis.derivative_matrix = lambda: matrices.append(true_matrix()) or matrices[-1]
     out = layer.forward(x)
     runs = in_input_order(calls)
+    assert not matrices
     tt.backward(out.sum())
     grad_runs = in_input_order(calls[len(runs):])
+    assert len(matrices) == 1
     assert [len(data) for _, data in runs] == [step, step, 7]
     assert {name for name, _ in grad_runs} == {"eval_terms_with_deriv"}
     for (_, run), (_, grad_run) in zip(runs, grad_runs, strict=True):
@@ -357,7 +363,10 @@ def test_blocked_input_grad_is_the_whole_array_formula(kind, axis, shape):
     assert node.out is out and not tt._tape()
     g = rng.normal(size=out.shape)
     node.backward(g)
-    np.testing.assert_array_equal(xt.grad, whole_input_grad(layer, g, x))
+    # the layer takes derivatives from the values through D, the oracle from
+    # the derivative recurrence, so they agree to rounding
+    want = whole_input_grad(layer, g, x)
+    np.testing.assert_allclose(xt.grad, want, rtol=0, atol=1e-13 * np.abs(want).max())
     # the coefficient gradient sums the runs' partial products, so it
     # matches the one-product formula to rounding
     np.testing.assert_allclose(layer.gamma.grad, whole_gamma_grad(layer, g, x),
@@ -385,38 +394,47 @@ def test_grad_forward_stores_no_derivatives(axis, shape):
             tracemalloc.stop()
     tt.backward(out.sum())
     run = RUN_BLOCKS * BLOCK_ELEMENTS * degree * 8
-    scratch = BLOCK_ELEMENTS * (2 * degree + 4) * 8
+    scratch = BLOCK_ELEMENTS * (degree + 4) * 8
     assert peak < (out.data.nbytes * 9 // 8 + layer.gamma.data.nbytes
                    + workers.size * (run + scratch))
 
 
 @pytest.mark.parametrize("axis, shape", [(-1, (4096, 128)), (-2, (64, 42, 128))],
                          ids=["last", "patch"])
-def test_backward_holds_one_run_per_worker(axis, shape):
-    # a backward allocates the input gradient, gamma's gradient and one
-    # coefficient-gradient partial per run; each pool worker adds at most one
-    # run of values and derivatives (RUN_BLOCKS cache blocks of 2 * degree
-    # values each) and the basis's block of scratch.  The gradients
-    # accumulate into existing buffers, so no copy of them is counted
+def test_backward_holds_one_run_per_worker(axis, shape, monkeypatch):
+    # a backward allocates the input gradient, gamma's gradient, the
+    # derivative weights W' (gamma's size) and one coefficient-gradient
+    # partial per run.  Each pool worker asks for at most one run of values
+    # and as many products with W' (RUN_BLOCKS cache blocks of 2 * degree
+    # values each) and the basis's block scratch, degree + 4 blocks at most:
+    # no derivative is stored.  The gradients accumulate into existing
+    # buffers, so no copy of them is counted
     degree = 3
     layer = KanLayer(shape[axis], shape[axis], basis=make_basis("hahn", degree), axis=axis)
     x = Tensor(np.random.default_rng(18).normal(size=shape), requires_grad=True)
     g = np.random.default_rng(19).normal(size=shape)
     runs = len(_runs(prod(shape[:axis]), prod(shape[axis:])))
+    requests = []
+    true_scratch = pool.scratch
     with pool._sized(2) as workers:
         layer.forward(x)
         node = tt._tape().pop()
         x.grad, layer.gamma.grad = np.zeros(shape), np.zeros(layer.gamma.shape)
+        monkeypatch.setattr(pool, "scratch",
+                            lambda name, n: requests.append((name, n)) or true_scratch(name, n))
         tracemalloc.start()
         try:
             node.backward(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    run = 2 * degree * RUN_BLOCKS * BLOCK_ELEMENTS * 8
-    scratch = BLOCK_ELEMENTS * (2 * degree + 4) * 8
-    assert peak < (x.data.nbytes + (1 + runs) * layer.gamma.data.nbytes
-                   + workers.size * (run + scratch))
+    run = 2 * degree * RUN_BLOCKS * BLOCK_ELEMENTS
+    scratch = BLOCK_ELEMENTS * (degree + 4)
+    assert {name for name, _ in requests} == {"layer", "basis"}
+    assert max(n for name, n in requests if name == "layer") <= run
+    assert max(n for name, n in requests if name == "basis") <= scratch
+    assert peak < (x.data.nbytes + (2 + runs) * layer.gamma.data.nbytes
+                   + workers.size * 8 * (run + scratch))
 
 
 @pytest.mark.parametrize("kind", ["hahn", "chebyshev", "lucas"])
