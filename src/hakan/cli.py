@@ -176,10 +176,11 @@ def _write_manifest(path: Path, cfg: RunConfig, extras: dict) -> None:
 
 
 def _machine() -> dict:
-    """The numpy, BLAS, CPU count, pool size and BLAS thread count a run
-    computed with.  The float64 bits depend on numpy and the BLAS, not on
-    the CPU count, the pool size or the BLAS threads, where the pool pins
-    BLAS to one thread (`run.blas_threads` 1); see README, Performance."""
+    """The numpy, BLAS, CPU count, pool size, BLAS thread count and heap
+    setting a run computed with.  The float64 bits depend on numpy and the
+    BLAS, not on the CPU count, the pool size or the BLAS threads, where the
+    pool pins BLAS to one thread (`run.blas_threads` 1), nor on whether
+    freed heap pages stay mapped (`run.heap`); see README, Performance."""
     blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
     threads = pool.blas_threads()
     return {
@@ -188,6 +189,7 @@ def _machine() -> dict:
         "run.cpus": len(os.sched_getaffinity(0)),
         "run.pool": pool.size(),
         "run.blas_threads": "unknown" if threads is None else threads,
+        "run.heap": "retained" if pool.heap_retained() else "default",
     }
 
 

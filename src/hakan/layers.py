@@ -157,8 +157,9 @@ class KanLayer:
         elements into its worker's scratch, with the degree axis just before
         the contracted axis, and one product with K = R * in_dim against
         gamma[:, :, 1:] laid out as [out_dim, R * in_dim] writes that run's
-        rows of the output, so no values buffer of the whole input exists.
-        The backward walks the same runs of the saved input (`_grads`).
+        rows of the output, to which the task adds the bias, so no values
+        buffer of the whole input exists.  The backward walks the same runs
+        of the saved input (`_grads`).
         """
         if self.mode == "linear":
             return linear(x, self.gamma, self.axis)
@@ -166,29 +167,28 @@ class KanLayer:
         gamma, axis, degree = self.gamma, self.axis, self.basis.degree
         weight = gamma.data[:, :, 1:].transpose(0, 2, 1).reshape(self.out_dim, -1)
         bias = self.basis.p0 * gamma.data[:, :, 0].sum(axis=1)
+        bias = bias.reshape((self.out_dim,) + (1,) * (-axis - 1))
         x_rows = _rows(x.data, -axis)
         out_rows = np.empty((len(x_rows), self.out_dim) + x_rows.shape[2:])
-        if degree:
-            def run_task(run):
-                src = x_rows[run]
+
+        def run_task(run):
+            src, out = x_rows[run], out_rows[run]
+            if degree:
                 values = pool.scratch("layer", degree * src.size)
                 terms = self.basis.eval_terms(
                     src, axis=axis - 1, out=values.reshape((len(src), degree) + src.shape[1:]))
-                stacked = terms.reshape((len(terms), -1) + x_rows.shape[2:])
-                _contract(stacked, weight, axis, out=out_rows[run])
+                _contract(terms.reshape((len(terms), -1) + src.shape[2:]), weight, axis, out=out)
+            else:  # the bias alone
+                out.fill(0.0)
+            out += bias
 
-            pool.map(run_task, _runs(len(x_rows), prod(x.shape[axis:])))
-        else:  # the bias alone
-            out_rows.fill(0.0)
-        out_rows += bias.reshape((self.out_dim,) + (1,) * (-axis - 1))
+        pool.map(run_task, _runs(len(x_rows), prod(x.shape[axis:])))
 
         def back(g):
-            dw, gx = self._grads(g, weight, x.data)
+            dw, db, gx = self._grads(g, weight, x.data)
             if gamma.requires_grad:
                 grad = np.empty(gamma.shape)
-                out_axis = g.ndim + axis
-                g_sum = g.sum(axis=tuple(i for i in range(g.ndim) if i != out_axis))
-                grad[:, :, 0] = (self.basis.p0 * g_sum)[:, None]
+                grad[:, :, 0] = (self.basis.p0 * db)[:, None]
                 grad[:, :, 1:] = dw.reshape(self.out_dim, degree, self.in_dim).transpose(0, 2, 1)
                 gamma.accumulate_grad(grad)
             if x.requires_grad:
@@ -198,31 +198,35 @@ class KanLayer:
         return tt._make(out_rows.reshape(shape), (x, gamma), back)
 
     def _grads(self, g, weight, x) -> tuple:
-        """(d/d weight, d/dx) for the output gradient g, over the forward's runs of x.
+        """(d/d weight, g summed over all but the output axis, d/dx) for the
+        output gradient g, over the forward's runs of x.
 
         With P_r' = sum_k D[r, k] P_k (`Basis.derivative_matrix`), the input
         gradient is s'(x) sum_{k<R} (W'_k^T g) P_k(s(x)), where W'_k =
         sum_r D[r, k] W_r is formed once, laid out as `weight`, with P_0's
         constant folded into W'_0.  A pool task makes one basis call for its
         run's values and slope, the slope written straight into the run's
-        rows of d/dx.  The values give the run's weight-gradient partial,
-        summed over runs in run order whichever worker ran each.  W'^T g
-        fills the second half of the run's scratch; slot 0 gathers the sum
-        of its terms times the values and then scales the slope.
+        rows of d/dx.  The values give the run's weight-gradient partial and
+        its rows of g the bias-gradient partial, each summed over runs in
+        run order whichever worker ran each.  W'^T g fills the second half
+        of the run's scratch; slot 0 gathers the sum of its terms times the
+        values and then scales the slope.
         """
         axis, basis = self.axis, self.basis
         degree = basis.degree
         x_rows, g_rows = _rows(x, -axis), _rows(g, -axis)
-        if not degree:  # the bias alone: no run to evaluate
-            return np.zeros(weight.shape), np.zeros(x.shape)
         deriv = basis.derivative_matrix()[1:, :-1]  # D[r, k], r = 1..R, k = 0..R-1
-        deriv[:, 0] *= basis.p0
+        deriv[:, :1] *= basis.p0
         deriv_weight = np.matmul(deriv.T, weight.reshape(self.out_dim, degree, self.in_dim))
-        deriv_weight = deriv_weight.reshape(self.out_dim, -1)
+        deriv_weight = deriv_weight.reshape(weight.shape)
         gx = np.empty(x_rows.shape)
 
         def run_task(run):
             xs, gs, slope = x_rows[run], g_rows[run], gx[run]
+            db = gs.sum(axis=(0,) + tuple(range(2, gs.ndim)))
+            if not degree:  # the bias alone: no input gradient
+                slope.fill(0.0)
+                return np.zeros(weight.shape), db
             work = pool.scratch("layer", 2 * degree * xs.size)
             vals, terms = work.reshape((2, len(xs), degree) + xs.shape[1:])
             basis.eval_terms_with_deriv(xs, axis=axis - 1, out=(vals, slope))
@@ -232,13 +236,14 @@ class KanLayer:
             total = terms[:, 0]
             total += np.einsum("rk...,rk...->r...", terms[:, 1:], vals[:, :-1])
             slope *= total
-            return dw
+            return dw, db
 
         partials = pool.map(run_task, _runs(len(x_rows), prod(x.shape[axis:])))
-        dw = partials[0]
-        for part in partials[1:]:
-            dw += part
-        return dw, gx.reshape(x.shape)
+        dw, db = partials[0]
+        for part_w, part_b in partials[1:]:
+            dw += part_w
+            db += part_b
+        return dw, db, gx.reshape(x.shape)
 
 
 def _runs(lead: int, width: int) -> list:

@@ -24,6 +24,10 @@ bitwise the same for any CPU count.
 
 Each thread owns its scratch arrays (`scratch`), reused by every layer and
 basis that runs a task on it.
+
+Making the pool also keeps freed heap pages mapped (`_retain_heap`): a
+train step frees and reallocates its activations, which glibc would
+otherwise hand back to the kernel and fault in again at the next step.
 """
 
 from __future__ import annotations
@@ -57,6 +61,27 @@ def _openblas():
                 getter.argtypes, getter.restype = [], ctypes.c_int
                 return setter, getter
     return None
+
+
+# glibc's mallopt options (malloc.h) and the values `_retain_heap` sets: the
+# free top of the heap kept mapped, and the size from which a request gets
+# its own mapping, returned to the kernel when freed (32 MiB, where glibc's
+# own sliding threshold stops).  A train-l336 activation is ~11 MB and its
+# largest Adam scratch 29 MB, so a train step takes everything from the heap.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+TRIM_THRESHOLD = 256 << 20
+MMAP_THRESHOLD = 32 << 20
+
+
+def _retain_heap() -> bool:
+    """Raise glibc's trim and mmap thresholds; False where libc has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return bool(mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+                and mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD))
 
 
 class Pool:
@@ -120,16 +145,19 @@ def _mark_working() -> None:
 
 
 _BLAS = None  # (set, get) of numpy's OpenBLAS thread count, once looked up
+_HEAP = False  # whether `_retain_heap` took effect
 _POOL = None
 
 
 def get() -> Pool:
-    """The process's pool, made at first use; making it pins BLAS to one thread."""
-    global _BLAS, _POOL
+    """The process's pool, made at first use; making it pins BLAS to one
+    thread and keeps freed heap pages mapped."""
+    global _BLAS, _HEAP, _POOL
     if _POOL is None:
         _BLAS = _openblas() or ()
         if _BLAS:
             _BLAS[0](1)
+        _HEAP = _retain_heap()
         _POOL = Pool(len(os.sched_getaffinity(0)) if _BLAS else 1)
     return _POOL
 
@@ -147,6 +175,12 @@ def blas_threads() -> int | None:
     """The BLAS thread count, or None where the BLAS cannot be asked."""
     get()
     return _BLAS[1]() if _BLAS else None
+
+
+def heap_retained() -> bool:
+    """Whether freed heap pages stay mapped (glibc's mallopt took both thresholds)."""
+    get()
+    return _HEAP
 
 
 def scratch(name: str, n: int) -> np.ndarray:

@@ -7,6 +7,8 @@ root.
 An op result's gradient is dropped as soon as its node has run; leaf
 (parameter) gradients persist across backward calls until `zero_grad`.
 Each gradient array has one owner, its tensor (`Tensor.accumulate_grad`).
+The whole-array passes here (the finite check, `add`, its gradient copy and
+gradient accumulation) run on the worker pool in fixed flat slices.
 """
 
 from __future__ import annotations
@@ -15,7 +17,12 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from . import pool
 from .errors import ContractError, DimensionError
+
+# Elements per pool task of a whole-array pass (`_sliced`), 1 MiB of float64:
+# a fixed count, so the slices never depend on the pool size.
+SLICE_ELEMENTS = 1 << 17
 
 _TAPE: list = []
 _grad_enabled = True
@@ -93,9 +100,9 @@ class Tensor:
                 f"gradient of shape {g.shape} for a tensor of shape {self.shape}"
             )
         if self.grad is None:
-            self.grad = np.asarray(g, dtype=np.float64)
+            self.grad = np.require(g, np.float64, "C")  # `_sliced` writes through it
         else:
-            self.grad += g
+            _sliced(lambda grad, part: np.add(grad, part, out=grad), self.grad, g)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -140,9 +147,29 @@ def backward(root: Tensor) -> None:
         _TAPE.clear()
 
 
+def _sliced(fn, *arrays: np.ndarray) -> list:
+    """fn over the same fixed flat slice of each array, one pool task per slice.
+
+    The arrays have one size.  A C-contiguous array's slices are views of
+    it, so `fn` may write into them.  An array of one slice skips the pool's
+    bookkeeping, which a small op (a `predict` chunk's) would feel.
+    """
+    flats = [a.reshape(-1) for a in arrays]
+    if flats[0].size <= SLICE_ELEMENTS:
+        return [fn(*flats)]
+    cuts = [slice(lo, lo + SLICE_ELEMENTS) for lo in range(0, flats[0].size, SLICE_ELEMENTS)]
+    return pool.map(lambda cut: fn(*(f[cut] for f in flats)), cuts)
+
+
+def _copy(a: np.ndarray) -> np.ndarray:
+    out = np.empty(a.shape)
+    _sliced(np.copyto, out, a)
+    return out
+
+
 # Every op result passes this guard, so NaN/Inf fails at the op that made it.
 def _check_finite(arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not all(_sliced(lambda a: np.isfinite(a).all(), arr)):
         raise ContractError("operation produced non-finite values")
 
 
@@ -174,9 +201,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(g)
         if b.requires_grad:
-            b.accumulate_grad(g.copy() if a.requires_grad else g)
+            b.accumulate_grad(_copy(g) if a.requires_grad else g)
 
-    return _make(a.data + b.data, (a, b), back)
+    out = np.empty(a.shape)
+    _sliced(lambda o, x, y: np.add(x, y, out=o), out, a.data, b.data)
+    return _make(out, (a, b), back)
 
 
 def reshape(a: Tensor, *shape) -> Tensor:

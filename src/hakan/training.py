@@ -101,9 +101,10 @@ class Adam:
         slices = []
         for p, m, v in zip(self.params, self.m, self.v):
             arrays = [np.atleast_1d(a) for a in (p.data, p.grad, m, v)]  # views
-            # one scratch array per parameter, freed after the step: slices
-            # of worker scratch instead left glibc's mmap threshold low, and
-            # every later set-up page-faulted (README, Performance)
+            # one scratch array per parameter, freed after the step: the
+            # next step takes its pages back from the heap the pool keeps
+            # mapped (`pool._retain_heap`), and no worker holds them between
+            # steps
             arrays += list(np.empty((2,) + arrays[0].shape))
             slices += [(arrays, rows)
                        for rows in row_blocks(len(arrays[0]), prod(arrays[0].shape[1:]))]

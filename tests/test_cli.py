@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import platform
 import shlex
 import tempfile
 from pathlib import Path
@@ -162,9 +163,9 @@ class TestTrainCommand:
         assert "result.mse" in manifest.read_text()
 
     def test_manifest_records_the_machine(self, tiny_run):
-        # numpy, the BLAS, the CPU count, the pool size and the BLAS thread
-        # count ride along as comments, so the manifest still parses as the
-        # config of the run
+        # numpy, the BLAS, the CPU count, the pool size, the BLAS thread
+        # count and the heap setting ride along as comments, so the manifest
+        # still parses as the config of the run
         cfg_path, _, out_dir = tiny_run
         assert cli.main(["train", "--config", str(cfg_path)]) == 0
         text = (out_dir / "synthetic_T4_seed11.manifest").read_text()
@@ -179,6 +180,9 @@ class TestTrainCommand:
         assert notes["run.blas_threads"] == ("unknown" if threads is None else str(threads))
         if pool.size() > 1:  # the pool runs only where BLAS is pinned to one thread
             assert threads == 1
+        assert notes["run.heap"] == ("retained" if pool.heap_retained() else "default")
+        if platform.libc_ver()[0] == "glibc":  # glibc has mallopt and takes both thresholds
+            assert notes["run.heap"] == "retained"
         assert parse_config(text) == load_config(cfg_path)
 
     def test_multi_seed_appends_summary(self, tiny_run):

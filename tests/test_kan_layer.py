@@ -373,6 +373,27 @@ def test_blocked_input_grad_is_the_whole_array_formula(kind, axis, shape):
                                rtol=1e-13, atol=1e-13)
 
 
+@pytest.mark.parametrize("degree", [0, 3])
+@pytest.mark.parametrize("axis, shape", [(-1, (2600, 64)), (-2, (70, 16, 128))],
+                         ids=["last", "patch"])
+def test_bias_grad_is_the_whole_array_sum(degree, axis, shape):
+    # each run sums its rows of g and the partials add up in run order, so
+    # gamma[:, :, 0]'s gradient is p0 times the one-sum formula to rounding
+    in_dim = shape[axis]
+    layer = KanLayer(in_dim, in_dim + 3, basis=make_basis("hahn", degree), axis=axis,
+                     rng=np.random.default_rng(24))
+    assert len(_runs(prod(shape[:axis]), prod(shape[axis:]))) >= 3
+    rng = np.random.default_rng(25)
+    out = layer.forward(Tensor(rng.normal(size=shape)))
+    node = tt._tape().pop()
+    g = rng.normal(size=out.shape)
+    with pool._sized(2):
+        node.backward(g)
+    g_sum = g.sum(axis=tuple(i for i in range(g.ndim) if i != g.ndim + axis))
+    want = np.broadcast_to((layer.basis.p0 * g_sum)[:, None], layer.gamma.shape[:2])
+    np.testing.assert_allclose(layer.gamma.grad[:, :, 0], want, rtol=1e-13, atol=0)
+
+
 @pytest.mark.parametrize("axis, shape", [(-1, (4096, 128)), (-2, (64, 42, 128))],
                          ids=["last", "patch"])
 def test_grad_forward_stores_no_derivatives(axis, shape):

@@ -3,9 +3,11 @@ that do not depend on the pool size or on the CPU count."""
 
 import csv
 import os
+import platform
 import subprocess
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -111,6 +113,18 @@ def test_without_openblas_the_pool_has_one_worker(monkeypatch):
     assert machine["run.blas_threads"] == "unknown"
 
 
+@pytest.mark.parametrize("libc", [SimpleNamespace(), SimpleNamespace(mallopt=lambda *_: 0)],
+                         ids=["no-mallopt", "refused"])
+def test_without_mallopt_the_heap_keeps_its_defaults(monkeypatch, libc):
+    # a libc with no mallopt, or one that refuses a threshold: the pool is
+    # made all the same and the manifest says the heap has its defaults
+    monkeypatch.setattr(pool.ctypes, "CDLL", lambda name: libc)
+    for name in ("_POOL", "_BLAS", "_HEAP"):
+        monkeypatch.setattr(pool, name, None)
+    assert not pool.heap_retained()
+    assert cli._machine()["run.heap"] == "default"
+
+
 def test_basis_count_is_exact_under_contention():
     # more workers than CPUs and a short switch interval: a lost update of
     # eval_count would show as a short count
@@ -161,6 +175,62 @@ def test_pool_size_changes_no_bit(tmp_path):
     assert len(one) == len(two)
     for a, b in zip(one, two):
         assert a.tobytes() == b.tobytes()
+
+
+# Three train steps with an `evaluate` between them, after two warm-up
+# rounds, in a fresh process: glibc raises its own thresholds as large
+# blocks are freed, so a process that has run other tests hides the faults.
+# Each activation is 1.5 MB (128 windows of 12 patches by 128).
+FAULT_PROBE = """
+import resource, sys
+from pathlib import Path
+import numpy as np
+import hakan.tensor as tt
+from hakan import pool
+from hakan.data import SegmentBounds, SplitSpec, load_csv, prepare
+from hakan.model import HaKanModel
+from hakan.training import Adam, evaluate, mse_loss
+from helpers import write_synthetic_csv
+from test_pool import BIT_CONFIG
+
+splits = prepare(load_csv(write_synthetic_csv(Path(sys.argv[1]), rows=900, channels=11)),
+                 SplitSpec("ratio"), lookback=96)
+bounds = SegmentBounds(splits.test.start, splits.test.start + 96 + 8 - 1 + 40)
+rng = np.random.default_rng(23)
+x, y = rng.normal(size=(128, 96)).cumsum(axis=1), rng.normal(size=(128, 8))
+model = HaKanModel(BIT_CONFIG)
+optimizer = Adam(model.parameters(), lr=1e-3)
+
+def step():
+    tt.backward(mse_loss(model.forward_batch(x), y))
+    optimizer.step()
+    optimizer.zero_grad()
+
+for _ in range(2):
+    step()
+    evaluate(model, splits, bounds, batch_size=128)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+step()
+evaluate(model, splits, bounds, batch_size=128)
+step()
+evaluate(model, splits, bounds, batch_size=128)
+step()
+print(pool.heap_retained(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
+def test_train_steps_and_evaluate_map_no_new_pages(tmp_path):
+    # with the pool's thresholds, freed activations stay mapped; with
+    # glibc's own, the steps fault ~10,000 pages back in
+    path = os.pathsep.join([str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")])
+    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE, str(tmp_path / "series.csv")],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    retained, faults = proc.stdout.split()
+    assert retained == "True"
+    assert int(faults) < 100
 
 
 TRAIN_CONFIG = """\

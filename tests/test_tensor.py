@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import hakan.tensor as tt
+from hakan import pool
 from hakan.errors import ContractError, DimensionError
 from hakan.layers import linear
 from hakan.model import HaKanModel, ModelConfig
@@ -137,6 +138,51 @@ class TestGradientLifetime:
         tt.backward(x.sum())
         x.accumulate_grad(np.ones(3))
         np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+
+
+# two whole slices and a short tail
+SLICED = 2 * tt.SLICE_ELEMENTS + tt.SLICE_ELEMENTS // 3
+
+
+class TestPooledPasses:
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("at", [0, tt.SLICE_ELEMENTS + 7, SLICED - 1],
+                             ids=["first", "middle", "tail"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_finite_check_finds_one_bad_element_in_any_slice(self, size, at, bad):
+        arr = np.random.default_rng(30).normal(size=SLICED)
+        with pool._sized(size):
+            tt._check_finite(arr)
+            arr[at] = bad
+            with pytest.raises(ContractError, match="non-finite"):
+                tt._check_finite(arr.reshape(1, -1))
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_add_and_accumulation_are_numpys_bits(self, size):
+        rng = np.random.default_rng(31)
+        a, b, g1, g2 = (rng.normal(size=(3, SLICED // 3)) for _ in range(4))
+        x, y = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        with pool._sized(size):
+            out = x + y
+            x.accumulate_grad(g1.copy())
+            x.accumulate_grad(g2)
+            node = tt._tape().pop()
+            node.backward(g1)
+        assert out.data.tobytes() == (a + b).tobytes()
+        want = g1.copy()
+        want += g2
+        want += g1
+        assert x.grad.tobytes() == want.tobytes()
+        # the second parent gets its own copy of the output gradient
+        assert y.grad.tobytes() == g1.tobytes() and y.grad is not g1
+
+    def test_a_strided_first_gradient_becomes_a_contiguous_one(self):
+        # the accumulation writes through flat slices of the gradient
+        w = Tensor(np.ones((2, 3)), requires_grad=True)
+        w.accumulate_grad(np.arange(6.0).reshape(3, 2).T)
+        w.accumulate_grad(np.ones((2, 3)))
+        assert w.grad.flags.c_contiguous
+        np.testing.assert_array_equal(w.grad, np.arange(6.0).reshape(3, 2).T + 1.0)
 
 
 class TestHygiene:
