@@ -66,22 +66,30 @@ def _openblas():
 # glibc's mallopt options (malloc.h) and the values `_retain_heap` sets: the
 # free top of the heap kept mapped, and the size from which a request gets
 # its own mapping, returned to the kernel when freed (32 MiB, where glibc's
-# own sliding threshold stops).  A train-l336 activation is ~11 MB and its
-# largest Adam scratch 29 MB, so a train step takes everything from the heap.
+# own sliding threshold stops, and the most older glibc releases accept).
+# A train-l336 activation is ~11 MB and its largest Adam scratch 29 MB, so a
+# train step takes everything from the heap; a batch-1024 activation (44 MB,
+# configs/ettm1.cfg) still gets its own mapping.
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 TRIM_THRESHOLD = 256 << 20
 MMAP_THRESHOLD = 32 << 20
 
 
 def _retain_heap() -> bool:
-    """Raise glibc's trim and mmap thresholds; False where libc has no mallopt."""
+    """Raise glibc's mmap and trim thresholds; False where libc has no
+    mallopt or refuses one.
+
+    The mmap threshold, the value a libc may refuse, is set first and the
+    trim threshold only once it is taken, so a refusal leaves both at their
+    defaults (glibc takes every trim threshold).
+    """
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError):
         return False
     mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    return bool(mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
-                and mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD))
+    return bool(mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+                and mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD))
 
 
 class Pool:

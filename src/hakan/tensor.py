@@ -151,12 +151,9 @@ def _sliced(fn, *arrays: np.ndarray) -> list:
     """fn over the same fixed flat slice of each array, one pool task per slice.
 
     The arrays have one size.  A C-contiguous array's slices are views of
-    it, so `fn` may write into them.  An array of one slice skips the pool's
-    bookkeeping, which a small op (a `predict` chunk's) would feel.
+    it, so `fn` may write into them.
     """
     flats = [a.reshape(-1) for a in arrays]
-    if flats[0].size <= SLICE_ELEMENTS:
-        return [fn(*flats)]
     cuts = [slice(lo, lo + SLICE_ELEMENTS) for lo in range(0, flats[0].size, SLICE_ELEMENTS)]
     return pool.map(lambda cut: fn(*(f[cut] for f in flats)), cuts)
 

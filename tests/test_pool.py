@@ -113,16 +113,40 @@ def test_without_openblas_the_pool_has_one_worker(monkeypatch):
     assert machine["run.blas_threads"] == "unknown"
 
 
-@pytest.mark.parametrize("libc", [SimpleNamespace(), SimpleNamespace(mallopt=lambda *_: 0)],
-                         ids=["no-mallopt", "refused"])
-def test_without_mallopt_the_heap_keeps_its_defaults(monkeypatch, libc):
+class _Libc:
+    """A libc whose mallopt takes the first `accepts` calls and refuses the rest."""
+
+    def __init__(self, accepts):
+        self.calls = []
+
+        def mallopt(option, value):  # a function, so ctypes attributes can be set on it
+            self.calls.append(option)
+            return int(len(self.calls) <= accepts)
+
+        self.mallopt = mallopt
+
+
+@pytest.mark.parametrize("accepts", [None, 0, 1], ids=["no-mallopt", "refused", "refused-second"])
+def test_without_mallopt_the_heap_keeps_its_defaults(monkeypatch, accepts):
     # a libc with no mallopt, or one that refuses a threshold: the pool is
     # made all the same and the manifest says the heap has its defaults
+    libc = SimpleNamespace() if accepts is None else _Libc(accepts)
     monkeypatch.setattr(pool.ctypes, "CDLL", lambda name: libc)
     for name in ("_POOL", "_BLAS", "_HEAP"):
         monkeypatch.setattr(pool, name, None)
     assert not pool.heap_retained()
     assert cli._machine()["run.heap"] == "default"
+    if accepts == 0:  # a refused mmap threshold leaves the trim threshold alone
+        assert libc.calls == [pool.M_MMAP_THRESHOLD]
+
+
+def test_a_libc_that_takes_both_thresholds_retains_the_heap(monkeypatch):
+    libc = _Libc(2)
+    monkeypatch.setattr(pool.ctypes, "CDLL", lambda name: libc)
+    for name in ("_POOL", "_BLAS", "_HEAP"):
+        monkeypatch.setattr(pool, name, None)
+    assert pool.heap_retained()
+    assert libc.calls == [pool.M_MMAP_THRESHOLD, pool.M_TRIM_THRESHOLD]
 
 
 def test_basis_count_is_exact_under_contention():
