@@ -2,7 +2,8 @@
 
 The default basis is the Hahn family on {0, ..., n}; Chebyshev and Lucas
 bases are provided for ablations.  All three are one `Basis`, a three-term
-recurrence that `make_basis` builds with its coefficients precomputed.
+recurrence in t = tanh(x) that `make_basis` builds with its coefficients
+precomputed, the squash onto each family's domain folded into them.
 The Hahn closed form that cross-checks the recurrence lives with the
 tests, never in the forward pass.
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
@@ -20,18 +20,17 @@ from .errors import BasisParameterError, ConfigError, ContractError
 
 BASIS_KINDS = ("hahn", "chebyshev", "lucas")
 # The highest degree a basis is built with.  `make_basis` builds one
-# recurrence step per degree and a worker's block scratch holds a cache
-# block per degree (17 MB at 64), so an unbounded degree is a memory or
+# recurrence step per degree and a KAN layer's worker scratch holds a run
+# of values per degree (34 MB at 64), so an unbounded degree is a memory or
 # time bomb rather than a model.
 MAX_DEGREE = 64
 
 
-# Elements per cache block (256 KiB of float64).  At degree 3 a pass over a
-# block (input, squash, two scratch arrays, three terms) works in 1.75 MiB,
-# inside the 2 MiB L2 per core of the Xeon this was measured on.  The backward's
-# pass adds only the slope, written straight into the caller's array (2 MiB):
-# derivatives come from the values (`Basis.derivative_matrix`), where three
-# derivative arrays took it to 2.75 MiB and spilled.
+# Elements per cache block (256 KiB of float64).  A pass over a block reads
+# the input and works in three scratch blocks (t = tanh(x), two products)
+# whatever the degree, and writes each degree's block straight into its slab
+# of the caller's array: at degree 3 that is 2 MiB with the slope, the 2 MiB
+# L2 per core of the Xeon this was measured on.
 # A KAN layer's task is a run of such blocks (`layers.RUN_BLOCKS`).
 BLOCK_ELEMENTS = 32_768
 _COUNT_LOCK = threading.Lock()  # eval_count is read-modify-write from pool tasks
@@ -51,27 +50,29 @@ def row_blocks(rows: int, row_size: int):
 
 @dataclass(eq=False)
 class Basis:
-    """A three-term recurrence, evaluated in cache blocks with an element counter.
+    """A three-term recurrence in t = tanh(x), evaluated in cache blocks with an element counter.
 
-    P_0 = p0, P_1(x) = p1[0] + p1[1] x and, for r >= 2,
+    P_0 = p0, P_1(t) = p1[0] + p1[1] t and, for r >= 2,
 
-        P_r(x) = (a_r + b_r x) P_{r-1}(x) + c_r P_{r-2}(x),
+        P_r(t) = (a_r + b_r t) P_{r-1}(t) + c_r P_{r-2}(t),
 
-    with (a_r, b_r, c_r) = steps[r - 2]; `make_basis` sets `p0`, `p1`,
-    `steps` and `domain`, the interval `squash` maps the reals onto.
-    `eval_terms` / `eval_terms_with_deriv` take any real x and evaluate
-    P_r(s(x)), s = `squash`.  P_0 is a constant, so the layer folds degree
-    0 into a bias and they return degrees 1..degree only, stacked in one
-    array along a new axis placed at `axis` of the result (as in
-    `np.stack`).  They run block by block over the leading axes, squash
-    each block in cache and write its terms straight into that array.
-    The block scratch belongs to the calling thread (`pool.scratch`), so
-    a caller that walks its input block by block allocates nothing here,
-    and calls from several pool workers at once never share it.
+    with (a_r, b_r, c_r) = steps[r - 2].  The textbook polynomials live on
+    `domain` = (lo, hi) in a variable s; the reals reach it through the
+    squash s = lo + (hi - lo) / 2 * (tanh(x) + 1), which is affine in t, so
+    `make_basis` rewrites the recurrence in t and no squashed input is ever
+    formed.  `eval_terms` / `eval_terms_with_deriv` take any real x and
+    evaluate P_r(tanh(x)).  P_0 is a constant, so the layer folds degree 0
+    into a bias and they return degrees 1..degree only, degree-major: an
+    array [degree, *x.shape] whose slab r - 1 holds P_r.  They run block by
+    block over x's elements and write each degree's block straight into its
+    slab.  The block scratch belongs to the calling thread (`pool.scratch`),
+    so a caller that walks its input allocates nothing here, and calls from
+    several pool workers at once never share it.
 
-    Derivatives are never evaluated: each P_r' is a polynomial of degree
-    r - 1, a fixed combination of P_0..P_{r-1} (`derivative_matrix`), so
-    a caller that has the values and the slope s'(x) has them too.
+    Derivatives are never evaluated: each P_r' (in t) is a polynomial of
+    degree r - 1, a fixed combination of P_0..P_{r-1}
+    (`derivative_matrix`), so a caller that has the values and the slope
+    dt/dx = 1 - t^2 has them too.
 
     `eval_count` tracks how many scalar basis evaluations have been
     performed; layers rely on one evaluation per input element regardless
@@ -85,122 +86,84 @@ class Basis:
     p0: float = 1.0
     eval_count: int = 0
 
-    def squash(self, x, slope: bool = False, out: tuple | None = None) -> tuple:
-        """(s, ds/dx or None): the reals mapped monotonically onto `domain` by tanh.
-
-        s = lo + (hi - lo) / 2 * (tanh(x) + 1) and ds/dx = (hi - lo) / 2 * (1 - tanh(x)^2),
-        written into the arrays `out` = (s, ds) when given.
-        """
-        lo, hi = self.domain
-        half = (hi - lo) * 0.5
-        if out is None:
-            x = np.asarray(x, dtype=np.float64)
-            out = np.empty(x.shape), np.empty(x.shape) if slope else None
-        s, ds = out
-        t = np.tanh(x, out=ds if slope else s)  # ds holds tanh(x) until s is made
-        np.add(t, 1.0, out=s)
-        s *= half
-        s += lo
-        if not slope:
-            return s, None
-        np.multiply(t, t, out=ds)
-        np.subtract(1.0, ds, out=ds)
-        ds *= half
-        return s, ds
-
-    def eval_terms(self, x, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
-        """P_1(s(x)) .. P_degree(s(x)) of reals x, stacked along `axis` of the result.
+    def eval_terms(self, x, out: np.ndarray | None = None) -> np.ndarray:
+        """P_1(tanh(x)) .. P_degree(tanh(x)) of reals x, as [degree, *x.shape].
 
         `out` writes into a C-contiguous array of the result's shape.
         """
-        return self._stacked(x, axis, out)[0]
+        return self._stacked(x, out)[0]
 
-    def eval_terms_with_deriv(self, x, axis: int = -1, out: tuple | None = None) -> tuple:
-        """(values, slope): `eval_terms` of x and s'(x), the slope in x's shape.
+    def eval_terms_with_deriv(self, x, out: tuple | None = None) -> tuple:
+        """(values, slope): `eval_terms` of x and dt/dx = 1 - tanh(x)^2, the slope in x's shape.
 
-        By the chain rule dP_r(s(x))/dx = P_r'(s(x)) s'(x), and P_r' is
+        By the chain rule dP_r(tanh(x))/dx = P_r'(t) dt/dx, and P_r' is
         sum_k D[r, k] P_k with D = `derivative_matrix()`.  `out` = (values,
         slope) writes into C-contiguous arrays of the results' shapes.
         """
         values, slope = out or (None, None)
         x = np.asarray(x, dtype=np.float64)
-        return self._stacked(x, axis, values, np.empty(x.shape) if slope is None else slope)
+        return self._stacked(x, values, np.empty(x.shape) if slope is None else slope)
 
     def derivative_matrix(self) -> np.ndarray:
         """D [degree + 1, degree + 1], strictly lower triangular: P_r' = sum_{k<r} D[r, k] P_k.
 
-        Built from the recurrence itself, with no monomials.  Differentiating
-        a step gives P_r' = b P_{r-1} + a P_{r-1}' + b x P_{r-1}' + c P_{r-2}',
-        and x P_k goes back into the basis through the step that makes
-        P_{k+1}: x P_k = (P_{k+1} - a P_k - c P_{k-1}) / b, with x P_0 from p1.
+        The derivative is in t.  Built from the recurrence itself, with no
+        monomials.  Differentiating a step gives P_r' = b P_{r-1} + a P_{r-1}'
+        + b t P_{r-1}' + c P_{r-2}', and t P_k goes back into the basis through
+        the step that makes P_{k+1}: t P_k = (P_{k+1} - a P_k - c P_{k-1}) / b,
+        with t P_0 from p1.
         """
         c0, c1 = self.p1
         d = np.zeros((self.degree + 1, self.degree + 1))
-        # times_x[k] = x P_k as coefficients of P_0..P_degree, for k < degree
-        times_x = np.zeros(d.shape)
+        # times_t[k] = t P_k as coefficients of P_0..P_degree, for k < degree
+        times_t = np.zeros(d.shape)
         if self.degree:
             d[1, 0] = c1 / self.p0
-            times_x[0, :2] = -c0 / c1, self.p0 / c1
+            times_t[0, :2] = -c0 / c1, self.p0 / c1
         for k, (a, b, c) in enumerate(self.steps, start=1):
-            times_x[k, k - 1:k + 2] = -c / b, -a / b, 1.0 / b
+            times_t[k, k - 1:k + 2] = -c / b, -a / b, 1.0 / b
         for r, (a, b, c) in enumerate(self.steps, start=2):
-            d[r] = a * d[r - 1] + b * (d[r - 1] @ times_x) + c * d[r - 2]
+            d[r] = a * d[r - 1] + b * (d[r - 1] @ times_t) + c * d[r - 2]
             d[r, r - 1] += b
         return d
 
-    def _stacked(self, x, axis: int, out: np.ndarray | None, slope: np.ndarray | None = None
-                 ) -> tuple:
+    def _stacked(self, x, out: np.ndarray | None, slope: np.ndarray | None = None) -> tuple:
         """(values, slope) of x, the slope only when an array for it is given."""
         x = np.asarray(x, dtype=np.float64)
         with _COUNT_LOCK:
             self.eval_count += x.size
-        k = axis % (x.ndim + 1)  # the degree axis's position in the result
-        lead, trail = prod(x.shape[:k]), prod(x.shape[k:])
-        rows = np.ascontiguousarray(x).reshape(lead, trail)
-        shape = x.shape[:k] + (self.degree,) + x.shape[k:]
+        shape = (self.degree,) + x.shape
         out = np.empty(shape) if out is None else out
         for o, want in ((out, shape), (slope, x.shape)):
             if o is not None and (o.shape != want or not o.flags.c_contiguous):
                 raise ContractError(f"basis out= needs a C-contiguous array of shape {want}")
-        stacked = out.reshape(lead, self.degree, trail)
-        slopes = None if slope is None else slope.reshape(lead, trail)
-        # a block is squashed, its terms computed in contiguous [rows, trail]
-        # slabs, then copied into their slots of the stacked output; the
-        # slope goes straight to its rows of `slope`
-        slabs, w, tmp, s = self._block_scratch(trail)
-        for blk in row_blocks(lead, trail):
-            src = rows[blk]
-            m = len(src)
-            self.squash(src, slope=slope is not None,
-                        out=(s[:m], None if slope is None else slopes[blk]))
-            terms = slabs[:, :m]
-            self._fill(s[:m], terms, w[:m], tmp[:m])
-            stacked[blk] = terms.swapaxes(0, 1)
+        flat = np.ascontiguousarray(x).reshape(-1)
+        slabs = out.reshape(self.degree, flat.size)
+        slopes = None if slope is None else slope.reshape(-1)
+        t, w, tmp = pool.scratch("basis", 3 * BLOCK_ELEMENTS).reshape(3, -1)
+        for lo in range(0, flat.size, BLOCK_ELEMENTS):
+            blk = slice(lo, lo + BLOCK_ELEMENTS)
+            m = len(flat[blk])
+            np.tanh(flat[blk], out=t[:m])
+            if slopes is not None:  # dt/dx = 1 - t^2
+                np.multiply(t[:m], t[:m], out=slopes[blk])
+                np.subtract(1.0, slopes[blk], out=slopes[blk])
+            self._fill(t[:m], slabs[:, blk], w[:m], tmp[:m])
         return out, slope
 
-    def _block_scratch(self, trail: int) -> tuple:
-        """(slabs [degree, rows, trail], w, tmp, s) for a full block of `trail`-wide rows.
+    def _fill(self, t, vals, w, tmp) -> None:
+        """Write P_r(t) of a block t into vals[r - 1].
 
-        One buffer of the calling thread's scratch.
-        """
-        rows = block_rows(trail)
-        parts = pool.scratch("basis", (self.degree + 3) * rows * trail)
-        parts = parts.reshape(self.degree + 3, rows, trail)
-        return (parts[:self.degree], *parts[self.degree:])
-
-    def _fill(self, x, vals, w, tmp) -> None:
-        """Write P_r(x) of a block x [rows, trail] into vals[r - 1].
-
-        Each of vals[i], `w` and `tmp` is a [rows, trail] array; every
+        Each of vals[i], `w` and `tmp` is an array of t's shape; every
         product lands in one of them, so the block allocates nothing.
         """
         if self.degree < 1:
             return
         c0, c1 = self.p1
-        np.multiply(x, c1, out=vals[0])
+        np.multiply(t, c1, out=vals[0])
         vals[0] += c0
         for i, (a, b, c) in enumerate(self.steps, start=1):  # P_r sits in slot i = r - 1
-            np.multiply(x, b, out=w)
+            np.multiply(t, b, out=w)
             w += a
             np.multiply(w, vals[i - 1], out=vals[i])
             if i > 1:
@@ -239,10 +202,11 @@ def hahn_coeffs(a: float, b: float, n: int, r: int) -> tuple:
 
 
 def hahn_steps(a: float, b: float, n: int, degree: int) -> list:
-    """The Hahn recurrence run as steps ((A_r + B_r) / A_r, -1 / A_r, -B_r / A_r), r >= 2.
+    """The Hahn recurrence on s = n (1 + t) / 2, run in t as steps r >= 2.
 
-    Raises BasisParameterError for (a, b, n, degree) the recurrence cannot
-    run on.
+    Putting s into A_r P_r = (A_r + B_r - s) P_{r-1} - B_r P_{r-2} gives
+    ((A_r + B_r - n / 2) / A_r, -n / (2 A_r), -B_r / A_r).  Raises
+    BasisParameterError for (a, b, n, degree) the recurrence cannot run on.
     """
     if a <= -1.0 or b <= -1.0:
         raise BasisParameterError(f"need a > -1 and b > -1, got a={a}, b={b}")
@@ -252,6 +216,7 @@ def hahn_steps(a: float, b: float, n: int, degree: int) -> list:
         raise BasisParameterError(
             f"degree {degree} exceeds n={n}; Hahn polynomials stop at degree n"
         )
+    half = n / 2.0
     steps = []
     for r in range(1, degree + 1):
         A, B = hahn_coeffs(float(a), float(b), int(n), r)
@@ -261,12 +226,12 @@ def hahn_steps(a: float, b: float, n: int, degree: int) -> list:
                 f"the factor (r + a + b) vanishes and the recurrence cannot divide"
             )
         if r >= 2:
-            steps.append(((A + B) / A, -1.0 / A, -B / A))
+            steps.append(((A + B - half) / A, -half / A, -B / A))
     return steps
 
 
 def make_basis(kind: str, degree: int, a: float = 1.0, b: float = 1.0, n: int = 7) -> Basis:
-    """The `kind` basis of degrees 0..degree; (a, b, n) parameterize Hahn only."""
+    """The `kind` basis of degrees 0..degree in t = tanh(x); (a, b, n) parameterize Hahn only."""
     kind = kind.lower()
     if kind not in BASIS_KINDS:
         raise ConfigError(f"unknown basis {kind!r}; choose from {BASIS_KINDS}")
@@ -274,11 +239,11 @@ def make_basis(kind: str, degree: int, a: float = 1.0, b: float = 1.0, n: int = 
         raise BasisParameterError(f"degree must be in [0, {MAX_DEGREE}], got {degree}")
     if kind == "hahn":
         steps = hahn_steps(a, b, n, degree)  # checks (a, b, n) before p1 divides by them
-        a, b, n = float(a), float(b), int(n)
-        p1 = (1.0, -(a + b + 2.0) / ((a + 1.0) * n))
-        return Basis(int(degree), (0.0, float(n)), p1, steps)
-    # Chebyshev (first kind): P_r = 2x P_{r-1} - P_{r-2}.
-    # Lucas: P_0 = 2, P_1 = x and P_r = x P_{r-1} + P_{r-2}.
+        # P_1(s) = 1 - (a + b + 2) s / ((a + 1) n) at s = n (1 + t) / 2
+        slope = -(float(a) + float(b) + 2.0) / (2.0 * (float(a) + 1.0))
+        return Basis(int(degree), (0.0, float(n)), (1.0 + slope, slope), steps)
+    # Both live on (-1, 1), where s = t.  Chebyshev (first kind):
+    # P_r = 2t P_{r-1} - P_{r-2}.  Lucas: P_0 = 2, P_1 = t and P_r = t P_{r-1} + P_{r-2}.
     chebyshev = kind == "chebyshev"
     step = (0.0, 2.0, -1.0) if chebyshev else (0.0, 1.0, 1.0)
     return Basis(int(degree), (-1.0, 1.0), (0.0, 1.0), [step] * max(0, degree - 1),

@@ -5,11 +5,12 @@ every input coordinate p and sums the results,
 
     out[q] = sum_p sum_r gamma[q, p, r] * P_r(s(x[p])),
 
-where s, `Basis.squash`, maps the reals onto the basis domain with a
-tanh.  The basis applies s itself, so a layer hands it raw inputs.  A
-`linear` mode swaps the expansion for a plain bias-free weight matrix so
-the same network can be run as an MLP variant; it and the model's
-bottleneck head both apply weights through `linear`.
+where s = lo + (hi - lo) (tanh(x) + 1) / 2 maps the reals onto the basis
+domain.  s is affine in tanh(x), so the basis runs its recurrence in
+tanh(x) (`Basis`) and a layer hands it raw inputs.  A `linear` mode swaps
+the expansion for a plain bias-free weight matrix so the same network can
+be run as an MLP variant; it and the model's bottleneck head both apply
+weights through `linear`.
 
 A layer contracts one axis of its input: the last (`axis=-1`, the rows of
 `x` times W^T) or the second last (`axis=-2`, W times each [in_dim, d]
@@ -30,8 +31,8 @@ from .tensor import Tensor
 
 # Cache blocks (`basis.BLOCK_ELEMENTS`) per pool task of a KAN layer, forward
 # and backward (`_runs`).  A task makes one basis call into its worker's
-# scratch, so a worker's layer scratch is a run's values and, in the
-# backward, as many products with the derivative weights.  Three raised
+# scratch, so a worker's layer scratch is a run's values, one slab per
+# degree, and one more run-sized slab for a product.  Three raised
 # perfbench's `peak_rss_mb` on both workloads against two, and sped up
 # serve-electricity's steps; see README, Performance.
 RUN_BLOCKS = 2
@@ -154,10 +155,10 @@ class KanLayer:
         In kan mode the input is split into runs of leading rows (`_runs`),
         one pool task each.  Degree 0 is a bias, P_0 times the coefficient
         sum over inputs.  For each run the basis writes degrees 1..R of its
-        elements into its worker's scratch, with the degree axis just before
-        the contracted axis, and one product with K = R * in_dim against
-        gamma[:, :, 1:] laid out as [out_dim, R * in_dim] writes that run's
-        rows of the output, to which the task adds the bias, so no values
+        elements into its worker's scratch, one contiguous slab V_r per
+        degree, and the task contracts one degree at a time, out = sum_r
+        W_r V_r with W_r = gamma[:, :, r], each product added into that
+        run's rows of the output, to which it adds the bias.  No values
         buffer of the whole input exists.  The backward walks the same runs
         of the saved input (`_grads`).
         """
@@ -165,7 +166,7 @@ class KanLayer:
             return linear(x, self.gamma, self.axis)
         _check_extent(x, self.in_dim, self.axis)
         gamma, axis, degree = self.gamma, self.axis, self.basis.degree
-        weight = gamma.data[:, :, 1:].transpose(0, 2, 1).reshape(self.out_dim, -1)
+        weight = np.ascontiguousarray(gamma.data[:, :, 1:].transpose(2, 0, 1))  # W_r, [R, out, in]
         bias = self.basis.p0 * gamma.data[:, :, 0].sum(axis=1)
         bias = bias.reshape((self.out_dim,) + (1,) * (-axis - 1))
         x_rows = _rows(x.data, -axis)
@@ -174,10 +175,14 @@ class KanLayer:
         def run_task(run):
             src, out = x_rows[run], out_rows[run]
             if degree:
-                values = pool.scratch("layer", degree * src.size)
-                terms = self.basis.eval_terms(
-                    src, axis=axis - 1, out=values.reshape((len(src), degree) + src.shape[1:]))
-                _contract(terms.reshape((len(terms), -1) + src.shape[2:]), weight, axis, out=out)
+                work = pool.scratch("layer", degree * src.size + out.size)
+                values = work[:degree * src.size].reshape((degree,) + src.shape)
+                product = work[degree * src.size:].reshape(out.shape)
+                self.basis.eval_terms(src, out=values)
+                _contract(values[0], weight[0], axis, out=out)
+                for v, w in zip(values[1:], weight[1:]):
+                    _contract(v, w, axis, out=product)
+                    out += product
             else:  # the bias alone
                 out.fill(0.0)
             out += bias
@@ -189,7 +194,8 @@ class KanLayer:
             if gamma.requires_grad:
                 grad = np.empty(gamma.shape)
                 grad[:, :, 0] = (self.basis.p0 * db)[:, None]
-                grad[:, :, 1:] = dw.reshape(self.out_dim, degree, self.in_dim).transpose(0, 2, 1)
+                for r, part in enumerate(dw, start=1):
+                    grad[:, :, r] = part
                 gamma.accumulate_grad(grad)
             if x.requires_grad:
                 x.accumulate_grad(gx)
@@ -198,27 +204,27 @@ class KanLayer:
         return tt._make(out_rows.reshape(shape), (x, gamma), back)
 
     def _grads(self, g, weight, x) -> tuple:
-        """(d/d weight, g summed over all but the output axis, d/dx) for the
-        output gradient g, over the forward's runs of x.
+        """(d/d W_r for r = 1..R, g summed over all but the output axis, d/dx)
+        for the output gradient g, over the forward's runs of x.
 
-        With P_r' = sum_k D[r, k] P_k (`Basis.derivative_matrix`), the input
-        gradient is s'(x) sum_{k<R} (W'_k^T g) P_k(s(x)), where W'_k =
-        sum_r D[r, k] W_r is formed once, laid out as `weight`, with P_0's
-        constant folded into W'_0.  A pool task makes one basis call for its
-        run's values and slope, the slope written straight into the run's
-        rows of d/dx.  The values give the run's weight-gradient partial and
-        its rows of g the bias-gradient partial, each summed over runs in
-        run order whichever worker ran each.  W'^T g fills the second half
-        of the run's scratch; slot 0 gathers the sum of its terms times the
-        values and then scales the slope.
+        With P_r' = sum_k D[r, k] P_k (`Basis.derivative_matrix`, in
+        t = tanh(x)), the input gradient is (1 - t^2) sum_{k<R} (W'_k^T g)
+        P_k(t), where W'_k = sum_r D[r, k] W_r is formed once, laid out as
+        `weight`, with P_0's constant folded into W'_0.  A pool task makes
+        one basis call for its run's values and slope, the slope written
+        straight into the run's rows of d/dx.  The values give the run's
+        weight-gradient partial per degree, g^T V_r, and its rows of g the
+        bias-gradient partial, each summed over runs in run order whichever
+        worker ran each.  W'_0^T g starts the sum in a scratch slab; each
+        later W'_k^T g is formed in P_R's slab, which the input gradient
+        does not use, times P_k and added in; the sum then scales the slope.
         """
         axis, basis = self.axis, self.basis
         degree = basis.degree
         x_rows, g_rows = _rows(x, -axis), _rows(g, -axis)
         deriv = basis.derivative_matrix()[1:, :-1]  # D[r, k], r = 1..R, k = 0..R-1
         deriv[:, :1] *= basis.p0
-        deriv_weight = np.matmul(deriv.T, weight.reshape(self.out_dim, degree, self.in_dim))
-        deriv_weight = deriv_weight.reshape(weight.shape)
+        deriv_weight = np.tensordot(deriv.T, weight, axes=1)  # W'_k, [R, out, in]
         gx = np.empty(x_rows.shape)
 
         def run_task(run):
@@ -226,22 +232,26 @@ class KanLayer:
             db = gs.sum(axis=(0,) + tuple(range(2, gs.ndim)))
             if not degree:  # the bias alone: no input gradient
                 slope.fill(0.0)
-                return np.zeros(weight.shape), db
-            work = pool.scratch("layer", 2 * degree * xs.size)
-            vals, terms = work.reshape((2, len(xs), degree) + xs.shape[1:])
-            basis.eval_terms_with_deriv(xs, axis=axis - 1, out=(vals, slope))
-            flat = (len(xs), -1) + xs.shape[2:]
-            dw = _weight_grad(gs, vals.reshape(flat), axis)
-            _contract(gs, deriv_weight.T, axis, out=terms.reshape(flat))
-            total = terms[:, 0]
-            total += np.einsum("rk...,rk...->r...", terms[:, 1:], vals[:, :-1])
+                return [], db
+            work = pool.scratch("layer", (degree + 1) * xs.size)
+            values = work[:degree * xs.size].reshape((degree,) + xs.shape)
+            total = work[degree * xs.size:].reshape(xs.shape)
+            basis.eval_terms_with_deriv(xs, out=(values, slope))
+            dw = [_weight_grad(gs, v, axis) for v in values]
+            _contract(gs, deriv_weight[0].T, axis, out=total)
+            product = values[-1]
+            for w, v in zip(deriv_weight[1:], values[:-1]):
+                _contract(gs, w.T, axis, out=product)
+                product *= v
+                total += product
             slope *= total
             return dw, db
 
         partials = pool.map(run_task, _runs(len(x_rows), prod(x.shape[axis:])))
         dw, db = partials[0]
         for part_w, part_b in partials[1:]:
-            dw += part_w
+            for total, part in zip(dw, part_w):
+                total += part
             db += part_b
         return dw, db, gx.reshape(x.shape)
 

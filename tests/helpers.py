@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hakan.basis import hahn_coeffs
 from hakan.errors import BasisParameterError
 from hakan.layers import _weight_grad
 
@@ -44,43 +45,95 @@ def write_synthetic_csv(path: Path, rows: int, channels: int, seed: int = 0) -> 
 # basis oracles ----------------------------------------------------------------
 
 
-def eval_all(basis, x) -> np.ndarray:
-    """Recurrence values of every degree at x, P_0 included, stacked along a trailing axis.
+def squash(basis, x, slope: bool = False) -> tuple:
+    """(s, ds/dx or None): the reals mapped monotonically onto the basis domain by tanh.
 
-    `Basis._fill` runs on x as one row, with no squash, so domain points
-    give the textbook values.
+    s = lo + (hi - lo) / 2 * (tanh(x) + 1) and ds/dx = (hi - lo) / 2 * (1 - tanh(x)^2).
+    The basis folds this map into its recurrence in t = tanh(x); the tests
+    keep it to evaluate the textbook polynomials at s.
     """
-    x = np.asarray(x, dtype=np.float64)
-    row = x.reshape(1, -1)
-    vals = np.empty((basis.degree,) + row.shape)
-    w, tmp = np.empty((2,) + row.shape)
-    basis._fill(row, vals, w, tmp)
-    return _with_degree_zero(np.moveaxis(vals, 0, -1).reshape(x.shape + (basis.degree,)),
-                             basis.p0)
+    lo, hi = basis.domain
+    half = (hi - lo) * 0.5
+    t = np.tanh(np.asarray(x, dtype=np.float64))
+    return lo + half * (t + 1.0), half * (1.0 - t * t) if slope else None
+
+
+def _basis_variable(basis, s) -> tuple:
+    """(t, dt/ds): the domain point s in the basis's own variable t, s = mid + half * t."""
+    lo, hi = basis.domain
+    half = (hi - lo) * 0.5
+    return (np.asarray(s, dtype=np.float64) - (lo + hi) * 0.5) / half, 1.0 / half
+
+
+def fill(basis, t) -> np.ndarray:
+    """`Basis._fill` on t as one block: P_1(t)..P_degree(t), degree-major [degree, *t.shape]."""
+    t = np.asarray(t, dtype=np.float64)
+    vals = np.empty((basis.degree, t.size))
+    w, tmp = np.empty((2, t.size))
+    basis._fill(t.reshape(-1), vals, w, tmp)
+    return vals.reshape((basis.degree,) + t.shape)
+
+
+def eval_all(basis, x) -> np.ndarray:
+    """Recurrence values of every degree at domain points x, P_0 included, stacked along a
+    trailing axis.
+
+    x goes to the basis's variable t by the affine map the squash implies,
+    with no tanh, and `Basis._fill` runs there, so domain points give the
+    textbook values up to rounding.
+    """
+    t = _basis_variable(basis, x)[0]
+    return _with_degree_zero(np.moveaxis(fill(basis, t), 0, -1), basis.p0)
 
 
 def eval_all_with_deriv(basis, x) -> tuple:
-    """Values and x-derivatives of every degree at x, as `eval_all` stacks them.
+    """Values and x-derivatives of every degree at domain points x, as `eval_all` stacks them.
 
     The derivatives come from differentiating the recurrence step by step,
-    P_r' = (a + b x) P_{r-1}' + b P_{r-1} + c P_{r-2}' with P_1' = p1[1],
-    independent of `Basis.derivative_matrix`.
+    P_r' = (a + b t) P_{r-1}' + b P_{r-1} + c P_{r-2}' with P_1' = p1[1],
+    independent of `Basis.derivative_matrix`, then times dt/dx.
     """
-    x = np.asarray(x, dtype=np.float64)
+    t, dt = _basis_variable(basis, x)
     vals = eval_all(basis, x)
     ders = np.zeros(vals.shape)
     if basis.degree:
         ders[..., 1] = basis.p1[1]
     for r, (a, b, c) in enumerate(basis.steps, start=2):
-        ders[..., r] = (a + b * x) * ders[..., r - 1] + b * vals[..., r - 1] + c * ders[..., r - 2]
-    return vals, ders
+        ders[..., r] = (a + b * t) * ders[..., r - 1] + b * vals[..., r - 1] + c * ders[..., r - 2]
+    return vals, ders * dt
+
+
+def textbook(kind: str, degree: int, s, a: float = 1.0, b: float = 1.0, n: int = 7
+             ) -> np.ndarray:
+    """P_0..P_degree of the `kind` family at points s of its domain, stacked along a
+    trailing axis, by the family's own recurrence in s.
+
+    Hahn: P_1 = 1 - (a + b + 2) s / ((a + 1) n) and A_r P_r = (A_r + B_r - s) P_{r-1}
+    - B_r P_{r-2} with (A_r, B_r) = `hahn_coeffs`; Chebyshev: P_r = 2s P_{r-1} - P_{r-2};
+    Lucas: P_0 = 2, P_1 = s and P_r = s P_{r-1} + P_{r-2}.  Independent of
+    the coefficients `make_basis` stores.
+    """
+    s = np.asarray(s, dtype=np.float64)
+    if kind == "hahn":
+        vals = [np.ones(s.shape), 1.0 - (a + b + 2.0) * s / ((a + 1.0) * n)]
+    else:
+        vals = [np.full(s.shape, 2.0 if kind == "lucas" else 1.0), s]
+    for r in range(2, degree + 1):
+        if kind == "hahn":
+            A, B = hahn_coeffs(a, b, n, r)
+            vals.append(((A + B - s) * vals[-1] - B * vals[-2]) / A)
+        elif kind == "chebyshev":
+            vals.append(2.0 * s * vals[-1] - vals[-2])
+        else:
+            vals.append(s * vals[-1] + vals[-2])
+    return np.stack(vals[:degree + 1], axis=-1)
 
 
 def whole_input_grad(layer, g, x) -> np.ndarray:
     """A KAN layer's input gradient for the output gradient g, by einsum over all of x:
     sum_q g[q] sum_r gamma[q, p, r] P_r'(s(x[p])) s'(x[p]), with the derivatives
     from the recurrence (`eval_all_with_deriv`)."""
-    s, slope = layer.basis.squash(x, slope=True)
+    s, slope = squash(layer.basis, x, slope=True)
     ders = eval_all_with_deriv(layer.basis, s)[1][..., 1:] * slope[..., None]
     gamma = layer.gamma.data[:, :, 1:]
     if layer.axis == -1:
@@ -88,17 +141,21 @@ def whole_input_grad(layer, g, x) -> np.ndarray:
     return np.einsum("...qj,qpr,...pjr->...pj", g, gamma, ders)
 
 
-def whole_gamma_grad(layer, g, x) -> np.ndarray:
+def whole_gamma_grad(layer, g, x, magnitude: bool = False) -> np.ndarray:
     """A KAN layer's coefficient gradient for the output gradient g, with
-    degrees 1..R as one product over every row of the values of all of x."""
-    axis, degree = layer.axis, layer.basis.degree
-    vals = layer.basis.eval_terms(x, axis=axis - 1)
-    stacked = vals.reshape(x.shape[:axis] + (-1,) + x.shape[axis:][1:])
+    each degree's one product over every row of the values of all of x.
+
+    With `magnitude`, the same sums of |g| times |values|: the scale that
+    the rounding of each entry's sum is measured against.
+    """
+    vals = layer.basis.eval_terms(x)
+    if magnitude:
+        g, vals = np.abs(g), np.abs(vals)
     grad = np.empty(layer.gamma.shape)
-    g_sum = g.sum(axis=tuple(i for i in range(g.ndim) if i != g.ndim + axis))
+    g_sum = g.sum(axis=tuple(i for i in range(g.ndim) if i != g.ndim + layer.axis))
     grad[:, :, 0] = (layer.basis.p0 * g_sum)[:, None]
-    grad[:, :, 1:] = _weight_grad(g, stacked, axis).reshape(
-        layer.out_dim, degree, layer.in_dim).transpose(0, 2, 1)
+    for r, v in enumerate(vals, start=1):
+        grad[:, :, r] = _weight_grad(g, v, layer.axis)
     return grad
 
 

@@ -7,7 +7,8 @@ import pytest
 from hakan.basis import MAX_DEGREE, hahn_coeffs, make_basis
 from hakan.errors import BasisParameterError, ConfigError
 
-from helpers import closed_form, eval_all, eval_all_with_deriv, orthogonality_weight
+from helpers import (closed_form, eval_all, eval_all_with_deriv, fill, orthogonality_weight,
+                     squash, textbook)
 
 
 def rational_coeffs(r: int, a, b, n) -> tuple:
@@ -196,20 +197,25 @@ def test_eval_counter_tracks_elements():
 
 @pytest.mark.parametrize("kind", ["hahn", "chebyshev", "lucas"])
 def test_terms_of_reals_are_the_recurrence_at_the_squash(kind):
-    # eval_terms squashes reals itself, out to where tanh saturates, and
-    # eval_terms_with_deriv adds the slope; D times the values times the
-    # slope is the derivative of the terms
+    # eval_terms runs the stored recurrence on t = tanh(x), out to where
+    # tanh saturates, and eval_terms_with_deriv adds the slope dt/dx.  That
+    # is the textbook recurrence at the squash s(x) to rounding, and D times
+    # the values times the slope is the derivative of the terms
     basis = make_basis(kind, 3)
     x = np.concatenate([[-30.0, -3.0, 0.0, 0.4, 2.5, 30.0],
                         np.random.default_rng(0).normal(0.0, 2.0, 40)]).reshape(2, 23)
-    s, ds = basis.squash(x, slope=True)
-    raw, raw_ders = eval_all_with_deriv(basis, s)
+    t = np.tanh(x)
     vals, slope = basis.eval_terms_with_deriv(x)
-    np.testing.assert_array_equal(basis.eval_terms(x), raw[..., 1:])
-    np.testing.assert_array_equal(vals, raw[..., 1:])
-    np.testing.assert_array_equal(slope, ds)
-    ders = (raw @ basis.derivative_matrix().T)[..., 1:] * slope[..., None]
-    np.testing.assert_allclose(ders, raw_ders[..., 1:] * ds[..., None], rtol=1e-14, atol=1e-14)
+    np.testing.assert_array_equal(basis.eval_terms(x), fill(basis, t))
+    np.testing.assert_array_equal(vals, fill(basis, t))
+    np.testing.assert_array_equal(slope, 1.0 - t * t)
+    s, ds = squash(basis, x, slope=True)
+    want = np.moveaxis(textbook(kind, 3, s), -1, 0)[1:]
+    assert np.all(np.abs(vals - want) <= 1e-14 * np.abs(want).max())
+    raw = np.concatenate([np.full((1,) + x.shape, basis.p0), vals])
+    ders = np.tensordot(basis.derivative_matrix(), raw, axes=1)[1:] * slope
+    raw_ders = np.moveaxis(eval_all_with_deriv(basis, s)[1], -1, 0)[1:] * ds
+    np.testing.assert_allclose(ders, raw_ders, rtol=1e-14, atol=1e-14)
     step = 1e-6
     fd = (basis.eval_terms(x + step) - basis.eval_terms(x - step)) / (2 * step)
     np.testing.assert_allclose(ders, fd, rtol=1e-6, atol=1e-6)
@@ -220,12 +226,15 @@ def test_terms_of_reals_are_the_recurrence_at_the_squash(kind):
 def test_derivative_matrix_is_the_derivative_recurrence(kind, degree):
     # D times the values is the derivative the recurrence gives, at every
     # degree the CLI accepts, where central differences cannot vouch for
-    # degree 64.  Hahn runs on n = 64, where |D| reaches ~1e34
+    # degree 64.  Hahn runs on n = 64, where |D| reaches ~1e34.  D is in the
+    # basis's variable t, s = lo + (hi - lo) (t + 1) / 2, so it gives
+    # (hi - lo) / 2 times the domain derivative
     basis = make_basis(kind, degree, n=MAX_DEGREE) if kind == "hahn" else make_basis(kind, degree)
     deriv = basis.derivative_matrix()
     assert deriv.shape == (degree + 1, degree + 1)
     np.testing.assert_array_equal(np.triu(deriv), 0.0)  # P_r' has degree r - 1
     lo, hi = basis.domain
     vals, ders = eval_all_with_deriv(basis, np.linspace(lo, hi, 2001))
+    ders *= (hi - lo) / 2
     scale = np.abs(ders).max(axis=0)
     assert np.all(np.abs(vals @ deriv.T - ders) <= 1e-13 * scale)
