@@ -1,4 +1,3 @@
-import threading
 import tracemalloc
 from contextlib import nullcontext
 from math import prod
@@ -374,10 +373,15 @@ def test_blocked_input_grad_is_the_whole_array_formula(kind, degree, axis, shape
     want = whole_input_grad(layer, g, x)
     np.testing.assert_allclose(xt.grad, want, rtol=0, atol=1e-13 * np.abs(want).max())
     # the coefficient gradient sums the runs' partial products, so it
-    # matches the one-product formula to rounding of the sums: measured
-    # against the sum of the products' magnitudes, it read <= 1.8e-16 here
-    err = np.abs(layer.gamma.grad - whole_gamma_grad(layer, g, x))
+    # matches the one-product formula to rounding of the sums.  Against the
+    # sum of the products' magnitudes the error read <= 1.8e-16 at every
+    # degree here; at degree 7, where sums of large values cancel, it read
+    # up to 3x the fixed tolerance that holds through degree 3
+    want = whole_gamma_grad(layer, g, x)
+    err = np.abs(layer.gamma.grad - want)
     assert np.all(err <= 1e-15 * whole_gamma_grad(layer, g, x, magnitude=True))
+    if degree <= 3:
+        np.testing.assert_allclose(layer.gamma.grad, want, rtol=1e-13, atol=1e-13)
 
 
 @pytest.mark.parametrize("degree", [0, 3])
@@ -401,18 +405,45 @@ def test_bias_grad_is_the_whole_array_sum(degree, axis, shape):
     np.testing.assert_allclose(layer.gamma.grad[:, :, 0], want, rtol=1e-13, atol=0)
 
 
-@pytest.mark.parametrize("axis, shape", [(-1, (4096, 128)), (-2, (64, 42, 128))],
-                         ids=["last", "patch"])
-def test_grad_forward_stores_no_derivatives(axis, shape):
+def by_degree(*cases):
+    """(degree, axis, shape) at degrees 1, 3 and 7 for each (axis, shape, id);
+    degree 3 keeps the bare id."""
+    return [pytest.param(degree, axis, shape, id=name if degree == 3 else f"{name}-{degree}")
+            for axis, shape, name in cases for degree in (1, 3, 7)]
+
+
+def record_scratch(monkeypatch) -> list:
+    """(name, elements) of every `pool.scratch` request from now on, any thread."""
+    requests, true_scratch = [], pool.scratch
+    monkeypatch.setattr(pool, "scratch",
+                        lambda name, n: requests.append((name, n)) or true_scratch(name, n))
+    return requests
+
+
+def assert_scratch(requests, degree):
+    # a worker's layer scratch is a run's values, one slab per degree, and
+    # one product slab (the output's in the forward, the input gradient's
+    # sum in the backward); its basis scratch is three cache blocks, t =
+    # tanh(x) and two products, at any degree
+    assert {name for name, _ in requests} == {"layer", "basis"}
+    assert max(n for name, n in requests if name == "layer") <= (
+        (degree + 1) * RUN_BLOCKS * BLOCK_ELEMENTS)
+    assert max(n for name, n in requests if name == "basis") <= 3 * BLOCK_ELEMENTS
+
+
+RUN_CASES = by_degree((-1, (4096, 128), "last"), (-2, (64, 42, 128), "patch"))
+
+
+@pytest.mark.parametrize("degree, axis, shape", RUN_CASES)
+def test_grad_forward_stores_no_derivatives(degree, axis, shape, monkeypatch):
     # a grad-recording forward allocates its output (and a byte per element
     # to check it is finite) and gamma laid out as one weight matrix; each
-    # pool worker adds at most one run of values (RUN_BLOCKS cache blocks of
-    # degree values each) and the basis's block of scratch.  No values or
-    # derivatives of the whole input exist: they alone would be degree x
-    # the input
-    degree = 3
+    # pool worker adds at most its layer and basis scratch (`assert_scratch`).
+    # No values or derivatives of the whole input exist: they alone would be
+    # degree x the input
     layer = KanLayer(shape[axis], shape[axis], basis=make_basis("hahn", degree), axis=axis)
     x = Tensor(np.random.default_rng(13).normal(size=shape), requires_grad=True)
+    requests = record_scratch(monkeypatch)
     with pool._sized(2) as workers:
         tracemalloc.start()
         try:
@@ -421,80 +452,38 @@ def test_grad_forward_stores_no_derivatives(axis, shape):
         finally:
             tracemalloc.stop()
     tt.backward(out.sum())
-    run = RUN_BLOCKS * BLOCK_ELEMENTS * degree * 8
-    scratch = BLOCK_ELEMENTS * (degree + 4) * 8
+    assert_scratch(requests, degree)
+    scratch = ((degree + 1) * RUN_BLOCKS + 3) * BLOCK_ELEMENTS * 8
     assert peak < (out.data.nbytes * 9 // 8 + layer.gamma.data.nbytes
-                   + workers.size * (run + scratch))
+                   + workers.size * scratch)
 
 
-@pytest.mark.parametrize("axis, shape", [(-1, (4096, 128)), (-2, (64, 42, 128))],
-                         ids=["last", "patch"])
-def test_backward_holds_one_run_per_worker(axis, shape, monkeypatch):
+@pytest.mark.parametrize("degree, axis, shape", RUN_CASES)
+def test_backward_holds_one_run_per_worker(degree, axis, shape, monkeypatch):
     # a backward allocates the input gradient, gamma's gradient, the
     # derivative weights W' (gamma's size) and one coefficient-gradient
-    # partial per run.  Each pool worker asks for at most one run of values
-    # and as many products with W' (RUN_BLOCKS cache blocks of 2 * degree
-    # values each) and the basis's block scratch, degree + 4 blocks at most:
-    # no derivative is stored.  The gradients accumulate into existing
-    # buffers, so no copy of them is counted
-    degree = 3
+    # partial per run.  Each pool worker adds at most its layer and basis
+    # scratch (`assert_scratch`): no derivative is stored.  The gradients
+    # accumulate into existing buffers, so no copy of them is counted
     layer = KanLayer(shape[axis], shape[axis], basis=make_basis("hahn", degree), axis=axis)
     x = Tensor(np.random.default_rng(18).normal(size=shape), requires_grad=True)
     g = np.random.default_rng(19).normal(size=shape)
     runs = len(_runs(prod(shape[:axis]), prod(shape[axis:])))
-    requests = []
-    true_scratch = pool.scratch
     with pool._sized(2) as workers:
         layer.forward(x)
         node = tt._tape().pop()
         x.grad, layer.gamma.grad = np.zeros(shape), np.zeros(layer.gamma.shape)
-        monkeypatch.setattr(pool, "scratch",
-                            lambda name, n: requests.append((name, n)) or true_scratch(name, n))
+        requests = record_scratch(monkeypatch)
         tracemalloc.start()
         try:
             node.backward(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    run = 2 * degree * RUN_BLOCKS * BLOCK_ELEMENTS
-    scratch = BLOCK_ELEMENTS * (degree + 4)
-    assert {name for name, _ in requests} == {"layer", "basis"}
-    assert max(n for name, n in requests if name == "layer") <= run
-    assert max(n for name, n in requests if name == "basis") <= scratch
+    assert_scratch(requests, degree)
+    scratch = ((degree + 1) * RUN_BLOCKS + 3) * BLOCK_ELEMENTS * 8
     assert peak < (x.data.nbytes + (2 + runs) * layer.gamma.data.nbytes
-                   + workers.size * 8 * (run + scratch))
-
-
-@pytest.mark.parametrize("degree", [1, 3, 7])
-@pytest.mark.parametrize("axis, shape", [(-1, (1100, 64)), (-2, (37, 16, 128))],
-                         ids=["last", "patch"])
-def test_scratch_is_three_blocks_and_a_run_per_degree_and_product(degree, axis, shape,
-                                                                   monkeypatch):
-    # a forward and backward over two runs on a pool of two.  Each thread's
-    # basis scratch is three cache blocks (tanh(x) and two products) at any
-    # degree; its layer scratch is a run's values, one slab per degree, and
-    # one product slab: the output's in the forward, the input gradient's
-    # sum in the backward
-    in_dim = shape[axis]
-    layer = KanLayer(in_dim, in_dim, basis=make_basis("hahn", degree), axis=axis,
-                     rng=np.random.default_rng(26))
-    x = Tensor(np.random.default_rng(27).normal(size=shape), requires_grad=True)
-    assert len(_runs(prod(shape[:axis]), prod(shape[axis:]))) == 2
-    largest = {}
-    true_scratch = pool.scratch
-
-    def recording(name, n):
-        key = threading.get_ident(), name
-        largest[key] = max(n, largest.get(key, 0))
-        return true_scratch(name, n)
-
-    monkeypatch.setattr(pool, "scratch", recording)
-    with pool._sized(2):
-        tt.backward(layer.forward(x).sum())
-    assert {name for _, name in largest} == {"layer", "basis"}
-    run = RUN_BLOCKS * BLOCK_ELEMENTS
-    for (_, name), n in largest.items():
-        assert n <= (3 * BLOCK_ELEMENTS if name == "basis" else (degree + 1) * run)
+                   + workers.size * scratch)
 
 
 @pytest.mark.parametrize("kind", ["hahn", "chebyshev", "lucas"])
