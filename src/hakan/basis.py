@@ -41,13 +41,6 @@ def block_rows(row_size: int) -> int:
     return max(1, BLOCK_ELEMENTS // max(1, row_size))
 
 
-def row_blocks(rows: int, row_size: int):
-    """Slices over `rows` rows of `row_size` elements, one cache block each."""
-    step = block_rows(row_size)
-    for lo in range(0, rows, step):
-        yield slice(lo, lo + step)
-
-
 @dataclass(eq=False)
 class Basis:
     """A three-term recurrence in t = tanh(x), evaluated in cache blocks with an element counter.

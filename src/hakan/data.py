@@ -292,8 +292,6 @@ class DatasetSplits:
     train: SegmentBounds
     val: SegmentBounds
     test: SegmentBounds
-    mean: np.ndarray
-    std: np.ndarray
 
     @property
     def n_channels(self) -> int:
@@ -302,6 +300,5 @@ class DatasetSplits:
 
 def prepare(ds: RawDataset, spec: SplitSpec, lookback: int) -> DatasetSplits:
     train, val, test = split(ds, spec, lookback)
-    values, mean, std = standardize(ds, train)
-    return DatasetSplits(name=ds.name, values=values, train=train, val=val,
-                         test=test, mean=mean, std=std)
+    values = standardize(ds, train)[0]
+    return DatasetSplits(name=ds.name, values=values, train=train, val=val, test=test)

@@ -54,11 +54,11 @@ def _contract(v: np.ndarray, w: np.ndarray, axis: int, out=None) -> np.ndarray:
     return np.matmul(w, v, out=out)
 
 
-def _weight_grad(g: np.ndarray, v: np.ndarray, axis: int) -> np.ndarray:
-    """The gradient of `_contract` with respect to w: g times v, summed over rows."""
+def _weight_grad(g: np.ndarray, v: np.ndarray, axis: int, out=None) -> np.ndarray:
+    """The gradient of `_contract` with respect to w: g times v, summed over rows, into `out`."""
     if axis == -1:
-        return _rows(g, 1).T @ _rows(v, 1)
-    return np.matmul(_rows(g, 2), _rows(v, 2).transpose(0, 2, 1)).sum(axis=0)
+        return np.matmul(_rows(g, 1).T, _rows(v, 1), out=out)
+    return np.matmul(_rows(g, 2), _rows(v, 2).transpose(0, 2, 1)).sum(axis=0, out=out)
 
 
 def _rows(a: np.ndarray, keep: int) -> np.ndarray:
@@ -193,9 +193,8 @@ class KanLayer:
             dw, db, gx = self._grads(g, weight, x.data)
             if gamma.requires_grad:
                 grad = np.empty(gamma.shape)
-                grad[:, :, 0] = (self.basis.p0 * db)[:, None]
-                for r, part in enumerate(dw, start=1):
-                    grad[:, :, r] = part
+                grad[:, :, 0] = (self.basis.p0 * db.sum(axis=0))[:, None]
+                dw.sum(axis=0, out=grad[:, :, 1:].transpose(2, 0, 1))
                 gamma.accumulate_grad(grad)
             if x.requires_grad:
                 x.accumulate_grad(gx)
@@ -204,7 +203,7 @@ class KanLayer:
         return tt._make(out_rows.reshape(shape), (x, gamma), back)
 
     def _grads(self, g, weight, x) -> tuple:
-        """(d/d W_r for r = 1..R, g summed over all but the output axis, d/dx)
+        """(d/d W_r partials [runs, R, out, in], bias partials [runs, out], d/dx)
         for the output gradient g, over the forward's runs of x.
 
         With P_r' = sum_k D[r, k] P_k (`Basis.derivative_matrix`, in
@@ -214,10 +213,11 @@ class KanLayer:
         one basis call for its run's values and slope, the slope written
         straight into the run's rows of d/dx.  The values give the run's
         weight-gradient partial per degree, g^T V_r, and its rows of g the
-        bias-gradient partial, each summed over runs in run order whichever
-        worker ran each.  W'_0^T g starts the sum in a scratch slab; each
-        later W'_k^T g is formed in P_R's slab, which the input gradient
-        does not use, times P_k and added in; the sum then scales the slope.
+        bias-gradient partial, each written into the run's slot, so a sum
+        over axis 0 gives the same bits whichever worker ran each run.
+        W'_0^T g starts the sum in a scratch slab; each later W'_k^T g is
+        formed in P_R's slab, which the input gradient does not use, times
+        P_k and added in; the sum then scales the slope.
         """
         axis, basis = self.axis, self.basis
         degree = basis.degree
@@ -225,19 +225,23 @@ class KanLayer:
         deriv = basis.derivative_matrix()[1:, :-1]  # D[r, k], r = 1..R, k = 0..R-1
         deriv[:, :1] *= basis.p0
         deriv_weight = np.tensordot(deriv.T, weight, axes=1)  # W'_k, [R, out, in]
+        runs = _runs(len(x_rows), prod(x.shape[axis:]))
+        dw = np.empty((len(runs),) + weight.shape)
+        db = np.empty((len(runs), self.out_dim))
         gx = np.empty(x_rows.shape)
 
-        def run_task(run):
-            xs, gs, slope = x_rows[run], g_rows[run], gx[run]
-            db = gs.sum(axis=(0,) + tuple(range(2, gs.ndim)))
+        def run_task(i):
+            xs, gs, slope = x_rows[runs[i]], g_rows[runs[i]], gx[runs[i]]
+            gs.sum(axis=(0,) + tuple(range(2, gs.ndim)), out=db[i])
             if not degree:  # the bias alone: no input gradient
                 slope.fill(0.0)
-                return [], db
+                return
             work = pool.scratch("layer", (degree + 1) * xs.size)
             values = work[:degree * xs.size].reshape((degree,) + xs.shape)
             total = work[degree * xs.size:].reshape(xs.shape)
             basis.eval_terms_with_deriv(xs, out=(values, slope))
-            dw = [_weight_grad(gs, v, axis) for v in values]
+            for v, part in zip(values, dw[i]):
+                _weight_grad(gs, v, axis, out=part)
             _contract(gs, deriv_weight[0].T, axis, out=total)
             product = values[-1]
             for w, v in zip(deriv_weight[1:], values[:-1]):
@@ -245,14 +249,8 @@ class KanLayer:
                 product *= v
                 total += product
             slope *= total
-            return dw, db
 
-        partials = pool.map(run_task, _runs(len(x_rows), prod(x.shape[axis:])))
-        dw, db = partials[0]
-        for part_w, part_b in partials[1:]:
-            for total, part in zip(dw, part_w):
-                total += part
-            db += part_b
+        pool.map(run_task, range(len(runs)))
         return dw, db, gx.reshape(x.shape)
 
 

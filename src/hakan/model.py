@@ -110,9 +110,8 @@ class ModelConfig:
         return self._shapes(self.n_blocks)
 
     def parameter_count(self) -> int:
-        """The parameters of `parameter_shapes`, counted from at most one block's shapes."""
-        head, one = (sum(prod(shape) for shape in self._shapes(k).values()) for k in (0, 1))
-        return head + self.n_blocks * (one - head)
+        """The parameters of `parameter_shapes`, summed from `count_breakdown`."""
+        return sum(count * copies for _, count, copies in count_breakdown(self))
 
     def _shapes(self, n_blocks: int) -> dict:
         """{name: shape} of this model's parameters had it `n_blocks` blocks."""
@@ -371,7 +370,7 @@ class HaKanModel:
 
 
 def _read_checkpoint(archive, path) -> tuple:
-    """(ModelConfig, {name: float64 array}) read and checked from an open archive."""
+    """(ModelConfig, {name: C-contiguous float64 array}) read and checked from an open archive."""
     if CHECKPOINT_CONFIG_KEY not in archive:
         raise DataError(f"{path} is not a model checkpoint")
     known = {f.name for f in fields(ModelConfig)}
@@ -400,7 +399,7 @@ def _read_checkpoint(archive, path) -> tuple:
         if stored.shape != shape:
             raise DataError(f"{path}: checkpoint key {name}: shape {stored.shape} "
                             f"!= {shape}")
-        params[name] = stored.astype(np.float64, copy=False)
+        params[name] = np.ascontiguousarray(stored, dtype=np.float64)  # Adam slices it flat
     return config, params
 
 
@@ -426,6 +425,8 @@ def _read_key(archive, path, key: str) -> np.ndarray:
         raise DataError(f"{path}: checkpoint key {key} is missing")
     except (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as err:
         raise DataError(f"{path}: checkpoint key {key} is unreadable: {err}")
+    except MemoryError as err:  # a header that declares more than memory holds
+        raise DataError(f"{path}: checkpoint key {key} does not fit in memory: {err}")
 
 
 def _uniform(rng: np.random.Generator, fan_in: int, shape: tuple) -> np.ndarray:

@@ -20,7 +20,8 @@ and BLAS keeps its own threads, the serial behaviour.
 
 Callers split work into pieces whose shapes never depend on the pool size,
 and each piece computes the same bits on any thread, so results are
-bitwise the same for any CPU count.
+bitwise the same for any CPU count.  A task writes into its piece of an
+array its caller allocated, rather than returning an array of its own.
 
 Each thread owns its scratch arrays (`scratch`), reused by every layer and
 basis that runs a task on it.
@@ -137,9 +138,12 @@ class Pool:
             for helper in helpers:  # a helper still queued has nothing left to take
                 if not helper.cancel():
                     helper.result()
+            # an executor thread drops `work` in its own time: the tasks, their
+            # items and results are dropped here, before the caller allocates
+            results, fn, items, out = out, None, None, None
         if errors:
             raise errors[min(errors)]
-        return out
+        return results
 
     def shutdown(self) -> None:
         """Stop the pool's threads once they finish the work they hold."""

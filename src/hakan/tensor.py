@@ -8,7 +8,8 @@ An op result's gradient is dropped as soon as its node has run; leaf
 (parameter) gradients persist across backward calls until `zero_grad`.
 Each gradient array has one owner, its tensor (`Tensor.accumulate_grad`).
 The whole-array passes here (the finite check, `add`, its gradient copy and
-gradient accumulation) run on the worker pool in fixed flat slices.
+gradient accumulation) run on the worker pool in fixed flat slices
+(`_cuts`), which `training.Adam` cuts its update by too.
 """
 
 from __future__ import annotations
@@ -30,10 +31,6 @@ _grad_enabled = True
 
 def _tape() -> list:
     return _TAPE
-
-
-def grad_enabled() -> bool:
-    return _grad_enabled
 
 
 @contextmanager
@@ -147,6 +144,11 @@ def backward(root: Tensor) -> None:
         _TAPE.clear()
 
 
+def _cuts(size: int) -> list:
+    """The fixed flat slices of SLICE_ELEMENTS over `size` elements."""
+    return [slice(lo, lo + SLICE_ELEMENTS) for lo in range(0, size, SLICE_ELEMENTS)]
+
+
 def _sliced(fn, *arrays: np.ndarray) -> list:
     """fn over the same fixed flat slice of each array, one pool task per slice.
 
@@ -154,8 +156,7 @@ def _sliced(fn, *arrays: np.ndarray) -> list:
     it, so `fn` may write into them.
     """
     flats = [a.reshape(-1) for a in arrays]
-    cuts = [slice(lo, lo + SLICE_ELEMENTS) for lo in range(0, flats[0].size, SLICE_ELEMENTS)]
-    return pool.map(lambda cut: fn(*(f[cut] for f in flats)), cuts)
+    return pool.map(lambda cut: fn(*(f[cut] for f in flats)), _cuts(flats[0].size))
 
 
 def _copy(a: np.ndarray) -> np.ndarray:
@@ -180,7 +181,7 @@ def _make(data, parents, backward_fn) -> Tensor:
     """
     out = Tensor(data)
     _check_finite(out.data)
-    if grad_enabled() and any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         _TAPE.append(_Node(out, backward_fn))
     return out

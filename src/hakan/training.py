@@ -12,13 +12,12 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, replace
-from math import prod
 
 import numpy as np
 
 from . import pool
 from . import tensor as tt
-from .basis import BLOCK_ELEMENTS, row_blocks
+from .basis import BLOCK_ELEMENTS
 from .data import DatasetSplits, window_count
 from .errors import ConfigError, ContractError, DimensionError
 from .model import HaKanModel, ModelConfig
@@ -68,19 +67,23 @@ class Adam:
         Each parameter's arithmetic runs through one scratch array of two
         halves, in the order of m = b1 m + (1 - b1) g,
         v = b2 v + (1 - b2) g^2 and p -= lr (m / bc1) / (sqrt(v / bc2) + eps).
-        The parameter is split into slices of leading rows, a cache block
-        each, one pool task per slice; the update is elementwise, so the
-        slicing changes no bit.
+        The work is cut into the fixed flat slices of the tensor module's
+        whole-array passes (`tensor._cuts`), one pool task per slice; the
+        update is elementwise, so the slicing changes no bit.  A slice of a
+        C-contiguous array is a view, so every array must be one.
         """
         if any(p.grad is None for p in self.params):
             raise ContractError("adam step with a missing gradient")
+        if not all(a.flags.c_contiguous for p, m, v in zip(self.params, self.m, self.v)
+                   for a in (p.data, p.grad, m, v)):
+            raise ContractError("adam needs C-contiguous parameters, gradients and moments")
         self.t += 1
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t
 
         def update(item):
-            arrays, rows = item
-            p, g, m, v, num, den = (a[rows] for a in arrays)
+            flats, cut = item
+            p, g, m, v, num, den = (f[cut] for f in flats)
             np.multiply(g, 1.0 - BETA1, out=num)
             m *= BETA1
             m += num
@@ -98,17 +101,15 @@ class Adam:
             num /= den
             p -= num
 
-        slices = []
+        items = []
         for p, m, v in zip(self.params, self.m, self.v):
-            arrays = [np.atleast_1d(a) for a in (p.data, p.grad, m, v)]  # views
             # one scratch array per parameter, freed after the step: the
             # next step takes its pages back from the heap the pool keeps
             # mapped (`pool._retain_heap`), and no worker holds them between
             # steps
-            arrays += list(np.empty((2,) + arrays[0].shape))
-            slices += [(arrays, rows)
-                       for rows in row_blocks(len(arrays[0]), prod(arrays[0].shape[1:]))]
-        pool.map(update, slices)
+            flats = [a.reshape(-1) for a in (p.data, p.grad, m, v)] + list(np.empty((2, p.size)))
+            items += [(flats, cut) for cut in tt._cuts(p.size)]
+        pool.map(update, items)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -1,4 +1,5 @@
-"""Plain test helpers: repository paths, dataset lookup, synthetic CSVs, basis oracles."""
+"""Plain test helpers: repository paths, dataset lookup, synthetic CSVs, cache-block
+slices, basis oracles."""
 
 import os
 from math import comb
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hakan.basis import hahn_coeffs
+from hakan.basis import block_rows, hahn_coeffs
 from hakan.errors import BasisParameterError
 from hakan.layers import _weight_grad
 
@@ -40,6 +41,13 @@ def write_synthetic_csv(path: Path, rows: int, channels: int, seed: int = 0) -> 
         lines.append(stamp + "," + ",".join(f"{v:.6f}" for v in values[i]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def row_blocks(rows: int, row_size: int):
+    """Slices over `rows` rows of `row_size` elements, one cache block each."""
+    step = block_rows(row_size)
+    for lo in range(0, rows, step):
+        yield slice(lo, lo + step)
 
 
 # basis oracles ----------------------------------------------------------------

@@ -6,6 +6,7 @@ import os
 import platform
 import shlex
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -565,6 +566,7 @@ class TestEvalCommand:
         ("complex_dtype", "checkpoint key w_up holds complex128"),
         ("nan_value", "checkpoint key w_up holds float64"),
         ("inf_value", "checkpoint key w_up holds float64"),
+        ("oversized_header", "checkpoint key w_down does not fit in memory"),
     ])
     def test_damaged_checkpoint_exits_data_code(self, tiny_run, capsys, monkeypatch,
                                                 damage, message):
@@ -625,6 +627,13 @@ class TestEvalCommand:
         elif damage == "object_array":
             arrays["w_up"] = np.array([{"w": 1}], dtype=object)
             np.savez(ckpt, **arrays)
+        elif damage == "oversized_header":  # w_down.npy declares 10^12 float64 values
+            np.savez(ckpt, **{k: v for k, v in arrays.items() if k != "w_down"})
+            header = io.BytesIO()
+            np.lib.format.write_array_header_1_0(
+                header, {"descr": "<f8", "fortran_order": False, "shape": (10**6, 10**6)})
+            with zipfile.ZipFile(ckpt, "a") as archive:
+                archive.writestr("w_down.npy", header.getvalue() + bytes(64))
         else:
             w_up = arrays["w_up"]
             arrays["w_up"] = {

@@ -7,13 +7,13 @@ import pytest
 
 import hakan.tensor as tt
 from hakan import pool
-from hakan.basis import BLOCK_ELEMENTS, block_rows, make_basis, row_blocks
+from hakan.basis import BLOCK_ELEMENTS, block_rows, make_basis
 from hakan.errors import ContractError, DimensionError
 from hakan.layers import RUN_BLOCKS, KanLayer, _runs
 from hakan.tensor import Tensor
 from hakan.training import mse_loss
 
-from helpers import eval_all, squash, whole_gamma_grad, whole_input_grad
+from helpers import eval_all, row_blocks, squash, whole_gamma_grad, whole_input_grad
 from test_tensor import fd_check
 
 
@@ -389,13 +389,15 @@ def test_blocked_input_grad_is_the_whole_array_formula(kind, degree, axis, shape
                          ids=["last", "patch"])
 def test_bias_grad_is_the_whole_array_sum(degree, axis, shape):
     # each run sums its rows of g and the partials add up in run order, so
-    # gamma[:, :, 0]'s gradient is p0 times the one-sum formula to rounding
+    # gamma[:, :, 0]'s gradient is p0 times the one-sum formula to rounding,
+    # and every degree's gradient is its partials added in run order
     in_dim = shape[axis]
     layer = KanLayer(in_dim, in_dim + 3, basis=make_basis("hahn", degree), axis=axis,
                      rng=np.random.default_rng(24))
     assert len(_runs(prod(shape[:axis]), prod(shape[axis:]))) >= 3
     rng = np.random.default_rng(25)
-    out = layer.forward(Tensor(rng.normal(size=shape)))
+    x = rng.normal(size=shape)
+    out = layer.forward(Tensor(x))
     node = tt._tape().pop()
     g = rng.normal(size=out.shape)
     with pool._sized(2):
@@ -403,6 +405,16 @@ def test_bias_grad_is_the_whole_array_sum(degree, axis, shape):
     g_sum = g.sum(axis=tuple(i for i in range(g.ndim) if i != g.ndim + axis))
     want = np.broadcast_to((layer.basis.p0 * g_sum)[:, None], layer.gamma.shape[:2])
     np.testing.assert_allclose(layer.gamma.grad[:, :, 0], want, rtol=1e-13, atol=0)
+    # the reference: the runs' partials added one by one, in run order
+    weight = np.ascontiguousarray(layer.gamma.data[:, :, 1:].transpose(2, 0, 1))
+    dw, db, _ = layer._grads(g, weight, x)
+    want_w, want_b = dw[0].copy(), db[0].copy()
+    for part_w, part_b in zip(dw[1:], db[1:]):
+        want_w += part_w
+        want_b += part_b
+    assert layer.gamma.grad[:, :, 1:].tobytes() == want_w.transpose(1, 2, 0).tobytes()
+    assert layer.gamma.grad[:, :, 0].tobytes() == np.broadcast_to(
+        (layer.basis.p0 * want_b)[:, None], want.shape).tobytes()
 
 
 def by_degree(*cases):

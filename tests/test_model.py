@@ -21,7 +21,7 @@ from hakan.model import (
     revin_normalize,
 )
 from hakan.tensor import Tensor
-from hakan.training import mse_loss
+from hakan.training import Adam, mse_loss
 
 from helpers import closed_form
 from test_tensor import fd_check
@@ -458,6 +458,33 @@ class TestCheckpoint:
         assert loaded.config == model.config
         for (_, t_a), (_, t_b) in zip(model.named_parameters(), loaded.named_parameters()):
             np.testing.assert_array_equal(t_a.data, t_b.data)
+
+    def test_fortran_ordered_checkpoint_trains_like_a_c_ordered_one(self, tmp_path):
+        # Adam writes through flat views, which a Fortran-ordered array's
+        # reshape is not: loading makes every parameter C-contiguous
+        model = _tiny_model(seed=24)
+        paths = {order: tmp_path / f"{order}.npz" for order in "CF"}
+        model.save(paths["C"])
+        with np.load(paths["C"]) as archive:
+            arrays = {k: v if k == CHECKPOINT_CONFIG_KEY else np.asfortranarray(v)
+                      for k, v in archive.items()}
+        np.savez(paths["F"], **arrays)
+        with np.load(paths["F"]) as archive:
+            assert not archive["w_down"].flags.c_contiguous
+        rng = np.random.default_rng(25)
+        x = rng.normal(size=(4, model.config.lookback))
+        y = rng.normal(size=(4, model.config.horizon))
+        trained = {}
+        for order, path in paths.items():
+            loaded = HaKanModel.load(path)
+            optimizer = Adam(loaded.parameters(), lr=1e-2)
+            for _ in range(2):
+                tt.backward(mse_loss(loaded.forward_batch(x), y))
+                optimizer.step()
+                optimizer.zero_grad()
+            trained[order] = [p.data.tobytes() for p in loaded.parameters()]
+        assert trained["F"] == trained["C"]
+        assert trained["C"][-2] != model.w_down.data.tobytes()
 
     def test_missing_file(self, tmp_path):
         from hakan.errors import DataError

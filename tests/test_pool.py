@@ -7,6 +7,7 @@ import platform
 import subprocess
 import sys
 import threading
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -63,6 +64,25 @@ def test_each_worker_has_its_own_scratch():
     with pool._sized(2) as p:
         a, b = p.map(task, range(2))
     assert a != b
+
+
+def test_map_lets_go_of_its_tasks_while_a_helper_is_still_queued():
+    # the executor's thread is busy, so the map's helper stays queued, with
+    # the map's items and results, until that thread is free; the caller
+    # frees them when it lets go of them, not whenever that thread does
+    release = threading.Event()
+    with pool._sized(2) as p:
+        p.map(lambda i: i, range(2))  # makes the executor
+        busy = p._executor.submit(release.wait, 10)
+        try:
+            item, result = np.ones(3), np.ones(3)
+            refs = weakref.ref(item), weakref.ref(result)
+            assert all(r is result for r in p.map(lambda _, r=result: r, [item, item]))
+            del item, result
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            release.set()
+            assert busy.result(timeout=10)
 
 
 def test_tasks_run_in_the_callers_numpy_error_state():

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 import hakan.tensor as tt
-from hakan import layers, training
-from hakan.basis import BASIS_KINDS, row_blocks
+from hakan import layers, pool, training
+from hakan.basis import BASIS_KINDS
 from hakan.data import RawDataset, SplitSpec, prepare, window_count
 from hakan.errors import ConfigError, ContractError, DimensionError
 from hakan.model import COMPONENTS, HaKanModel, ModelConfig
 from hakan.tensor import Tensor
 from hakan.training import (
+    BETA1,
+    BETA2,
+    EPS,
     Adam,
     EarlyStopper,
     MetricRecord,
@@ -22,8 +25,8 @@ from hakan.training import (
     train,
 )
 
-from helpers import eval_all
-from test_tensor import fd_check
+from helpers import eval_all, row_blocks
+from test_tensor import SLICED, fd_check
 
 
 class TestLosses:
@@ -116,6 +119,31 @@ class TestAdam:
     def test_missing_gradient_rejected(self):
         p = Tensor(np.ones(2), requires_grad=True)
         with pytest.raises(ContractError):
+            Adam([p], lr=0.1).step()
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_sliced_update_is_the_whole_array_expression(self, size):
+        # three flat slices, the last a short tail, over one parameter
+        rng = np.random.default_rng(26)
+        p = Tensor(rng.normal(size=(3, SLICED // 3)), requires_grad=True)
+        want, m, v = p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)
+        opt = Adam([p], lr=1e-2)
+        with pool._sized(size):
+            for t in range(1, 4):
+                g = rng.normal(size=p.shape)
+                p.grad = g.copy()
+                opt.step()
+                m = m * BETA1 + g * (1.0 - BETA1)
+                v = v * BETA2 + g * g * (1.0 - BETA2)
+                want -= (m / (1.0 - BETA1 ** t) * 1e-2) / (np.sqrt(v / (1.0 - BETA2 ** t)) + EPS)
+        assert p.data.tobytes() == want.tobytes()
+        assert opt.m[0].tobytes() == m.tobytes() and opt.v[0].tobytes() == v.tobytes()
+
+    def test_non_contiguous_parameter_rejected(self):
+        # the update writes through flat views, which only a C-contiguous array has
+        p = Tensor(np.asfortranarray(np.ones((3, 2))), requires_grad=True)
+        p.grad = np.ones((3, 2))
+        with pytest.raises(ContractError, match="C-contiguous"):
             Adam([p], lr=0.1).step()
 
     def test_zero_lr_keeps_parameters(self):
@@ -340,9 +368,11 @@ class TestGradCheck:
         assert directional_check(config, batch) < DIRECTIONAL_TOLERANCE
         true_fn = layers._weight_grad
 
-        def dropping(g, v, axis):  # only the KAN layers call it in kan mode
-            part = true_fn(g, v, axis)
-            return np.zeros_like(part) if len(g) == 1 else part
+        def dropping(g, v, axis, out=None):  # only the KAN layers call it in kan mode
+            part = true_fn(g, v, axis, out=out)
+            if len(g) == 1:  # the one-row run's slot of the partials
+                part.fill(0.0)
+            return part
 
         monkeypatch.setattr(layers, "_weight_grad", dropping)
         assert directional_check(config, batch) > 1e-3
