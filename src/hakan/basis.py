@@ -10,6 +10,7 @@ tests, never in the forward pass.
 
 from __future__ import annotations
 
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -27,10 +28,10 @@ MAX_DEGREE = 64
 
 
 # Elements per cache block (256 KiB of float64).  A pass over a block reads
-# the input and works in three scratch blocks (t = tanh(x), two products)
+# the input and works in two scratch blocks (t = tanh(x) and one product)
 # whatever the degree, and writes each degree's block straight into its slab
-# of the caller's array: at degree 3 that is 2 MiB with the slope, the 2 MiB
-# L2 per core of the Xeon this was measured on.
+# of the caller's array: at degree 3 that is 1.75 MiB with the slope, inside
+# the 2 MiB L2 per core of the Xeon this was measured on.
 # A KAN layer's task is a run of such blocks (`layers.RUN_BLOCKS`).
 BLOCK_ELEMENTS = 32_768
 _COUNT_LOCK = threading.Lock()  # eval_count is read-modify-write from pool tasks
@@ -133,7 +134,7 @@ class Basis:
         flat = np.ascontiguousarray(x).reshape(-1)
         slabs = out.reshape(self.degree, flat.size)
         slopes = None if slope is None else slope.reshape(-1)
-        t, w, tmp = pool.scratch("basis", 3 * BLOCK_ELEMENTS).reshape(3, -1)
+        t, w = pool.scratch("basis", 2 * BLOCK_ELEMENTS).reshape(2, -1)
         for lo in range(0, flat.size, BLOCK_ELEMENTS):
             blk = slice(lo, lo + BLOCK_ELEMENTS)
             m = len(flat[blk])
@@ -141,14 +142,15 @@ class Basis:
             if slopes is not None:  # dt/dx = 1 - t^2
                 np.multiply(t[:m], t[:m], out=slopes[blk])
                 np.subtract(1.0, slopes[blk], out=slopes[blk])
-            self._fill(t[:m], slabs[:, blk], w[:m], tmp[:m])
+            self._fill(t[:m], slabs[:, blk], w[:m])
         return out, slope
 
-    def _fill(self, t, vals, w, tmp) -> None:
+    def _fill(self, t, vals, w) -> None:
         """Write P_r(t) of a block t into vals[r - 1].
 
-        Each of vals[i], `w` and `tmp` is an array of t's shape; every
-        product lands in one of them, so the block allocates nothing.
+        Each of vals[i] and `w` is an array of t's shape; every product
+        lands in one of them, so the block allocates nothing.  P_r's slab
+        takes c P_{r-2} first and then (a + b t) P_{r-1} from `w`.
         """
         if self.degree < 1:
             return
@@ -156,50 +158,30 @@ class Basis:
         np.multiply(t, c1, out=vals[0])
         vals[0] += c0
         for i, (a, b, c) in enumerate(self.steps, start=1):  # P_r sits in slot i = r - 1
+            np.multiply(vals[i - 2] if i > 1 else self.p0, c, out=vals[i])
             np.multiply(t, b, out=w)
             w += a
-            np.multiply(w, vals[i - 1], out=vals[i])
-            if i > 1:
-                np.multiply(vals[i - 2], c, out=tmp)
-                vals[i] += tmp
-            else:
-                vals[i] += c * self.p0
-
-
-def hahn_coeffs(a: float, b: float, n: int, r: int) -> tuple:
-    """(A_r, B_r) of the Hahn recurrence with parameters (a, b, n).
-
-    Normalization: P_0(x) = 1 and P_1(x) = 1 - (a + b + 2) x / ((a + 1) n).
-    Higher degrees follow
-        A_r P_r(x) = (A_r + B_r - x) P_{r-1}(x) - B_r P_{r-2}(x),
-    with
-        A_r = (r + a + b)(r + a)(n - r + 1) / ((2r + a + b - 1)(2r + a + b))
-        B_r = (r - 1)(r + b - 1)(r + a + b + n) / ((2r + a + b - 2)(2r + a + b - 1))
-    B_1 multiplies P_{-1}, which contributes nothing, so B_1 = 0 by
-    definition and the r = 1 denominator (which can vanish for a + b = 0)
-    is never evaluated.
-    """
-    factors = [("A", "2r+a+b-1", 2 * r + a + b - 1), ("A", "2r+a+b", 2 * r + a + b)]
-    if r > 1:  # B_r's other factor, 2r+a+b-1, is A_r's first
-        factors.append(("B", "2r+a+b-2", 2 * r + a + b - 2))
-    for coeff, name, factor in factors:
-        if factor == 0.0:
-            raise BasisParameterError(
-                f"{coeff}_{r} denominator factor {name} is zero for (a={a}, b={b})"
-            )
-    A = (r + a + b) * (r + a) * (n - r + 1) / ((2 * r + a + b - 1) * (2 * r + a + b))
-    if r == 1:
-        return A, 0.0
-    B = (r - 1) * (r + b - 1) * (r + a + b + n) / ((2 * r + a + b - 2) * (2 * r + a + b - 1))
-    return A, B
+            w *= vals[i - 1]
+            vals[i] += w
 
 
 def hahn_steps(a: float, b: float, n: int, degree: int) -> list:
-    """The Hahn recurrence on s = n (1 + t) / 2, run in t as steps r >= 2.
+    """The Hahn recurrence with parameters (a, b, n), run in t as steps r >= 2.
 
-    Putting s into A_r P_r = (A_r + B_r - s) P_{r-1} - B_r P_{r-2} gives
-    ((A_r + B_r - n / 2) / A_r, -n / (2 A_r), -B_r / A_r).  Raises
-    BasisParameterError for (a, b, n, degree) the recurrence cannot run on.
+    Normalization: P_0(s) = 1 and P_1(s) = 1 - (a + b + 2) s / ((a + 1) n).
+    Higher degrees follow
+        A_r P_r(s) = (A_r + B_r - s) P_{r-1}(s) - B_r P_{r-2}(s),
+    with
+        A_r = (r + a + b)(r + a)(n - r + 1) / ((2r + a + b - 1)(2r + a + b))
+        B_r = (r - 1)(r + b - 1)(r + a + b + n) / ((2r + a + b - 2)(2r + a + b - 1)),
+    so at s = n (1 + t) / 2 a step is ((A_r + B_r - n / 2) / A_r, -n / (2 A_r), -B_r / A_r).
+
+    For a, b > -1 only r = 1 has factors that can vanish: a + b = -1 zeroes
+    2r + a + b - 1 and r + a + b.  A_1 enters no step (P_1 has its closed
+    form), so r = 1 is only checked.  Every other factor is positive, but
+    float64 can round 2r + a + b - 2 to 0 at r = 2 (a and b within an ulp
+    of -1) or overflow a product, so the steps are numpy float64, where
+    that gives 0, inf or nan, and `make_basis` refuses them.
     """
     if a <= -1.0 or b <= -1.0:
         raise BasisParameterError(f"need a > -1 and b > -1, got a={a}, b={b}")
@@ -209,18 +191,29 @@ def hahn_steps(a: float, b: float, n: int, degree: int) -> list:
         raise BasisParameterError(
             f"degree {degree} exceeds n={n}; Hahn polynomials stop at degree n"
         )
-    half = n / 2.0
+    if n > sys.float_info.max:
+        raise _overflow(a, b, n)
+    a, b, half = np.float64(a), np.float64(b), n / 2.0
     steps = []
-    for r in range(1, degree + 1):
-        A, B = hahn_coeffs(float(a), float(b), int(n), r)
-        if A == 0.0:
-            raise BasisParameterError(
-                f"A_{r} = 0 for (a={a}, b={b}, n={n}); "
-                f"the factor (r + a + b) vanishes and the recurrence cannot divide"
-            )
-        if r >= 2:
-            steps.append(((A + B - half) / A, -half / A, -B / A))
+    with np.errstate(all="ignore"):
+        for r in range(1, degree + 1):
+            A = (r + a + b) * (r + a) * (n - r + 1) / ((2 * r + a + b - 1) * (2 * r + a + b))
+            B = ((r - 1) * (r + b - 1) * (r + a + b + n)
+                 / ((2 * r + a + b - 2) * (2 * r + a + b - 1)))
+            if r > 1:
+                steps.append(((A + B - half) / A, -half / A, -B / A))
+            elif 2 * r + a + b - 1 == 0.0:
+                raise BasisParameterError(
+                    f"A_1 denominator factor 2r+a+b-1 is zero for (a={a}, b={b})")
+            elif A == 0.0:  # r + a + b vanishes, or the denominator overflowed
+                raise _overflow(a, b, n) if r + a + b else BasisParameterError(
+                    f"A_1 = 0 for (a={a}, b={b}, n={n}); the factor (r + a + b) vanishes")
     return steps
+
+
+def _overflow(a, b, n) -> BasisParameterError:
+    return BasisParameterError(
+        f"the Hahn recurrence overflows float64 for (a={float(a)}, b={float(b)}, n={n})")
 
 
 def make_basis(kind: str, degree: int, a: float = 1.0, b: float = 1.0, n: int = 7) -> Basis:
@@ -234,7 +227,13 @@ def make_basis(kind: str, degree: int, a: float = 1.0, b: float = 1.0, n: int = 
         steps = hahn_steps(a, b, n, degree)  # checks (a, b, n) before p1 divides by them
         # P_1(s) = 1 - (a + b + 2) s / ((a + 1) n) at s = n (1 + t) / 2
         slope = -(float(a) + float(b) + 2.0) / (2.0 * (float(a) + 1.0))
-        return Basis(int(degree), (0.0, float(n)), (1.0 + slope, slope), steps)
+        p1 = (1.0 + slope, slope)
+        # `_fill` needs finite coefficients, and `derivative_matrix` divides
+        # by c1 and every b_r (column 1).  Chebyshev's and Lucas's are constants
+        coeffs = np.array([(*p1, 0.0), *steps])
+        if degree and not (np.isfinite(coeffs).all() and coeffs[:, 1].all()):
+            raise _overflow(a, b, n)
+        return Basis(int(degree), (0.0, float(n)), p1, steps)
     # Both live on (-1, 1), where s = t.  Chebyshev (first kind):
     # P_r = 2t P_{r-1} - P_{r-2}.  Lucas: P_0 = 2, P_1 = t and P_r = t P_{r-1} + P_{r-2}.
     chebyshev = kind == "chebyshev"

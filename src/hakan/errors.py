@@ -14,8 +14,8 @@ class ConfigError(HakanError):
 
 
 class BasisParameterError(ConfigError):
-    """Polynomial basis parameters that break the recurrence (zero denominator,
-    zero leading coefficient, degree out of range)."""
+    """Polynomial basis parameters that break the recurrence (zero or overflowing
+    coefficient, degree out of range)."""
 
 
 class DataError(HakanError):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hakan.basis import block_rows, hahn_coeffs
+from hakan.basis import block_rows
 from hakan.errors import BasisParameterError
 from hakan.layers import _weight_grad
 
@@ -77,8 +77,7 @@ def fill(basis, t) -> np.ndarray:
     """`Basis._fill` on t as one block: P_1(t)..P_degree(t), degree-major [degree, *t.shape]."""
     t = np.asarray(t, dtype=np.float64)
     vals = np.empty((basis.degree, t.size))
-    w, tmp = np.empty((2, t.size))
-    basis._fill(t.reshape(-1), vals, w, tmp)
+    basis._fill(t.reshape(-1), vals, np.empty(t.size))
     return vals.reshape((basis.degree,) + t.shape)
 
 
@@ -117,9 +116,12 @@ def textbook(kind: str, degree: int, s, a: float = 1.0, b: float = 1.0, n: int =
     trailing axis, by the family's own recurrence in s.
 
     Hahn: P_1 = 1 - (a + b + 2) s / ((a + 1) n) and A_r P_r = (A_r + B_r - s) P_{r-1}
-    - B_r P_{r-2} with (A_r, B_r) = `hahn_coeffs`; Chebyshev: P_r = 2s P_{r-1} - P_{r-2};
-    Lucas: P_0 = 2, P_1 = s and P_r = s P_{r-1} + P_{r-2}.  Independent of
-    the coefficients `make_basis` stores.
+    - B_r P_{r-2} with
+        A_r = (r + a + b)(r + a)(n - r + 1) / ((2r + a + b - 1)(2r + a + b)),
+        B_r = (r - 1)(r + b - 1)(r + a + b + n) / ((2r + a + b - 2)(2r + a + b - 1));
+    Chebyshev: P_r = 2s P_{r-1} - P_{r-2}; Lucas: P_0 = 2, P_1 = s and
+    P_r = s P_{r-1} + P_{r-2}.  Independent of the coefficients `make_basis`
+    stores.
     """
     s = np.asarray(s, dtype=np.float64)
     if kind == "hahn":
@@ -128,7 +130,9 @@ def textbook(kind: str, degree: int, s, a: float = 1.0, b: float = 1.0, n: int =
         vals = [np.full(s.shape, 2.0 if kind == "lucas" else 1.0), s]
     for r in range(2, degree + 1):
         if kind == "hahn":
-            A, B = hahn_coeffs(a, b, n, r)
+            A = (r + a + b) * (r + a) * (n - r + 1) / ((2 * r + a + b - 1) * (2 * r + a + b))
+            B = ((r - 1) * (r + b - 1) * (r + a + b + n)
+                 / ((2 * r + a + b - 2) * (2 * r + a + b - 1)))
             vals.append(((A + B - s) * vals[-1] - B * vals[-2]) / A)
         elif kind == "chebyshev":
             vals.append(2.0 * s * vals[-1] - vals[-2])

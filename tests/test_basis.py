@@ -4,7 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from hakan.basis import MAX_DEGREE, hahn_coeffs, make_basis
+from hakan.basis import MAX_DEGREE, hahn_steps, make_basis
 from hakan.errors import BasisParameterError, ConfigError
 
 from helpers import (closed_form, eval_all, eval_all_with_deriv, fill, orthogonality_weight,
@@ -15,33 +15,58 @@ def rational_coeffs(r: int, a, b, n) -> tuple:
     """Recurrence coefficients re-derived in exact rational arithmetic."""
     r, a, b, n = Fraction(r), Fraction(a), Fraction(b), Fraction(n)
     A = (r + a + b) * (r + a) * (n - r + 1) / ((2 * r + a + b - 1) * (2 * r + a + b))
-    if r == 1:
-        return A, Fraction(0)
     B = (r - 1) * (r + b - 1) * (r + a + b + n) / ((2 * r + a + b - 2) * (2 * r + a + b - 1))
     return A, B
 
 
+def exact_steps(degree: int, a, b, n) -> list:
+    """The t-domain steps r = 2..degree of `rational_coeffs`, carried exactly into t."""
+    half = Fraction(n, 2)
+    return [((A + B - half) / A, -half / A, -B / A)
+            for A, B in (rational_coeffs(r, a, b, n) for r in range(2, degree + 1))]
+
+
 class TestRecurrenceCoeffs:
     def test_hand_values(self):
-        A, B = hahn_coeffs(1.0, 1.0, 7, 2)
-        assert A == pytest.approx(2.4, abs=1e-12)
-        assert B == pytest.approx(1.1, abs=1e-12)
+        A, B = rational_coeffs(2, 1, 1, 7)
+        assert (A, B) == (Fraction(12, 5), Fraction(11, 10))  # A_2 = 2.4, B_2 = 1.1
+        assert hahn_steps(1.0, 1.0, 7, 2) == [
+            pytest.approx((0.0, -3.5 / 2.4, -1.1 / 2.4), rel=1e-14, abs=1e-15)]
 
     def test_b1_is_zero(self):
-        _, B1 = hahn_coeffs(1.0, 1.0, 7, 1)
-        assert B1 == 0.0
+        # B_1 multiplies P_{-1}: degree 1 is P_1's closed form, and steps start at r = 2
+        assert hahn_steps(1.0, 1.0, 7, 1) == []
+        assert len(hahn_steps(1.0, 1.0, 7, 5)) == 4
 
     def test_against_rational_arithmetic(self):
-        for r in range(1, 6):
-            A, B = hahn_coeffs(2.0, 0.5, 10, r)
-            A_exact, B_exact = rational_coeffs(r, 2, Fraction(1, 2), 10)
-            assert A == pytest.approx(float(A_exact), rel=1e-14)
-            assert B == pytest.approx(float(B_exact), rel=1e-14)
+        # each step to 1e-14 of its largest coefficient: a_r is 0 for a = b
+        for a, b, n in ((1, 1, 7), (2, Fraction(1, 2), 10)):
+            steps = hahn_steps(float(a), float(b), n, 5)
+            for step, exact in zip(steps, exact_steps(5, a, b, n), strict=True):
+                scale = float(max(abs(c) for c in exact))
+                assert step == pytest.approx([float(c) for c in exact], rel=1e-14,
+                                             abs=1e-14 * scale)
 
     def test_degenerate_parameters_rejected(self):
-        # a + b = -1 zeroes both A_1's leading factor and its denominator
-        with pytest.raises(BasisParameterError):
+        # a + b = -1 zeroes both A_1's leading factor and its denominator;
+        # for the second a, only the factor r + a + b rounds to 0
+        with pytest.raises(BasisParameterError, match=r"factor 2r\+a\+b-1 is zero"):
             make_basis("hahn", 1, -0.25, -0.75, 7)
+        a = -0.3805271682057597
+        with pytest.raises(BasisParameterError, match=r"the factor \(r \+ a \+ b\) vanishes"):
+            make_basis("hahn", 1, a, -(1 + a), 7)
+
+    @pytest.mark.parametrize("degree, a, b, n", [
+        (3, 1.0, 1.0, 10**400),  # n past float64
+        (1, 1e308, 1.0, 7),  # c1 = -0.0, which derivative_matrix divides by
+        (3, 1e308, 1.0, 7),  # inf / inf steps
+        (3, 1.0, 1e200, 7),  # A_1's denominator overflows
+        (1, 1.0, 1e200, 7),
+        (2, np.nextafter(-1.0, 0.0), np.nextafter(-1.0, 0.0), 7),  # 2r+a+b-2 rounds to 0
+    ], ids=["n", "a-degree-1", "a", "b", "b-degree-1", "a-b-by-minus-1"])
+    def test_overflow_rejected(self, degree, a, b, n):
+        with pytest.raises(BasisParameterError, match="the Hahn recurrence overflows float64"):
+            make_basis("hahn", degree, a, b, n)
 
     def test_degree_beyond_n_rejected(self):
         with pytest.raises(BasisParameterError):

@@ -910,6 +910,32 @@ def test_bad_values_exit_config_code(tiny_run, capsys, argv, cfg_line, key):
     assert not (out_dir / "metrics.csv").exists()
 
 
+OVERFLOWING_HAHN = {
+    "n": "model.hahn_n = 1" + "0" * 400,
+    "a-degree-1": "model.degree = 1\nmodel.hahn_a = 1e308",
+    "a": "model.hahn_a = 1e308",
+    "b": "model.hahn_b = 1e200",
+}
+
+
+@pytest.mark.parametrize("command", ["params", "gradcheck", "train"])
+@pytest.mark.parametrize("lines, message", [
+    *((lines, "the Hahn recurrence overflows float64 for") for lines in OVERFLOWING_HAHN.values()),
+    ("model.hahn_a = -0.25\nmodel.hahn_b = -0.75",
+     "A_1 denominator factor 2r+a+b-1 is zero for (a=-0.25, b=-0.75)"),
+], ids=[*OVERFLOWING_HAHN, "a-plus-b-is-minus-1"])
+def test_hahn_the_recurrence_cannot_run_exits_config_code(tmp_path, capsys, command, lines,
+                                                          message):
+    # refused where the config is read: train exits 2 before it opens
+    # data.path, which does not exist (exit 3 had it read data)
+    cfg = tmp_path / "hahn.cfg"
+    cfg.write_text(f"data.path = {tmp_path / 'missing.csv'}\nrun.out = {tmp_path}\n{lines}\n")
+    assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}")
+    assert len(err.splitlines()) == 1
+
+
 def test_readme_quick_start_commands_parse():
     # a Quick start line naming a removed flag, key or axis fails here
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
@@ -962,12 +988,16 @@ class TestGradcheckCommand:
         assert out.startswith(f"checking {basis} degree {degree}, kan mode\n")
         assert "PASS" in out
 
-    @pytest.mark.parametrize("basis, degree", [("hahn", 7), ("lucas", 9), ("chebyshev", 9)])
+    @pytest.mark.parametrize("basis, degree", [("hahn", 7), ("lucas", 9), ("chebyshev", 9),
+                                               ("hahn", 24)])
     def test_high_degree_models_pass(self, tmp_path, capsys, basis, degree):
         # one central-difference step of 1e-4 read FAIL on the first two
-        # (directional 0.17 and 1.5e-3); the step ladder reads <= 1.8e-5
+        # (directional 0.17 and 1.5e-3); the step ladder reads <= 1.8e-5.
+        # Hahn runs at n = degree: 24 reads 2.5e-9, where folding Hahn into
+        # Chebyshev weights read 6.5e-2
         path = tmp_path / "check.cfg"
-        path.write_text(f"model.basis = {basis}\nmodel.degree = {degree}\n")
+        path.write_text(f"model.basis = {basis}\nmodel.degree = {degree}\n"
+                        f"model.hahn_n = {degree}\n")
         assert cli.main(["gradcheck", "--config", str(path)]) == 0
         assert "PASS" in capsys.readouterr().out
 

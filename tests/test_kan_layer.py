@@ -435,12 +435,12 @@ def record_scratch(monkeypatch) -> list:
 def assert_scratch(requests, degree):
     # a worker's layer scratch is a run's values, one slab per degree, and
     # one product slab (the output's in the forward, the input gradient's
-    # sum in the backward); its basis scratch is three cache blocks, t =
-    # tanh(x) and two products, at any degree
+    # sum in the backward); its basis scratch is two cache blocks, t =
+    # tanh(x) and one product, at any degree
     assert {name for name, _ in requests} == {"layer", "basis"}
     assert max(n for name, n in requests if name == "layer") <= (
         (degree + 1) * RUN_BLOCKS * BLOCK_ELEMENTS)
-    assert max(n for name, n in requests if name == "basis") <= 3 * BLOCK_ELEMENTS
+    assert max(n for name, n in requests if name == "basis") <= 2 * BLOCK_ELEMENTS
 
 
 RUN_CASES = by_degree((-1, (4096, 128), "last"), (-2, (64, 42, 128), "patch"))
@@ -465,7 +465,7 @@ def test_grad_forward_stores_no_derivatives(degree, axis, shape, monkeypatch):
             tracemalloc.stop()
     tt.backward(out.sum())
     assert_scratch(requests, degree)
-    scratch = ((degree + 1) * RUN_BLOCKS + 3) * BLOCK_ELEMENTS * 8
+    scratch = ((degree + 1) * RUN_BLOCKS + 2) * BLOCK_ELEMENTS * 8
     assert peak < (out.data.nbytes * 9 // 8 + layer.gamma.data.nbytes
                    + workers.size * scratch)
 
@@ -493,7 +493,7 @@ def test_backward_holds_one_run_per_worker(degree, axis, shape, monkeypatch):
         finally:
             tracemalloc.stop()
     assert_scratch(requests, degree)
-    scratch = ((degree + 1) * RUN_BLOCKS + 3) * BLOCK_ELEMENTS * 8
+    scratch = ((degree + 1) * RUN_BLOCKS + 2) * BLOCK_ELEMENTS * 8
     assert peak < (x.data.nbytes + (2 + runs) * layer.gamma.data.nbytes
                    + workers.size * scratch)
 
