@@ -220,17 +220,19 @@ def _load_splits(cfg: RunConfig, lookback: int, loaded: dict | None = None):
 
 
 def _require_memory(config: ModelConfig) -> None:
-    """Refuse, before anything is built, a model whose parameters, gradients
-    and two Adam moments (4x its parameter bytes) exceed physical memory."""
+    """Refuse, before anything is built, a model whose parameters, gradients,
+    two Adam moments and the two halves of `Adam.step`'s scratch (6x its
+    parameter bytes) exceed physical memory."""
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no sysconf here: nothing to compare
         return
-    needed = 4 * 8 * config.parameter_count()
+    needed = 6 * 8 * config.parameter_count()
     if needed > physical:
         raise ConfigError(f"the model's {config.parameter_count():,} parameters do not fit "
-                          f"in memory: training holds {needed:,} bytes of parameters, "
-                          f"gradients and Adam moments, the machine has {physical:,}")
+                          f"in memory: a train step holds {needed:,} bytes of parameters, "
+                          f"gradients, Adam moments and Adam scratch, the machine has "
+                          f"{physical:,}")
 
 
 def cmd_train(args) -> int:

@@ -217,6 +217,12 @@ class HahnKanBlock:
     Both layers take [B, n, d]: intra contracts the embedding axis d and
     inter the patch axis n, in place.  A layer that `config.components`
     leaves out is None: the identity map, with no parameters.
+
+    The skip's sum is written into the last layer's output array
+    (`tensor.add` in place).  That is safe because only the sum reads that
+    output: a layer's backward reads its input, never its output.  So a
+    recorded forward keeps one activation fewer per block: with both
+    layers, the intra output (the inter layer's input) and the sum.
     """
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
@@ -231,7 +237,7 @@ class HahnKanBlock:
     def forward(self, x: Tensor) -> Tensor:
         h = self.intra.forward(x) if self.intra is not None else x
         h = self.inter.forward(h) if self.inter is not None else h
-        return h + x
+        return tt.add(h, x, in_place=True)
 
 
 class HaKanModel:

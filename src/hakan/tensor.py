@@ -190,10 +190,22 @@ def _make(data, parents, backward_fn) -> Tensor:
 # operations ---------------------------------------------------------------
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two tensors of one shape."""
+def add(a: Tensor, b: Tensor, in_place: bool = False) -> Tensor:
+    """Elementwise sum of two tensors of one shape.
+
+    With `in_place` the sum is written into a's array, which the result
+    then shares, so a's values are gone.  That is safe only when nothing
+    reads a's values after the sum: no op's backward reads its own output,
+    so a may be an op result that only this sum reads.  a's array must be
+    C-contiguous (its flat slices would be copies, and the sum lost), and
+    must not share memory with b's (b's values would change under it).
+    """
     if a.shape != b.shape:
         raise DimensionError(f"add: shapes {a.shape} and {b.shape} differ")
+    if in_place and not a.data.flags.c_contiguous:
+        raise ContractError("add: an in-place target must be C-contiguous")
+    if in_place and np.shares_memory(a.data, b.data):
+        raise ContractError("add: an in-place target shares memory with the other operand")
 
     def back(g):
         if a.requires_grad:
@@ -201,7 +213,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.accumulate_grad(_copy(g) if a.requires_grad else g)
 
-    out = np.empty(a.shape)
+    out = a.data if in_place else np.empty(a.shape)
     _sliced(lambda o, x, y: np.add(x, y, out=o), out, a.data, b.data)
     return _make(out, (a, b), back)
 

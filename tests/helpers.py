@@ -1,5 +1,5 @@
 """Plain test helpers: repository paths, dataset lookup, synthetic CSVs, cache-block
-slices, basis oracles."""
+slices, basis oracles, an out-of-place residual block."""
 
 import os
 from math import comb
@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hakan.tensor as tt
 from hakan.basis import block_rows
 from hakan.errors import BasisParameterError
 from hakan.layers import _weight_grad
@@ -48,6 +49,13 @@ def row_blocks(rows: int, row_size: int):
     step = block_rows(row_size)
     for lo in range(0, rows, step):
         yield slice(lo, lo + step)
+
+
+def residual_oracle(block, x):
+    """`HahnKanBlock.forward` with the skip's sum formed out of place, in a new array."""
+    h = block.intra.forward(x) if block.intra is not None else x
+    h = block.inter.forward(h) if block.inter is not None else h
+    return tt.add(h, x)
 
 
 # basis oracles ----------------------------------------------------------------

@@ -271,6 +271,25 @@ class TestTrainCommand:
         assert len(err.splitlines()) == 1
         assert not (out_dir / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("bytes_per_parameter, code", [(5 * 8, cli.EXIT_CONFIG), (6 * 8, 0)])
+    def test_memory_guard_counts_adams_scratch(self, tiny_run, monkeypatch, capsys,
+                                               bytes_per_parameter, code):
+        # a train step holds six float64 arrays per parameter: the parameter,
+        # its gradient, Adam's two moments and the two halves of the scratch
+        # `Adam.step` updates through
+        cfg_path, _, out_dir = tiny_run
+        physical = bytes_per_parameter * load_config(cfg_path).model.parameter_count()
+        sysconf = os.sysconf
+        reported = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": physical}
+        monkeypatch.setattr(os, "sysconf", lambda name: reported.get(name) or sysconf(name))
+        assert cli.main(["train", "--config", str(cfg_path)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert "do not fit in memory" in err and len(err.splitlines()) == 1
+            assert not (out_dir / "metrics.csv").exists()
+        else:
+            assert (out_dir / "metrics.csv").exists()
+
     def test_no_dataset_path_exits_config_code(self, tiny_run, capsys):
         cfg_path, _, out_dir = tiny_run
         cfg_path.write_text(cfg_path.read_text() + "data.path = \n")

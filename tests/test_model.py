@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -7,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hakan.tensor as tt
+from hakan import pool
 from hakan.errors import ConfigError, ContractError, DimensionError
 from hakan.model import (
     CHECKPOINT_CONFIG_KEY,
+    COMPONENTS,
     PREDICT_CHUNK,
+    HahnKanBlock,
     HaKanModel,
     ModelConfig,
     RevInState,
@@ -23,7 +28,7 @@ from hakan.model import (
 from hakan.tensor import Tensor
 from hakan.training import Adam, mse_loss
 
-from helpers import closed_form
+from helpers import closed_form, residual_oracle
 from test_tensor import fd_check
 
 
@@ -278,6 +283,89 @@ class TestBlockForward:
         for block in model.blocks:
             h = block.forward(h)
         np.testing.assert_array_equal(h.data, x)
+
+
+class TestResidualInPlace:
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
+    @pytest.mark.parametrize("mode", ["kan", "linear"])
+    @pytest.mark.parametrize("components", list(COMPONENTS))
+    def test_the_sum_in_place_is_the_out_of_place_sum(self, monkeypatch, components,
+                                                      mode, grad, size):
+        # block output, loss and every gradient, bit for bit, against a
+        # block that forms h + x in a new array
+        cfg = ModelConfig(lookback=32, horizon=8, patch_len=8, stride=4, embed_dim=8,
+                          n_blocks=2, bottleneck_dim=16, mode=mode,
+                          components=components, seed=31)
+        in_place, occupies = _residual_run(cfg, size, grad)
+        assert occupies  # the sum is written into the last layer's output
+        monkeypatch.setattr(HahnKanBlock, "forward", residual_oracle)
+        oracle, occupies = _residual_run(cfg, size, grad)
+        assert not occupies
+        assert len(in_place) == len(oracle)
+        for got, want in zip(in_place, oracle):
+            assert got.tobytes() == want.tobytes()
+
+    def test_a_recorded_forward_holds_two_activations_per_block(self):
+        # after a grad-mode forward the tape holds the embedding, each
+        # block's intra output and its sum, written into the inter output;
+        # the patches, the layers' weight layouts and the head's small
+        # arrays stay under one more activation.  One worker, whose
+        # scratch the first step grows, so the traced forward allocates none
+        cfg = ModelConfig(lookback=96, horizon=24, embed_dim=32, n_blocks=3,
+                          bottleneck_dim=64, seed=33)
+        model = HaKanModel(cfg)
+        rng = np.random.default_rng(34)
+        windows = rng.normal(size=(64, 96)).cumsum(axis=1)
+        target = Tensor(rng.normal(size=(64, 24)))
+        with pool._sized(1):
+            tt.backward(mse_loss(model.forward_batch(windows), target))
+            tracemalloc.start()
+            try:
+                pred = model.forward_batch(windows)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            tt.backward(mse_loss(pred, target))
+        activation = 64 * cfg.n_patches * cfg.embed_dim * 8
+        assert held < (2 * cfg.n_blocks + 3) * activation
+
+
+def _residual_run(cfg, size, grad) -> tuple:
+    """([block 0's output, with `grad` the gradients of its sum, a model's
+    loss, with `grad` its gradients], whether the block's output occupies
+    its last layer's output array)."""
+    model = HaKanModel(cfg)
+    block = model.blocks[0]
+    last = block.inter if block.inter is not None else block.intra
+    outputs = []
+
+    def recorded(x, _forward=last.forward):
+        outputs.append(_forward(x))
+        return outputs[-1]
+
+    rng = np.random.default_rng(35)
+    x = Tensor(rng.normal(size=(16, cfg.n_patches, cfg.embed_dim)), requires_grad=grad)
+    windows = rng.normal(size=(16, cfg.lookback)).cumsum(axis=1)
+    target = Tensor(rng.normal(size=(16, cfg.horizon)))
+    with pool._sized(size), (nullcontext() if grad else tt.no_grad()):
+        last.forward = recorded
+        out = block.forward(x)
+        del last.forward
+        occupies = np.shares_memory(out.data, outputs[0].data)
+        seen = [out.data.copy()]
+        if grad:
+            tt.backward(out.sum())
+            seen += [x.grad] + [p.grad for p in model.parameters() if p.grad is not None]
+            for p in model.parameters():
+                p.zero_grad()
+        loss = mse_loss(model.forward_batch(windows), target)
+        seen.append(loss.data)
+        if grad:
+            tt.backward(loss)
+            seen += [p.grad for p in model.parameters()]
+    assert not tt._tape()
+    return seen, occupies
 
 
 # ---------------------------------------------------------------- forward

@@ -185,6 +185,28 @@ class TestPooledPasses:
         np.testing.assert_array_equal(w.grad, np.arange(6.0).reshape(3, 2).T + 1.0)
 
 
+class TestInPlaceAdd:
+    def test_the_sum_occupies_the_first_operand(self):
+        a, b = np.arange(6.0).reshape(2, 3), np.ones((2, 3))
+        out = tt.add(Tensor(a), Tensor(b), in_place=True)
+        assert out.data is a
+        np.testing.assert_array_equal(a, np.arange(6.0).reshape(2, 3) + 1.0)
+
+    def test_a_target_that_is_not_c_contiguous_is_refused(self):
+        # its flat slices would be copies, and the sum would be lost
+        a = np.arange(12.0).reshape(4, 3).T
+        with pytest.raises(ContractError, match="C-contiguous"):
+            tt.add(Tensor(a), Tensor(np.ones((3, 4))), in_place=True)
+        np.testing.assert_array_equal(a, np.arange(12.0).reshape(4, 3).T)
+
+    def test_a_target_that_shares_memory_with_the_other_operand_is_refused(self):
+        # the sum would overwrite the other operand's values
+        arr = np.arange(8.0)
+        with pytest.raises(ContractError, match="shares memory"):
+            tt.add(Tensor(arr[:4]), Tensor(arr[2:6]), in_place=True)
+        np.testing.assert_array_equal(arr, np.arange(8.0))
+
+
 class TestHygiene:
     def test_ops_do_not_mutate_inputs(self):
         rng = np.random.default_rng(11)
