@@ -21,8 +21,8 @@ from .errors import BasisParameterError, ConfigError, ContractError
 
 BASIS_KINDS = ("hahn", "chebyshev", "lucas")
 # The highest degree a basis is built with.  `make_basis` builds one
-# recurrence step per degree and a KAN layer's worker scratch holds a run
-# of values per degree (34 MB at 64), so an unbounded degree is a memory or
+# recurrence step per degree and a KAN layer's task scratch holds a run of
+# values per degree (34 MB at 64), so an unbounded degree is a memory or
 # time bomb rather than a model.
 MAX_DEGREE = 64
 

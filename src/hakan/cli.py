@@ -30,6 +30,7 @@ from .data import load_csv, prepare
 from .errors import ConfigError, ContractError, DataError, DimensionError
 from .model import HaKanModel, ModelConfig, count_breakdown
 from .training import (
+    ARRAYS_PER_PARAMETER,
     CHECK_TOLERANCE,
     evaluate,
     grad_check,
@@ -220,19 +221,17 @@ def _load_splits(cfg: RunConfig, lookback: int, loaded: dict | None = None):
 
 
 def _require_memory(config: ModelConfig) -> None:
-    """Refuse, before anything is built, a model whose parameters, gradients,
-    two Adam moments and the two halves of `Adam.step`'s scratch (6x its
-    parameter bytes) exceed physical memory."""
+    """Refuse, before anything is built, a model whose train step's arrays
+    (`training.ARRAYS_PER_PARAMETER` per parameter) exceed physical memory."""
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no sysconf here: nothing to compare
         return
-    needed = 6 * 8 * config.parameter_count()
+    needed = ARRAYS_PER_PARAMETER * 8 * config.parameter_count()
     if needed > physical:
         raise ConfigError(f"the model's {config.parameter_count():,} parameters do not fit "
                           f"in memory: a train step holds {needed:,} bytes of parameters, "
-                          f"gradients, Adam moments and Adam scratch, the machine has "
-                          f"{physical:,}")
+                          f"gradients and Adam moments, the machine has {physical:,}")
 
 
 def cmd_train(args) -> int:

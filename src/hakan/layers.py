@@ -31,7 +31,7 @@ from .tensor import Tensor
 
 # Cache blocks (`basis.BLOCK_ELEMENTS`) per pool task of a KAN layer, forward
 # and backward (`_runs`).  A task makes one basis call into its worker's
-# scratch, so a worker's layer scratch is a run's values, one slab per
+# task scratch (`pool.scratch("task", ...)`), a run's values, one slab per
 # degree, and one more run-sized slab for a product.  Three raised
 # perfbench's `peak_rss_mb` on both workloads against two, and sped up
 # serve-electricity's steps; see README, Performance.
@@ -155,7 +155,7 @@ class KanLayer:
         In kan mode the input is split into runs of leading rows (`_runs`),
         one pool task each.  Degree 0 is a bias, P_0 times the coefficient
         sum over inputs.  For each run the basis writes degrees 1..R of its
-        elements into its worker's scratch, one contiguous slab V_r per
+        elements into its worker's task scratch, one contiguous slab V_r per
         degree, and the task contracts one degree at a time, out = sum_r
         W_r V_r with W_r = gamma[:, :, r], each product added into that
         run's rows of the output, to which it adds the bias.  No values
@@ -175,7 +175,7 @@ class KanLayer:
         def run_task(run):
             src, out = x_rows[run], out_rows[run]
             if degree:
-                work = pool.scratch("layer", degree * src.size + out.size)
+                work = pool.scratch("task", degree * src.size + out.size)
                 values = work[:degree * src.size].reshape((degree,) + src.shape)
                 product = work[degree * src.size:].reshape(out.shape)
                 self.basis.eval_terms(src, out=values)
@@ -236,7 +236,7 @@ class KanLayer:
             if not degree:  # the bias alone: no input gradient
                 slope.fill(0.0)
                 return
-            work = pool.scratch("layer", (degree + 1) * xs.size)
+            work = pool.scratch("task", (degree + 1) * xs.size)
             values = work[:degree * xs.size].reshape((degree,) + xs.shape)
             total = work[degree * xs.size:].reshape(xs.shape)
             basis.eval_terms_with_deriv(xs, out=(values, slope))

@@ -23,8 +23,8 @@ and each piece computes the same bits on any thread, so results are
 bitwise the same for any CPU count.  A task writes into its piece of an
 array its caller allocated, rather than returning an array of its own.
 
-Each thread owns its scratch arrays (`scratch`), reused by every layer and
-basis that runs a task on it.
+A task's working memory is its thread's scratch (`scratch`): "task" for a
+KAN layer's run or a slice of Adam's update, "basis" for a basis call's blocks.
 
 Making the pool also keeps freed heap pages mapped (`_retain_heap`): a
 train step frees and reallocates its activations, which glibc would
@@ -68,7 +68,7 @@ def _openblas():
 # free top of the heap kept mapped, and the size from which a request gets
 # its own mapping, returned to the kernel when freed (32 MiB, where glibc's
 # own sliding threshold stops, and the most older glibc releases accept).
-# A train-l336 activation is ~11 MB and its largest Adam scratch 29 MB, so a
+# A train-l336 activation is ~11 MB and `w_down`'s gradient 14.5 MB, so a
 # train step takes everything from the heap; a batch-1024 activation (44 MB,
 # configs/ettm1.cfg) still gets its own mapping.
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3

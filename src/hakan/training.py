@@ -49,6 +49,9 @@ def mse_loss(pred: Tensor, truth) -> Tensor:
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+# float64 arrays a train step holds per parameter: the parameter, its
+# gradient and Adam's two moments (`cli._require_memory` counts them)
+ARRAYS_PER_PARAMETER = 4
 
 
 class Adam:
@@ -64,18 +67,18 @@ class Adam:
     def step(self) -> None:
         """One update of every parameter, written in place.
 
-        Each parameter's arithmetic runs through one scratch array of two
-        halves, in the order of m = b1 m + (1 - b1) g,
-        v = b2 v + (1 - b2) g^2 and p -= lr (m / bc1) / (sqrt(v / bc2) + eps).
         The work is cut into the fixed flat slices of the tensor module's
-        whole-array passes (`tensor._cuts`), one pool task per slice; the
-        update is elementwise, so the slicing changes no bit.  A slice of a
-        C-contiguous array is a view, so every array must be one.
+        whole-array passes (`tensor._cuts`), one pool task per slice, whose
+        arithmetic runs through two slice-sized halves of its worker's task
+        scratch (`pool.scratch`), in the order of m = b1 m + (1 - b1) g,
+        v = b2 v + (1 - b2) g^2 and p -= lr (m / bc1) / (sqrt(v / bc2) + eps).
+        The update is elementwise, so the slicing changes no bit.  A slice of
+        a C-contiguous array is a view, so every array must be one.
         """
         if any(p.grad is None for p in self.params):
             raise ContractError("adam step with a missing gradient")
-        if not all(a.flags.c_contiguous for p, m, v in zip(self.params, self.m, self.v)
-                   for a in (p.data, p.grad, m, v)):
+        arrays = [(p.data, p.grad, m, v) for p, m, v in zip(self.params, self.m, self.v)]
+        if not all(a.flags.c_contiguous for group in arrays for a in group):
             raise ContractError("adam needs C-contiguous parameters, gradients and moments")
         self.t += 1
         bc1 = 1.0 - BETA1 ** self.t
@@ -83,7 +86,8 @@ class Adam:
 
         def update(item):
             flats, cut = item
-            p, g, m, v, num, den = (f[cut] for f in flats)
+            p, g, m, v = (f[cut] for f in flats)
+            num, den = pool.scratch("task", 2 * len(p)).reshape(2, -1)
             np.multiply(g, 1.0 - BETA1, out=num)
             m *= BETA1
             m += num
@@ -101,15 +105,8 @@ class Adam:
             num /= den
             p -= num
 
-        items = []
-        for p, m, v in zip(self.params, self.m, self.v):
-            # one scratch array per parameter, freed after the step: the
-            # next step takes its pages back from the heap the pool keeps
-            # mapped (`pool._retain_heap`), and no worker holds them between
-            # steps
-            flats = [a.reshape(-1) for a in (p.data, p.grad, m, v)] + list(np.empty((2, p.size)))
-            items += [(flats, cut) for cut in tt._cuts(p.size)]
-        pool.map(update, items)
+        flats = [[a.reshape(-1) for a in group] for group in arrays]
+        pool.map(update, [(f, cut) for f in flats for cut in tt._cuts(f[0].size)])
 
     def zero_grad(self) -> None:
         for p in self.params:

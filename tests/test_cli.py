@@ -271,12 +271,12 @@ class TestTrainCommand:
         assert len(err.splitlines()) == 1
         assert not (out_dir / "metrics.csv").exists()
 
-    @pytest.mark.parametrize("bytes_per_parameter, code", [(5 * 8, cli.EXIT_CONFIG), (6 * 8, 0)])
-    def test_memory_guard_counts_adams_scratch(self, tiny_run, monkeypatch, capsys,
-                                               bytes_per_parameter, code):
-        # a train step holds six float64 arrays per parameter: the parameter,
-        # its gradient, Adam's two moments and the two halves of the scratch
-        # `Adam.step` updates through
+    @pytest.mark.parametrize("bytes_per_parameter, code", [(3 * 8, cli.EXIT_CONFIG), (4 * 8, 0)])
+    def test_memory_guard_counts_four_arrays_per_parameter(self, tiny_run, monkeypatch, capsys,
+                                                           bytes_per_parameter, code):
+        # a train step holds four float64 arrays per parameter: the parameter,
+        # its gradient and Adam's two moments; `Adam.step` works in its
+        # workers' task scratch
         cfg_path, _, out_dir = tiny_run
         physical = bytes_per_parameter * load_config(cfg_path).model.parameter_count()
         sysconf = os.sysconf

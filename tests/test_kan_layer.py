@@ -433,12 +433,12 @@ def record_scratch(monkeypatch) -> list:
 
 
 def assert_scratch(requests, degree):
-    # a worker's layer scratch is a run's values, one slab per degree, and
+    # a worker's task scratch is a run's values, one slab per degree, and
     # one product slab (the output's in the forward, the input gradient's
     # sum in the backward); its basis scratch is two cache blocks, t =
     # tanh(x) and one product, at any degree
-    assert {name for name, _ in requests} == {"layer", "basis"}
-    assert max(n for name, n in requests if name == "layer") <= (
+    assert {name for name, _ in requests} == {"task", "basis"}
+    assert max(n for name, n in requests if name == "task") <= (
         (degree + 1) * RUN_BLOCKS * BLOCK_ELEMENTS)
     assert max(n for name, n in requests if name == "basis") <= 2 * BLOCK_ELEMENTS
 

@@ -221,10 +221,11 @@ def test_pool_size_changes_no_bit(tmp_path):
         assert a.tobytes() == b.tobytes()
 
 
-# Three train steps with an `evaluate` between them, after two warm-up
-# rounds, in a fresh process: glibc raises its own thresholds as large
-# blocks are freed, so a process that has run other tests hides the faults.
-# Each activation is 1.5 MB (128 windows of 12 patches by 128).
+# Three train steps with an `evaluate` and an 11-channel `predict` (two
+# chunk tasks) between them, after two warm-up rounds, in a fresh process:
+# glibc raises its own thresholds as large blocks are freed, so a process
+# that has run other tests hides the faults.  Each activation is 1.5 MB (128
+# windows of 12 patches by 128).
 FAULT_PROBE = """
 import resource, sys
 from pathlib import Path
@@ -240,6 +241,7 @@ from test_pool import BIT_CONFIG
 splits = prepare(load_csv(write_synthetic_csv(Path(sys.argv[1]), rows=900, channels=11)),
                  SplitSpec("ratio"), lookback=96)
 bounds = SegmentBounds(splits.test.start, splits.test.start + 96 + 8 - 1 + 40)
+window = splits.values[splits.test.start:splits.test.start + 96]
 rng = np.random.default_rng(23)
 x, y = rng.normal(size=(128, 96)).cumsum(axis=1), rng.normal(size=(128, 8))
 model = HaKanModel(BIT_CONFIG)
@@ -250,14 +252,18 @@ def step():
     optimizer.step()
     optimizer.zero_grad()
 
+def serve():
+    evaluate(model, splits, bounds, batch_size=128)
+    model.predict(window)
+
 for _ in range(2):
     step()
-    evaluate(model, splits, bounds, batch_size=128)
+    serve()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 step()
-evaluate(model, splits, bounds, batch_size=128)
+serve()
 step()
-evaluate(model, splits, bounds, batch_size=128)
+serve()
 step()
 print(pool.heap_retained(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """

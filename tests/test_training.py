@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,24 @@ class TestAdam:
                 want -= (m / (1.0 - BETA1 ** t) * 1e-2) / (np.sqrt(v / (1.0 - BETA2 ** t)) + EPS)
         assert p.data.tobytes() == want.tobytes()
         assert opt.m[0].tobytes() == m.tobytes() and opt.v[0].tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_warm_step_allocates_no_parameter_sized_array(self, size):
+        # a slice's update works in its worker's task scratch, which the
+        # warm-up step has grown; the step allocates nothing near one
+        # parameter's 8 MB
+        p = Tensor(np.ones((1000, 1000)), requires_grad=True)
+        p.grad = np.full(p.shape, 0.5)
+        opt = Adam([p], lr=1e-3)
+        with pool._sized(size):
+            opt.step()
+            tracemalloc.start()
+            try:
+                opt.step()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < p.data.nbytes
 
     def test_non_contiguous_parameter_rejected(self):
         # the update writes through flat views, which only a C-contiguous array has
