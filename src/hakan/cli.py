@@ -236,6 +236,8 @@ def _require_memory(config: ModelConfig) -> None:
 
 def cmd_train(args) -> int:
     cfg = _resolve(args, OVERRIDES)
+    if "/" in cfg.data_name:  # it starts the name of every file the run writes
+        raise ConfigError(f"data.name {cfg.data_name!r} holds '/', so it cannot name a file")
     _require_memory(cfg.model)
     splits = _load_splits(cfg, cfg.model.lookback)
     out = _out_dir(cfg)
@@ -333,12 +335,12 @@ def cmd_sweep(args) -> int:
         splits = _load_splits(cfg, cfg.model.lookback, loaded)
         records = []
         for seed in cfg.seeds:
-            model, rec = _train_one(cfg, splits, seed)
+            _, rec = _train_one(cfg, splits, seed)
             records.append(rec)
             print(f"  [{args.axis}={label}] seed={seed} "
                   f"mse={rec.mse:.4f} mae={rec.mae:.4f}")
         mse, _, mae, _ = seed_summary(records)
-        rows.append((label, mse, mae, model.param_count()))
+        rows.append((label, mse, mae, cfg.model.parameter_count()))
     print(f"\n{args.axis:<12}{'mse':>10}{'mae':>10}{'params':>12}")
     for label, mse, mae, params in rows:
         print(f"{label:<12}{mse:>10.4f}{mae:>10.4f}{params:>12,}")

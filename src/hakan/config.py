@@ -86,6 +86,8 @@ def _parse(kind: str, raw: str):
         if not math.isfinite(value):
             raise ValueError(raw)
         return value
+    if "\x00" in raw:  # no path or file name can hold a NUL byte
+        raise ValueError(raw)
     return raw
 
 

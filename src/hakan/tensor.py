@@ -25,7 +25,7 @@ from .errors import ContractError, DimensionError
 # a fixed count, so the slices never depend on the pool size.
 SLICE_ELEMENTS = 1 << 17
 
-_TAPE: list = []
+_TAPE: list = []  # (op result, backward closure) pairs, in recording order
 _grad_enabled = True
 
 
@@ -43,14 +43,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-class _Node:
-    __slots__ = ("out", "backward")
-
-    def __init__(self, out, backward):
-        self.out = out
-        self.backward = backward
 
 
 class Tensor:
@@ -107,12 +99,6 @@ class Tensor:
 
     # arithmetic -----------------------------------------------------------
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, *shape)
-
     def sum(self):
         return tensor_sum(self)
 
@@ -135,11 +121,10 @@ def backward(root: Tensor) -> None:
     root.grad += 1.0
     try:
         while _TAPE:
-            node = _TAPE.pop()  # dropped after it runs, with the activations it saved
-            g = node.out.grad
-            if g is not None:
-                node.backward(g)
-                node.out.grad = None
+            out, back = _TAPE.pop()  # dropped after it runs, with the activations it saved
+            if out.grad is not None:
+                back(out.grad)
+                out.grad = None
     finally:
         _TAPE.clear()
 
@@ -183,7 +168,7 @@ def _make(data, parents, backward_fn) -> Tensor:
     _check_finite(out.data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        _TAPE.append(_Node(out, backward_fn))
+        _TAPE.append((out, backward_fn))
     return out
 
 
@@ -218,9 +203,7 @@ def add(a: Tensor, b: Tensor, in_place: bool = False) -> Tensor:
     return _make(out, (a, b), back)
 
 
-def reshape(a: Tensor, *shape) -> Tensor:
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
+def reshape(a: Tensor, shape: tuple) -> Tensor:
     try:
         data = a.data.reshape(shape)
     except ValueError:

@@ -126,8 +126,8 @@ class TrainSpec:
             raise ConfigError(f"train.max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 1:
             raise ConfigError(f"train.patience must be >= 1, got {self.patience}")
-        if self.lr <= 0:
-            raise ConfigError("learning rate must be positive")
+        if not 0 < self.lr < np.inf:  # NaN fails both
+            raise ConfigError(f"learning rate must be positive and finite, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
 
@@ -149,7 +149,6 @@ class EarlyStopper:
     def __init__(self, patience: int):
         self.patience = patience
         self.best = np.inf
-        self.best_epoch = 0
         self.bad_epochs = 0
         self.epoch = 0
 
@@ -158,7 +157,6 @@ class EarlyStopper:
         self.epoch += 1
         if value < self.best:
             self.best = value
-            self.best_epoch = self.epoch
             self.bad_epochs = 0
             return True
         self.bad_epochs += 1

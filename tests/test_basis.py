@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hakan.basis import MAX_DEGREE, hahn_steps, make_basis
-from hakan.errors import BasisParameterError, ConfigError
+from hakan.errors import BasisParameterError, ConfigError, ContractError
 
 from helpers import (closed_form, eval_all, eval_all_with_deriv, fill, orthogonality_weight,
                      squash, textbook)
@@ -218,6 +218,25 @@ def test_eval_counter_tracks_elements():
     basis.derivative_matrix()
     assert basis.eval_count == 23
     assert values.shape == (3, 3) and slope.shape == (3,)
+
+
+@pytest.mark.parametrize("layout", ["shape", "strided"])
+def test_out_arrays_of_another_shape_or_layout_are_refused(layout):
+    # the terms are written through flat views of `out`: an array of the
+    # same size but another shape, or a strided one, would take them in the
+    # wrong order or in a copy
+    basis = make_basis("hahn", 3)
+    x = np.zeros((4, 5))
+    if layout == "shape":
+        values, slope = np.empty((3, 5, 4)), np.empty((5, 4))
+    else:
+        values, slope = np.empty((3, 5, 4)).transpose(0, 2, 1), np.empty((5, 4)).T
+    with pytest.raises(ContractError, match=r"C-contiguous array of shape \(3, 4, 5\)"):
+        basis.eval_terms(x, out=values)
+    with pytest.raises(ContractError, match=r"C-contiguous array of shape \(3, 4, 5\)"):
+        basis.eval_terms_with_deriv(x, out=(values, np.empty(x.shape)))
+    with pytest.raises(ContractError, match=r"C-contiguous array of shape \(4, 5\)"):
+        basis.eval_terms_with_deriv(x, out=(np.empty((3, 4, 5)), slope))
 
 
 @pytest.mark.parametrize("kind", ["hahn", "chebyshev", "lucas"])

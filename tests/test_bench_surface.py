@@ -9,6 +9,8 @@ rename or removal it depends on fails here rather than in a benchmark run.
 import sys
 from pathlib import Path
 
+import numpy as np
+
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(BENCH))
 
@@ -17,6 +19,7 @@ import synth  # noqa: E402
 from tracing import Tracer  # noqa: E402
 
 from hakan import data, training  # noqa: E402
+from hakan import tensor as tt  # noqa: E402
 from hakan.model import HaKanModel, ModelConfig  # noqa: E402
 
 SERIES = synth.SeriesShape(rows=300, columns=("a", "b", "c"),
@@ -55,3 +58,18 @@ def test_traced_step_records_every_target(tmp_path):
     in_step = {span.name for span in tracer.descendants(step)}
     deriv = [name for _, _, name in targets if name.endswith(".basis.eval_deriv")]
     assert len(deriv) == 2 * cfg.n_blocks and set(deriv) <= in_step
+
+
+def test_the_counts_the_benchmark_reads():
+    # the harness reports a model's size from `param_count` and the basis
+    # elements of its forwards from `_basis_count`: every KAN layer
+    # evaluates the basis once per element of its [batch, patches, embed] input
+    cfg = ModelConfig(lookback=32, horizon=8, patch_len=8, stride=4, embed_dim=8,
+                      n_blocks=2, bottleneck_dim=16, degree=3, seed=3)
+    model = HaKanModel(cfg)
+    assert model.param_count() == cfg.parameter_count()
+    before = harness._basis_count(model)
+    with tt.no_grad():
+        model.forward_batch(np.zeros((5, cfg.lookback)))
+    elements = 5 * cfg.n_patches * cfg.embed_dim
+    assert harness._basis_count(model) - before == 2 * cfg.n_blocks * elements

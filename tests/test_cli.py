@@ -290,6 +290,18 @@ class TestTrainCommand:
         else:
             assert (out_dir / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("error", [ValueError, OSError])
+    def test_memory_guard_without_sysconf_lets_train_run(self, tiny_run, monkeypatch, error):
+        # a platform that cannot report its memory gives nothing to compare
+        cfg_path, _, out_dir = tiny_run
+
+        def sysconf(name):
+            raise error(name)
+
+        monkeypatch.setattr(os, "sysconf", sysconf)
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+        assert (out_dir / "metrics.csv").exists()
+
     def test_no_dataset_path_exits_config_code(self, tiny_run, capsys):
         cfg_path, _, out_dir = tiny_run
         cfg_path.write_text(cfg_path.read_text() + "data.path = \n")
@@ -586,6 +598,8 @@ class TestEvalCommand:
         ("nan_value", "checkpoint key w_up holds float64"),
         ("inf_value", "checkpoint key w_up holds float64"),
         ("oversized_header", "checkpoint key w_down does not fit in memory"),
+        ("block_header", "checkpoint key block.0.intra.gamma is unreadable"),
+        ("directory", "is not a readable checkpoint"),
     ])
     def test_damaged_checkpoint_exits_data_code(self, tiny_run, capsys, monkeypatch,
                                                 damage, message):
@@ -653,6 +667,13 @@ class TestEvalCommand:
                 header, {"descr": "<f8", "fortran_order": False, "shape": (10**6, 10**6)})
             with zipfile.ZipFile(ckpt, "a") as archive:
                 archive.writestr("w_down.npy", header.getvalue() + bytes(64))
+        elif damage == "block_header":  # read for its size before any array is loaded
+            np.savez(ckpt, **{k: v for k, v in arrays.items() if k != "block.0.intra.gamma"})
+            with zipfile.ZipFile(ckpt, "a") as archive:
+                archive.writestr("block.0.intra.gamma.npy", b"\x93NUMPY\x01\x00\x08\x00garbage\n")
+        elif damage == "directory":
+            ckpt.unlink()
+            ckpt.mkdir()
         else:
             w_up = arrays["w_up"]
             arrays["w_up"] = {
@@ -794,6 +815,43 @@ def test_failed_write_under_out_exits_config_code(tiny_run, capsys, argv, name):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("config error: run.out")
     assert str(blocker) in err
+
+
+@pytest.mark.parametrize("key", ["run.out", "data.name", "data.path"])
+@pytest.mark.parametrize("argv", [
+    ["train"],
+    ["sweep", "--axis", "blocks", "--values", "1", "--max-epochs", "1"],
+    ["eval", "--checkpoint", "CKPT"],
+], ids=["train", "sweep", "eval"])
+def test_nul_byte_in_a_string_value_exits_config_code(tiny_run, capsys, argv, key):
+    # no file path or name holds a NUL byte: the key is refused as it is
+    # parsed, not by the first file operation that meets it
+    cfg_path, _, out_dir = tiny_run
+    if "CKPT" in argv:
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+    argv = [str(out_dir / "synthetic_T4_seed11.npz") if arg == "CKPT" else arg
+            for arg in argv]
+    bad = cfg_path.parent / "nul.cfg"
+    bad.write_text(cfg_path.read_text() + f"{key} = x\x00y\n")
+    assert cli.main([*argv, "--config", str(bad)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: config key {key}:")
+    assert captured.out == ""
+
+
+def test_train_refuses_a_data_name_holding_a_slash_before_reading(tiny_run, capsys,
+                                                                  monkeypatch):
+    # every file a run writes is named after data.name
+    cfg_path, _, out_dir = tiny_run
+    reads = []
+    monkeypatch.setattr(cli, "load_csv", lambda *args: reads.append(args))
+    cfg_path.write_text(cfg_path.read_text() + "data.name = a/b\n")
+    assert cli.main(["train", "--config", str(cfg_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: data.name 'a/b'")
+    assert not reads and not out_dir.exists()
 
 
 class TestParamsCommand:

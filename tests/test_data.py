@@ -273,6 +273,10 @@ class TestStandardize:
             out, mean, std = standardize(ds, SegmentBounds(0, 70))
         np.testing.assert_array_equal(out[:, 1], np.zeros(100))
 
+    def test_empty_train_range_rejected(self):
+        with pytest.raises(ConfigError, match="empty train range"):
+            standardize(fake_dataset(10), SegmentBounds(4, 4))
+
     def test_identity_when_already_standard(self):
         ds = fake_dataset(4000, channels=1, seed=3)
         ds.values = (ds.values - ds.values[:2800].mean()) / ds.values[:2800].std()

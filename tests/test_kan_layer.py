@@ -365,9 +365,9 @@ def test_blocked_input_grad_is_the_whole_array_formula(kind, degree, axis, shape
     g = rng.normal(size=shape[:axis] + (in_dim + 3,) + shape[axis:][1:])
     with pool._sized(2):
         out = layer.forward(xt)
-        node = tt._tape().pop()
-        assert node.out is out and not tt._tape()
-        node.backward(g)
+        recorded, back = tt._tape().pop()
+        assert recorded is out and not tt._tape()
+        back(g)
     # the layer takes derivatives from the values through D, the oracle from
     # the derivative recurrence, so they agree to rounding
     want = whole_input_grad(layer, g, x)
@@ -398,10 +398,10 @@ def test_bias_grad_is_the_whole_array_sum(degree, axis, shape):
     rng = np.random.default_rng(25)
     x = rng.normal(size=shape)
     out = layer.forward(Tensor(x))
-    node = tt._tape().pop()
+    _, back = tt._tape().pop()
     g = rng.normal(size=out.shape)
     with pool._sized(2):
-        node.backward(g)
+        back(g)
     g_sum = g.sum(axis=tuple(i for i in range(g.ndim) if i != g.ndim + axis))
     want = np.broadcast_to((layer.basis.p0 * g_sum)[:, None], layer.gamma.shape[:2])
     np.testing.assert_allclose(layer.gamma.grad[:, :, 0], want, rtol=1e-13, atol=0)
@@ -483,12 +483,12 @@ def test_backward_holds_one_run_per_worker(degree, axis, shape, monkeypatch):
     runs = len(_runs(prod(shape[:axis]), prod(shape[axis:])))
     with pool._sized(2) as workers:
         layer.forward(x)
-        node = tt._tape().pop()
+        _, back = tt._tape().pop()
         x.grad, layer.gamma.grad = np.zeros(shape), np.zeros(layer.gamma.shape)
         requests = record_scratch(monkeypatch)
         tracemalloc.start()
         try:
-            node.backward(g)
+            back(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -496,6 +496,13 @@ def test_backward_holds_one_run_per_worker(degree, axis, shape, monkeypatch):
     scratch = ((degree + 1) * RUN_BLOCKS + 2) * BLOCK_ELEMENTS * 8
     assert peak < (x.data.nbytes + (2 + runs) * layer.gamma.data.nbytes
                    + workers.size * scratch)
+
+
+def test_an_unknown_mode_and_a_kan_layer_without_a_basis_are_refused():
+    with pytest.raises(ContractError, match="unknown layer mode 'mlp'"):
+        KanLayer(4, 4, basis=make_basis("hahn", 3), mode="mlp")
+    with pytest.raises(ContractError, match="kan mode requires a basis"):
+        KanLayer(4, 4)
 
 
 @pytest.mark.parametrize("kind", ["hahn", "chebyshev", "lucas"])

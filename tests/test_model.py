@@ -410,6 +410,15 @@ def reference_forward(model: HaKanModel, series: np.ndarray) -> np.ndarray:
 
 
 class TestForward:
+    @pytest.mark.parametrize("shape", [(8,), (2, 9), (2, 8, 1)])
+    def test_windows_of_another_shape_are_refused(self, shape):
+        with pytest.raises(DimensionError, match=r"expected \[batch, 8\] windows"):
+            _tiny_model().forward_batch(np.zeros(shape))
+
+    def test_a_two_dimensional_series_is_refused(self):
+        with pytest.raises(DimensionError, match="expected a 1-d series, got shape"):
+            _tiny_model().forward(np.zeros((8, 1)))
+
     def test_zero_parameters_predict_window_mean(self):
         model = _tiny_model()
         for param in model.parameters():

@@ -181,7 +181,7 @@ class TestEarlyStopper:
         assert not stopper.should_stop
         assert stopper.update(6.0) is False
         assert stopper.should_stop
-        assert stopper.best_epoch == 1
+        assert stopper.best == 5.0
         assert stopper.epoch == 2
 
     def test_reset_on_improvement(self):
@@ -190,7 +190,6 @@ class TestEarlyStopper:
             stopper.update(value)
         assert not stopper.should_stop
         assert stopper.best == 4.0
-        assert stopper.best_epoch == 3
         stopper.update(4.4)  # second consecutive epoch above the best
         assert stopper.should_stop
 
@@ -321,6 +320,11 @@ class TestTrainLoop:
     def test_spec_validation(self):
         with pytest.raises(ConfigError):
             TrainSpec(lr=0.0)
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_non_finite_learning_rate_rejected(self, lr):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            TrainSpec(lr=lr)
 
     def test_patience_beyond_max_epochs_runs_every_epoch(self):
         # epoch 1 always improves on inf, so no patience >= max_epochs stops early
