@@ -203,6 +203,18 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
+def _require_short_names(out: Path, cfg: RunConfig, stems) -> None:
+    """Refuse, before any seed trains, file names (a manifest's is longest) run.out cannot hold."""
+    try:
+        limit = os.pathconf(out, "PC_NAME_MAX")
+    except (AttributeError, ValueError, OSError):  # no limit to read here
+        return
+    longest = max(len(os.fsencode(stem + ".manifest")) for stem in stems)
+    if longest > limit:  # with data.name empty, the CSV's stem names the dataset
+        key = "data.name" if cfg.data_name else "data.path"
+        raise ConfigError(f"{key} makes file names of {longest} bytes, over run.out's {limit}")
+
+
 def _train_one(cfg: RunConfig, splits, seed: int):
     model_cfg, spec = cfg.bind(splits.n_channels, seed)
     return train(HaKanModel(model_cfg), splits, spec)
@@ -241,11 +253,12 @@ def cmd_train(args) -> int:
     _require_memory(cfg.model)
     splits = _load_splits(cfg, cfg.model.lookback)
     out = _out_dir(cfg)
+    stems = {seed: f"{splits.name}_T{cfg.model.horizon}_seed{seed}" for seed in cfg.seeds}
+    _require_short_names(out, cfg, stems.values())
     records = []
-    for seed in cfg.seeds:
+    for seed, stem in stems.items():
         started = time.strftime("%Y-%m-%d %H:%M:%S")
         model, rec = _train_one(cfg, splits, seed)
-        stem = f"{splits.name}_T{cfg.model.horizon}_seed{seed}"
         with _writing(out / f"{stem}.npz") as path:
             model.save(path)
         _write_manifest(out / f"{stem}.manifest", cfg, {

@@ -143,30 +143,6 @@ class MetricRecord:
     wall_time: float
 
 
-class EarlyStopper:
-    """Stop after `patience` consecutive epochs without a new best value."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best = np.inf
-        self.bad_epochs = 0
-        self.epoch = 0
-
-    def update(self, value: float) -> bool:
-        """Record one epoch's validation value; True if it is a new best."""
-        self.epoch += 1
-        if value < self.best:
-            self.best = value
-            self.bad_epochs = 0
-            return True
-        self.bad_epochs += 1
-        return False
-
-    @property
-    def should_stop(self) -> bool:
-        return self.bad_epochs >= self.patience
-
-
 def _windows(splits: DatasetSplits, lookback: int, horizon: int, bounds) -> int:
     n_origins = window_count(len(bounds), lookback, horizon)
     if n_origins < 1:
@@ -228,8 +204,7 @@ def train(model: HaKanModel, splits: DatasetSplits, spec: TrainSpec) -> tuple:
     origins, chans = train_pool(splits, cfg.lookback, cfg.horizon)
     rng = np.random.default_rng(spec.seed)
     optimizer = Adam(model.parameters(), lr=spec.lr)
-    stopper = EarlyStopper(spec.patience)
-    snapshot = None
+    best, bad_epochs = np.inf, 0
     for epoch in range(1, spec.max_epochs + 1):
         perm = rng.permutation(origins.size)
         loss_sum = 0.0
@@ -250,17 +225,19 @@ def train(model: HaKanModel, splits: DatasetSplits, spec: TrainSpec) -> tuple:
             optimizer.zero_grad()
             loss_sum += value * sel.size
         val_mse, _ = evaluate(model, splits, splits.val, spec.batch_size)
-        improved = stopper.update(val_mse)
-        if improved:
+        if val_mse < best:
+            best, bad_epochs = val_mse, 0
             snapshot = {name: t.data.copy() for name, t in model.named_parameters()}
+        else:
+            bad_epochs += 1
         logger.info("%s seed %d epoch %d: train %.4f val %.4f%s",
                     splits.name, spec.seed, epoch, loss_sum / origins.size,
-                    val_mse, " *" if improved else "")
-        if stopper.should_stop:
+                    val_mse, "" if bad_epochs else " *")
+        if bad_epochs >= spec.patience:
             break
-    if snapshot is not None:
-        for name, t in model.named_parameters():
-            t.data = snapshot[name]
+    # evaluate refuses a non-finite MSE, so epoch 1 always improves on inf
+    for name, t in model.named_parameters():
+        t.data = snapshot[name]
     mse, mae = evaluate(model, splits, splits.test, spec.batch_size)
     record = MetricRecord(
         dataset=splits.name,
@@ -268,7 +245,7 @@ def train(model: HaKanModel, splits: DatasetSplits, spec: TrainSpec) -> tuple:
         seed=spec.seed,
         mse=mse,
         mae=mae,
-        epoch_stopped=stopper.epoch,
+        epoch_stopped=epoch,
         wall_time=time.perf_counter() - started,
     )
     return model, record

@@ -584,15 +584,16 @@ class TestEvalCommand:
         ("config_field_type", "revin_eps must be float"),
         ("config_huge_size", "key w_down: shape (6, 32) != (1000000000000000, 32)"),
         ("config_huge_blocks",
-         "n_blocks 1000000000 with components 'both' needs 240,000,000,000 block parameters, "
-         "240 stored"),
+         "n_blocks 1000000000 with components 'both' needs 2,000,000,000 block arrays, "
+         "2 stored"),
         ("config_huge_float", "int too large to convert to float"),
         ("config_negative_seed", "seed must be >= 0, got -1"),
         ("config_nan_float", "hahn_a must be finite, got nan"),
         ("config_inf_float", "revin_eps must be finite, got inf"),
         ("config_unknown_components", "components must be one of"),
         ("config_old_switches",
-         "n_blocks 1 with components 'both' needs 240 block parameters, 192 stored"),
+         "n_blocks 1 with components 'both' needs 2 block arrays, 1 stored"),
+        ("renamed_block", "checkpoint key block.0.inter.gamma is missing"),
         ("str_dtype", "checkpoint key w_up holds <U"),
         ("complex_dtype", "checkpoint key w_up holds complex128"),
         ("nan_value", "checkpoint key w_up holds float64"),
@@ -651,11 +652,14 @@ class TestEvalCommand:
             if damage == "config_old_switches":
                 del arrays["block.0.intra.gamma"]
             if damage in ("config_huge_blocks", "config_old_switches"):
-                # the block count is checked from the arrays' headers alone
+                # the block arrays are counted by name before any is read
                 read_key = model_mod._read_key
                 monkeypatch.setattr(model_mod, "_read_key", lambda archive, path, key: (
                     pytest.fail(f"{key} was read") if key.startswith("block.")
                     else read_key(archive, path, key)))
+            np.savez(ckpt, **arrays)
+        elif damage == "renamed_block":  # the count by name matches, the name does not
+            arrays["block.5.inter.gamma"] = arrays.pop("block.0.inter.gamma")
             np.savez(ckpt, **arrays)
         elif damage == "object_array":
             arrays["w_up"] = np.array([{"w": 1}], dtype=object)
@@ -667,7 +671,7 @@ class TestEvalCommand:
                 header, {"descr": "<f8", "fortran_order": False, "shape": (10**6, 10**6)})
             with zipfile.ZipFile(ckpt, "a") as archive:
                 archive.writestr("w_down.npy", header.getvalue() + bytes(64))
-        elif damage == "block_header":  # read for its size before any array is loaded
+        elif damage == "block_header":  # counted by name, then read in its turn
             np.savez(ckpt, **{k: v for k, v in arrays.items() if k != "block.0.intra.gamma"})
             with zipfile.ZipFile(ckpt, "a") as archive:
                 archive.writestr("block.0.intra.gamma.npy", b"\x93NUMPY\x01\x00\x08\x00garbage\n")
@@ -687,6 +691,26 @@ class TestEvalCommand:
         assert code == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert str(ckpt) in err and message in err
+
+    def test_a_model_that_memory_cannot_hold_is_refused(self, tiny_run, capsys, monkeypatch):
+        # numpy's MemoryError as the parameters are drawn: the constructor
+        # names the parameter count, and `eval` of a sound checkpoint exits 3
+        cfg_path, _, out_dir = tiny_run
+        out_dir.mkdir(parents=True, exist_ok=True)
+        ckpt = out_dir / "sound.npz"
+        model_cfg = load_config(cfg_path).bind(2, seed=1)[0]
+        HaKanModel(model_cfg).save(ckpt)
+
+        def no_memory(*_):
+            raise MemoryError
+
+        monkeypatch.setattr(model_mod, "_uniform", no_memory)
+        with pytest.raises(ConfigError, match="parameters do not fit in memory"):
+            HaKanModel(model_cfg)
+        code = cli.main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg_path)])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "builds no model" in err and "do not fit in memory" in err
 
 
 class TestSweepCommand:
@@ -852,6 +876,27 @@ def test_train_refuses_a_data_name_holding_a_slash_before_reading(tiny_run, caps
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: data.name 'a/b'")
     assert not reads and not out_dir.exists()
+
+
+@pytest.mark.parametrize("key", ["data.name", "data.path"])
+def test_train_refuses_a_data_name_too_long_for_a_file_before_training(tiny_run, capsys,
+                                                                       monkeypatch, key):
+    # a seed's longest file name, its manifest's, one byte past what run.out
+    # holds: refused before any seed trains, naming the key the name came from
+    cfg_path, data, out_dir = tiny_run
+    limit = os.pathconf(data.parent, "PC_NAME_MAX")
+    name = "n" * (limit - len("_T4_seed11.manifest") + 1)
+    if key == "data.name":
+        extra = f"data.name = {name}\n"
+    else:  # the CSV's stem names the dataset
+        extra = f"data.path = {data.rename(data.with_name(name + '.csv'))}\ndata.name = \n"
+    cfg_path.write_text(cfg_path.read_text() + extra)
+    monkeypatch.setattr(cli, "train", lambda *_: pytest.fail("a seed trained"))
+    assert cli.main(["train", "--config", str(cfg_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        f"config error: {key} makes file names of {limit + 1} bytes, over run.out's {limit}")
+    assert out_dir.is_dir() and not any(out_dir.iterdir())
 
 
 class TestParamsCommand:

@@ -15,7 +15,6 @@ from hakan.training import (
     BETA2,
     EPS,
     Adam,
-    EarlyStopper,
     MetricRecord,
     TrainSpec,
     block_crossing,
@@ -174,33 +173,6 @@ class TestAdam:
         np.testing.assert_array_equal(p.data, [1.0, 2.0])
 
 
-class TestEarlyStopper:
-    def test_patience_one_sequence(self):
-        stopper = EarlyStopper(patience=1)
-        assert stopper.update(5.0) is True
-        assert not stopper.should_stop
-        assert stopper.update(6.0) is False
-        assert stopper.should_stop
-        assert stopper.best == 5.0
-        assert stopper.epoch == 2
-
-    def test_reset_on_improvement(self):
-        stopper = EarlyStopper(patience=2)
-        for value in (5.0, 6.0, 4.0, 4.5):
-            stopper.update(value)
-        assert not stopper.should_stop
-        assert stopper.best == 4.0
-        stopper.update(4.4)  # second consecutive epoch above the best
-        assert stopper.should_stop
-
-    def test_never_returns_worse_than_seen(self):
-        stopper = EarlyStopper(patience=3)
-        values = [5.0, 4.0, 4.2, 4.1, 4.3, 4.25]
-        for v in values:
-            stopper.update(v)
-        assert stopper.best == min(values)
-
-
 def synthetic_splits(total=260, channels=2, seed=6, name="synthetic"):
     rng = np.random.default_rng(seed)
     t = np.arange(total)
@@ -288,10 +260,19 @@ class TestTrainLoop:
         for key in a[1]:
             np.testing.assert_array_equal(a[1][key], b[1][key])
 
-    def test_early_stopping_restores_the_best_epoch(self, monkeypatch):
-        # validation improves for two epochs and then stops: with patience 3
-        # training ends after epoch 5 and keeps the weights of epoch 2
-        val_mse = iter([3.0, 2.0, 2.5, 2.0, 2.5, 1.0])
+    @pytest.mark.parametrize("patience, values, stopped, kept", [
+        (1, [5.0, 6.0], 2, 1),
+        # the count of epochs without a new best resets on one
+        (2, [5.0, 6.0, 4.0, 4.5, 4.4], 5, 3),
+        # a tie is no new best, and the minimum is the epoch kept
+        (3, [3.0, 2.0, 2.5, 2.0, 2.5, 1.0], 5, 2),
+        (3, [5.0, 4.0, 4.2, 4.1, 4.3], 5, 2),
+    ])
+    def test_early_stopping_restores_the_best_epoch(self, monkeypatch, patience, values,
+                                                    stopped, kept):
+        # training ends after `patience` epochs without a new best validation
+        # MSE and keeps the weights of the best epoch
+        val_mse = iter(values)
         seen = []
         real_evaluate = training.evaluate
 
@@ -303,11 +284,11 @@ class TestTrainLoop:
 
         monkeypatch.setattr(training, "evaluate", scripted)
         model = HaKanModel(tiny_train_config(seed=13))
-        spec = TrainSpec(max_epochs=20, patience=3, lr=1e-3, batch_size=16, seed=13)
+        spec = TrainSpec(max_epochs=20, patience=patience, lr=1e-3, batch_size=16, seed=13)
         _, record = train(model, synthetic_splits(), spec)
-        assert record.epoch_stopped == len(seen) == 5
+        assert record.epoch_stopped == len(seen) == stopped
         for name, t in model.named_parameters():
-            np.testing.assert_array_equal(t.data, seen[1][name])
+            np.testing.assert_array_equal(t.data, seen[kept - 1][name])
         assert not np.array_equal(model.w_up.data, seen[-1]["w_up"])
 
     def test_empty_split_rejected(self):
