@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pool
-from .errors import BasisParameterError, ConfigError, ContractError
+from .errors import ConfigError, ContractError
 
 BASIS_KINDS = ("hahn", "chebyshev", "lucas")
 # The highest degree a basis is built with.  `make_basis` builds one
@@ -184,11 +184,11 @@ def hahn_steps(a: float, b: float, n: int, degree: int) -> list:
     that gives 0, inf or nan, and `make_basis` refuses them.
     """
     if a <= -1.0 or b <= -1.0:
-        raise BasisParameterError(f"need a > -1 and b > -1, got a={a}, b={b}")
+        raise ConfigError(f"need a > -1 and b > -1, got a={a}, b={b}")
     if n < 1:
-        raise BasisParameterError(f"need n >= 1, got n={n}")
+        raise ConfigError(f"need n >= 1, got n={n}")
     if degree > n:
-        raise BasisParameterError(
+        raise ConfigError(
             f"degree {degree} exceeds n={n}; Hahn polynomials stop at degree n"
         )
     if n > sys.float_info.max:
@@ -203,16 +203,16 @@ def hahn_steps(a: float, b: float, n: int, degree: int) -> list:
             if r > 1:
                 steps.append(((A + B - half) / A, -half / A, -B / A))
             elif 2 * r + a + b - 1 == 0.0:
-                raise BasisParameterError(
+                raise ConfigError(
                     f"A_1 denominator factor 2r+a+b-1 is zero for (a={a}, b={b})")
             elif A == 0.0:  # r + a + b vanishes, or the denominator overflowed
-                raise _overflow(a, b, n) if r + a + b else BasisParameterError(
+                raise _overflow(a, b, n) if r + a + b else ConfigError(
                     f"A_1 = 0 for (a={a}, b={b}, n={n}); the factor (r + a + b) vanishes")
     return steps
 
 
-def _overflow(a, b, n) -> BasisParameterError:
-    return BasisParameterError(
+def _overflow(a, b, n) -> ConfigError:
+    return ConfigError(
         f"the Hahn recurrence overflows float64 for (a={float(a)}, b={float(b)}, n={n})")
 
 
@@ -222,7 +222,7 @@ def make_basis(kind: str, degree: int, a: float = 1.0, b: float = 1.0, n: int = 
     if kind not in BASIS_KINDS:
         raise ConfigError(f"unknown basis {kind!r}; choose from {BASIS_KINDS}")
     if not 0 <= degree <= MAX_DEGREE:
-        raise BasisParameterError(f"degree must be in [0, {MAX_DEGREE}], got {degree}")
+        raise ConfigError(f"degree must be in [0, {MAX_DEGREE}], got {degree}")
     if kind == "hahn":
         steps = hahn_steps(a, b, n, degree)  # checks (a, b, n) before p1 divides by them
         # P_1(s) = 1 - (a + b + 2) s / ((a + 1) n) at s = n (1 + t) / 2

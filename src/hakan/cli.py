@@ -27,7 +27,7 @@ from .config import (
     with_values,
 )
 from .data import load_csv, prepare
-from .errors import ConfigError, ContractError, DataError, DimensionError
+from .errors import ConfigError, ContractError, DataError
 from .model import HaKanModel, ModelConfig, count_breakdown
 from .training import (
     ARRAYS_PER_PARAMETER,
@@ -82,7 +82,7 @@ def main(argv=None) -> int:
     except DataError as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
-    except (ContractError, DimensionError) as err:
+    except ContractError as err:
         print(f"numeric error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
 
@@ -226,7 +226,7 @@ def _load_splits(cfg: RunConfig, lookback: int, loaded: dict | None = None):
     if not cfg.data_path:
         raise ConfigError("no dataset path configured (data.path)")
     loaded = {} if loaded is None else loaded
-    key = (cfg.data_path, cfg.data_name or None, cfg.data.frequency)
+    key = (cfg.data_path, cfg.data_name or None)
     if key not in loaded:
         loaded[key] = load_csv(*key)
     return prepare(loaded[key], cfg.data, lookback)

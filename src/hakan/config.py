@@ -74,9 +74,9 @@ KEYS = _key_table()
 
 
 def _parse(kind: str, raw: str):
-    if kind == "tuple":  # run.seeds, each a numpy seed: a non-negative int
+    if kind == "tuple":  # run.seeds: distinct numpy seeds, each a non-negative int
         seeds = tuple(int(s) for s in raw.split(",") if s.strip())
-        if not seeds or min(seeds) < 0:
+        if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
             raise ValueError(raw)
         return seeds
     if kind == "int":

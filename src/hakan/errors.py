@@ -1,7 +1,6 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto distinct exit codes, so raise the most specific
-class available.
+One class per CLI exit code: ConfigError exits 2, DataError 3, ContractError 4.
 """
 
 
@@ -10,21 +9,13 @@ class HakanError(Exception):
 
 
 class ConfigError(HakanError):
-    """Invalid configuration: bad key, bad value, or inconsistent settings."""
-
-
-class BasisParameterError(ConfigError):
-    """Polynomial basis parameters that break the recurrence (zero or overflowing
-    coefficient, degree out of range)."""
+    """Invalid configuration: a bad key or value, inconsistent settings, or basis
+    parameters that break the recurrence."""
 
 
 class DataError(HakanError):
-    """Dataset loading or splitting failure."""
-
-
-class DimensionError(HakanError):
-    """Array shapes incompatible with the requested operation."""
+    """A dataset or checkpoint that cannot be loaded or split."""
 
 
 class ContractError(HakanError):
-    """An internal invariant or call contract was violated."""
+    """A broken invariant or call contract: incompatible shapes, a non-finite value."""

@@ -26,7 +26,7 @@ import numpy as np
 from . import pool
 from . import tensor as tt
 from .basis import Basis, block_rows
-from .errors import ContractError, DimensionError
+from .errors import ContractError
 from .tensor import Tensor
 
 # Cache blocks (`basis.BLOCK_ELEMENTS`) per pool task of a KAN layer, forward
@@ -109,7 +109,7 @@ def linear(x: Tensor, w: Tensor, axis: int = -1) -> Tensor:
 
 def _check_extent(x: Tensor, extent: int, axis: int) -> None:
     if x.ndim < -axis or x.shape[axis] != extent:
-        raise DimensionError(f"expected extent {extent} on axis {axis}, got {x.shape}")
+        raise ContractError(f"expected extent {extent} on axis {axis}, got {x.shape}")
 
 
 class KanLayer:

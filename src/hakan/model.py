@@ -27,7 +27,7 @@ import numpy as np
 from . import pool
 from . import tensor as tt
 from .basis import make_basis
-from .errors import ConfigError, DataError, DimensionError
+from .errors import ConfigError, ContractError, DataError
 from .layers import KanLayer, linear
 from .tensor import Tensor
 
@@ -196,8 +196,8 @@ def embed(patches: np.ndarray, w_p: Tensor, w_pos: Tensor) -> Tensor:
     One node; the patches are data, so only w_p and w_pos get gradients.
     """
     if patches.shape[-2:] != (w_pos.shape[0], w_p.shape[0]):
-        raise DimensionError(f"embed: patches {patches.shape} do not fit "
-                             f"w_p {w_p.shape} and w_pos {w_pos.shape}")
+        raise ContractError(f"embed: patches {patches.shape} do not fit "
+                            f"w_p {w_p.shape} and w_pos {w_pos.shape}")
     out = np.matmul(patches, w_p.data)
     out += w_pos.data
 
@@ -279,7 +279,7 @@ class HaKanModel:
         cfg = self.config
         x = np.asarray(windows, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != cfg.lookback:
-            raise DimensionError(
+            raise ContractError(
                 f"expected [batch, {cfg.lookback}] windows, got {x.shape}"
             )
         normed, state = revin_normalize(x, cfg.revin_eps)
@@ -295,7 +295,7 @@ class HaKanModel:
         """Forecast one univariate window [lookback] -> [horizon], as `predict` does."""
         series = np.asarray(series, dtype=np.float64)
         if series.ndim != 1:
-            raise DimensionError(f"expected a 1-d series, got shape {series.shape}")
+            raise ContractError(f"expected a 1-d series, got shape {series.shape}")
         return self.predict(series[:, None])[:, 0]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -309,9 +309,9 @@ class HaKanModel:
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
-            raise DimensionError(f"expected [length, channels], got shape {x.shape}")
+            raise ContractError(f"expected [length, channels], got shape {x.shape}")
         if x.shape[0] != self.config.lookback:
-            raise DimensionError(
+            raise ContractError(
                 f"expected lookback {self.config.lookback}, got {x.shape[0]}"
             )
         channels = x.shape[1]

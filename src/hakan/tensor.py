@@ -19,7 +19,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import pool
-from .errors import ContractError, DimensionError
+from .errors import ContractError
 
 # Elements per pool task of a whole-array pass (`_sliced`), 1 MiB of float64:
 # a fixed count, so the slices never depend on the pool size.
@@ -186,7 +186,7 @@ def add(a: Tensor, b: Tensor, in_place: bool = False) -> Tensor:
     must not share memory with b's (b's values would change under it).
     """
     if a.shape != b.shape:
-        raise DimensionError(f"add: shapes {a.shape} and {b.shape} differ")
+        raise ContractError(f"add: shapes {a.shape} and {b.shape} differ")
     if in_place and not a.data.flags.c_contiguous:
         raise ContractError("add: an in-place target must be C-contiguous")
     if in_place and np.shares_memory(a.data, b.data):
@@ -207,7 +207,7 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
     try:
         data = a.data.reshape(shape)
     except ValueError:
-        raise DimensionError(f"reshape: cannot view {a.shape} as {shape}")
+        raise ContractError(f"reshape: cannot view {a.shape} as {shape}")
 
     def back(g):
         if a.requires_grad:

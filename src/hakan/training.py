@@ -19,7 +19,7 @@ from . import pool
 from . import tensor as tt
 from .basis import BLOCK_ELEMENTS
 from .data import DatasetSplits, window_count
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ConfigError, ContractError
 from .model import HaKanModel, ModelConfig
 from .tensor import Tensor
 
@@ -34,7 +34,7 @@ def mse_loss(pred: Tensor, truth) -> Tensor:
     """
     truth = truth.data if isinstance(truth, Tensor) else np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape:
-        raise DimensionError(f"mse_loss: shapes {pred.shape} vs {truth.shape}")
+        raise ContractError(f"mse_loss: shapes {pred.shape} vs {truth.shape}")
     diff = pred.data - truth
     inv = 1.0 / diff.size
 

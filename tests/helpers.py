@@ -10,7 +10,7 @@ import pytest
 
 import hakan.tensor as tt
 from hakan.basis import block_rows
-from hakan.errors import BasisParameterError
+from hakan.errors import ConfigError
 from hakan.layers import _weight_grad
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -190,7 +190,7 @@ def closed_form(a: float, b: float, n: int, r: int, x: float) -> float:
     accumulated term by term in float64, independent of the recurrence.
     """
     if r > n:
-        raise BasisParameterError(f"degree r={r} exceeds n={n}")
+        raise ConfigError(f"degree r={r} exceeds n={n}")
     total = 1.0
     term = 1.0
     for k in range(r):

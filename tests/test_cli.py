@@ -15,12 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hakan.tensor as tt
-from hakan import cli, pool
+from hakan import cli, errors, pool
 from hakan import model as model_mod
 from hakan.config import (RunConfig, load_config, parse_config, serialize_config,
                           with_values)
 from hakan.data import SplitSpec, load_csv, prepare, window_count
-from hakan.errors import ConfigError
+from hakan.errors import ConfigError, ContractError, DataError
 from hakan.model import HaKanModel, HahnKanBlock, ModelConfig, count_breakdown
 from hakan.training import TrainSpec
 
@@ -788,6 +788,16 @@ class TestSweepCommand:
         delta = int(rows[1]["params"]) - int(rows[0]["params"])
         assert delta == 4 * 4 + 8 * 8  # one more basis term per block
 
+    def test_a_frequency_axis_reads_the_file_once(self, tiny_run, monkeypatch):
+        # load_csv reads data.path and data.name; the frequency only shapes the split
+        cfg_path, _, out_dir = tiny_run
+        reads = []
+        monkeypatch.setattr(cli, "load_csv", lambda *args: reads.append(args) or load_csv(*args))
+        code = cli.main(["sweep", "--config", str(cfg_path), "--axis", "frequency",
+                         "--values", "hourly,15min", "--max-epochs", "1"])
+        assert code == 0
+        assert len(reads) == 1
+        assert (out_dir / "sweep_frequency.csv").exists()
 
     def test_no_values_exits_config_code(self, tiny_run, capsys):
         cfg_path, _, out_dir = tiny_run
@@ -897,6 +907,44 @@ def test_train_refuses_a_data_name_too_long_for_a_file_before_training(tiny_run,
     assert len(err) == 1 and err[0].startswith(
         f"config error: {key} makes file names of {limit + 1} bytes, over run.out's {limit}")
     assert out_dir.is_dir() and not any(out_dir.iterdir())
+
+
+@pytest.mark.parametrize("argv, cfg_line", [
+    (["train"], "run.seeds = 1,1"),
+    (["train", "--seeds", "1,2,1"], ""),
+    (["sweep", "--axis", "blocks", "--values", "1", "--max-epochs", "1"], "run.seeds = 1,1"),
+], ids=["train", "train-flag", "sweep"])
+def test_a_repeated_seed_exits_config_code_before_training(tiny_run, capsys, monkeypatch,
+                                                           argv, cfg_line):
+    # train would run the seed once and sweep would average it twice
+    cfg_path, _, out_dir = tiny_run
+    cfg_path.write_text(cfg_path.read_text() + cfg_line + "\n")
+    monkeypatch.setattr(cli, "train", lambda *_: pytest.fail("a seed trained"))
+    command, *flags = argv
+    assert cli.main([command, "--config", str(cfg_path), *flags]) == cli.EXIT_CONFIG
+    raw = cfg_line.partition(" = ")[2] or flags[1]
+    assert capsys.readouterr().err == (
+        f"config error: config key run.seeds: cannot parse value '{raw}'\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (ConfigError, 2, "config error"),
+    (DataError, 3, "data error"),
+    (ContractError, 4, "numeric error"),
+])
+def test_each_error_class_exits_with_its_own_code(monkeypatch, capsys, error, code, prefix):
+    def fail(args):
+        raise error("the reason")
+    monkeypatch.setattr(cli, "cmd_params", fail)
+    assert cli.main(["params"]) == code
+    assert capsys.readouterr().err == f"{prefix}: the reason\n"
+
+
+def test_one_error_class_per_exit_code():
+    defined = {obj for obj in vars(errors).values()
+               if isinstance(obj, type) and issubclass(obj, errors.HakanError)}
+    assert defined == {errors.HakanError, ConfigError, DataError, ContractError}
 
 
 class TestParamsCommand:

@@ -8,7 +8,7 @@ import pytest
 import hakan.tensor as tt
 from hakan import pool
 from hakan.basis import BLOCK_ELEMENTS, block_rows, make_basis
-from hakan.errors import ContractError, DimensionError
+from hakan.errors import ContractError
 from hakan.layers import RUN_BLOCKS, KanLayer, _runs
 from hakan.tensor import Tensor
 from hakan.training import mse_loss
@@ -77,7 +77,7 @@ class TestKanForward:
         assert out.data[0, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ContractError, match=r"expected extent 4 on axis -1, got \(5, 6\)"):
             hahn_layer(4, 3).forward(Tensor(np.zeros((5, 6))))
 
     def test_linearity_in_coefficients(self):
@@ -225,9 +225,9 @@ class TestPatchAxis:
 
     def test_extent_checked_on_the_contracted_axis(self):
         layer, _ = oracle_layer("hahn", 3, "patch-3d")
-        with pytest.raises(DimensionError):
+        with pytest.raises(ContractError, match=r"expected extent 3 on axis -2, got \(2, 5, 3\)"):
             layer.forward(Tensor(np.zeros((2, 5, 3))))
-        with pytest.raises(DimensionError):
+        with pytest.raises(ContractError, match=r"expected extent 3 on axis -2, got \(3,\)"):
             layer.forward(Tensor(np.zeros(3)))
 
     def test_unknown_axis_rejected(self):

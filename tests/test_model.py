@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import hakan.tensor as tt
 from hakan import pool
-from hakan.errors import ConfigError, ContractError, DimensionError
+from hakan.errors import ConfigError, ContractError
 from hakan.model import (
     CHECKPOINT_CONFIG_KEY,
     COMPONENTS,
@@ -53,9 +53,9 @@ class TestChannels:
         assert out.shape == (4, 3)
         for c in range(3):
             np.testing.assert_array_equal(out[:, c], model.forward(x[:, c]))
-        with pytest.raises(DimensionError, match="length, channels"):
+        with pytest.raises(ContractError, match="length, channels"):
             model.predict(x[:, 0])
-        with pytest.raises(DimensionError, match="lookback"):
+        with pytest.raises(ContractError, match="lookback"):
             model.predict(x.T)
 
     def test_round_trip(self):
@@ -210,7 +210,7 @@ class TestEmbed:
                  tol=1e-6)
 
     def test_mismatched_shapes_rejected(self):
-        with pytest.raises(DimensionError, match="embed"):
+        with pytest.raises(ContractError, match="embed"):
             embed(np.ones((3, 4)), Tensor(np.zeros((4, 2))), Tensor(np.zeros((2, 2))))
 
 
@@ -412,11 +412,11 @@ def reference_forward(model: HaKanModel, series: np.ndarray) -> np.ndarray:
 class TestForward:
     @pytest.mark.parametrize("shape", [(8,), (2, 9), (2, 8, 1)])
     def test_windows_of_another_shape_are_refused(self, shape):
-        with pytest.raises(DimensionError, match=r"expected \[batch, 8\] windows"):
+        with pytest.raises(ContractError, match=r"expected \[batch, 8\] windows"):
             _tiny_model().forward_batch(np.zeros(shape))
 
     def test_a_two_dimensional_series_is_refused(self):
-        with pytest.raises(DimensionError, match="expected a 1-d series, got shape"):
+        with pytest.raises(ContractError, match="expected a 1-d series, got shape"):
             _tiny_model().forward(np.zeros((8, 1)))
 
     def test_zero_parameters_predict_window_mean(self):
@@ -467,7 +467,7 @@ class TestForward:
         np.testing.assert_allclose(moved, 2.0 * base + 5.0, atol=1e-6)
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ContractError, match="expected lookback 8, got 9"):
             _tiny_model().forward(np.zeros(9))
 
     def test_nan_window_rejected(self):

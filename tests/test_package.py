@@ -1,8 +1,9 @@
 """Static checks of the package source: what it imports, and that nothing it
-defines goes unnamed."""
+defines goes unnamed; and of the pytest settings in pyproject.toml."""
 
 import ast
 import re
+import subprocess
 import sys
 from collections import Counter
 
@@ -43,3 +44,15 @@ def test_every_name_the_package_defines_is_named_elsewhere():
         for path in root.rglob("*.py"):
             words.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
     assert sorted(name for name, count in defined.items() if words[name] <= count) == []
+
+
+def test_an_unregistered_marker_fails_the_run(tmp_path):
+    # pyproject.toml's "error" warning filter is what fails it
+    test = tmp_path / "test_typo.py"
+    test.write_text("import pytest\n\n\n@pytest.mark.slwo\ndef test_marked():\n    pass\n")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(REPO_ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), str(test)],
+        capture_output=True, text=True, timeout=300)
+    assert run.returncode != 0
+    assert "PytestUnknownMarkWarning" in run.stdout + run.stderr

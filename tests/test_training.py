@@ -7,7 +7,7 @@ import hakan.tensor as tt
 from hakan import layers, pool, training
 from hakan.basis import BASIS_KINDS
 from hakan.data import RawDataset, SplitSpec, prepare, window_count
-from hakan.errors import ConfigError, ContractError, DimensionError
+from hakan.errors import ConfigError, ContractError
 from hakan.model import COMPONENTS, HaKanModel, ModelConfig
 from hakan.tensor import Tensor
 from hakan.training import (
@@ -45,7 +45,7 @@ class TestLosses:
         assert mse_loss(pred, truth).item() == pytest.approx(3.25)
 
     def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ContractError, match=r"mse_loss: shapes \(2, 2\) vs \(2, 3\)"):
             mse_loss(Tensor(np.zeros((2, 2))), np.zeros((2, 3)))
 
     def test_mse_is_differentiable(self):
